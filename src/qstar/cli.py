@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .iso import build_isomorphism, classify_partitions, iso_key, q_isomorphic
+from .iso import build_isomorphism, classify_partitions, q_isomorphic
 from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import PartitionedSet, partition_from_spec
@@ -46,9 +46,28 @@ from .verify import run_verification
 MAX_SAFE_INT = 2**53 - 1
 
 
+# Decimal digits per piece when writing a huge int: well below the
+# interpreter's int-to-str digit limit (4300 by default).
+DECIMAL_CHUNK_DIGITS = 1000
+
+
+def decimal_string(value: int) -> str:
+    """``str(value)`` for an int of any size, written in pieces so that no
+    single conversion reaches the int-to-str digit limit."""
+    if value < 0:
+        return "-" + decimal_string(-value)
+    base = 10**DECIMAL_CHUNK_DIGITS
+    pieces = []
+    while value >= base:
+        value, low = divmod(value, base)
+        pieces.append(str(low).zfill(DECIMAL_CHUNK_DIGITS))
+    pieces.append(str(value))
+    return "".join(reversed(pieces))
+
+
 def json_int(value: int):
     """Ints beyond the double-precision safe range go out as strings."""
-    return value if abs(value) <= MAX_SAFE_INT else str(value)
+    return value if abs(value) <= MAX_SAFE_INT else decimal_string(value)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -215,7 +234,9 @@ def cmd_iso(args) -> dict:
         "witness_verified": False,
     }
     if isomorphic and cardinality_Q(P1) <= 200:
-        iso = build_isomorphism(P1, P2, max_size=args.max_closure)
+        iso = build_isomorphism(
+            P1, P2, max_size=args.max_closure, max_group_order=args.group_order_bound
+        )
         payload["isomorphism"] = {
             "block_bijection": [b + 1 for b in iso["block_bijection"]],
             "verified": iso["verified"],

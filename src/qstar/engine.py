@@ -23,7 +23,9 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .transformation import Transformation, compose, kernel_partition
+from .transformation import Transformation, kernel_partition, product_map
+# Not used here; bench/test_bench.py checks that tracing restores qstar.engine.compose.
+from .transformation import compose  # noqa: F401
 
 DEFAULT_MAX_CLOSURE = 100_000
 DEFAULT_MAX_GROUP_ORDER = 120
@@ -79,17 +81,19 @@ class SemigroupSet:
     @cached_property
     def index_table(self) -> tuple[tuple[int, ...], ...]:
         """Full multiplication table over element indices; proves closure."""
-        idx = self.element_index
+        images = [t.images for t in self.elements]
+        if any(len(v) != self.n for v in images):
+            raise ValidationError("elements have mixed degrees")
+        position = {v: i for i, v in enumerate(images)}
+        lookup = position.__getitem__
         rows = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                p = compose(a, b)
-                j = idx.get(p)
-                if j is None:
-                    raise ValidationError(f"set is not closed: {a.images} * {b.images} escapes")
-                row.append(j)
-            rows.append(tuple(row))
+        for a in images:
+            mul = product_map(a)
+            try:
+                rows.append(tuple(map(lookup, map(mul, images))))
+            except KeyError:
+                b = next(b for b in images if mul(b) not in position)
+                raise ValidationError(f"set is not closed: {a} * {b} escapes") from None
         return tuple(rows)
 
     def subset(self, indices: Iterable[int]) -> tuple[Transformation, ...]:
@@ -110,23 +114,21 @@ def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE)
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValidationError("generators have mixed degrees")
-    known: dict[Transformation, None] = dict.fromkeys(gens)
-    work = deque(gens)
+    gen_images = [g.images for g in gens]
+    known = set(gen_images)
+    work = deque(gen_images)
     while work:
-        x = work.popleft()
-        for g in gens:
-            p = compose(x, g)
+        for p in map(product_map(work.popleft()), gen_images):
             if p not in known:
-                known[p] = None
+                known.add(p)
                 if len(known) > max_size:
                     raise ResourceLimitError(f"closure exceeded max_size={max_size}")
                 work.append(p)
-    elements = tuple(sorted(known))
-    for g in gens:
-        for x in elements:
-            if compose(g, x) not in known:
-                raise InternalConsistencyError("left product escaped a right-product closure")
-    return SemigroupSet(n, elements, gens)
+    images = sorted(known)
+    for g in gen_images:
+        if not known.issuperset(map(product_map(g), images)):
+            raise InternalConsistencyError("left product escaped a right-product closure")
+    return SemigroupSet(n, tuple(map(Transformation._unchecked, images)), gens)
 
 
 def green_R_related(a: Transformation, b: Transformation) -> bool:

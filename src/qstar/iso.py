@@ -13,11 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import DEFAULT_MAX_CLOSURE
+from .engine import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER
 from .errors import ContractError, InternalConsistencyError, ValidationError
 from .partition import PartitionedSet, partition_from_sizes
 from .qsemigroup import block_permutation, decompose, enumerate_Q
-from .transformation import Transformation, compose
+from .transformation import compose
 
 DEFAULT_VERIFY_MAX = 200
 DEFAULT_SAMPLE_PAIRS = 2000
@@ -57,6 +57,7 @@ def build_isomorphism(
     verify_max: int = DEFAULT_VERIFY_MAX,
     seed: int = 0,
     sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
+    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> dict:
     """An explicit isomorphism Q(P1) -> Q(P2) as a mapping of elements.
 
@@ -70,8 +71,8 @@ def build_isomorphism(
         raise ContractError(
             f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})"
         )
-    dec1 = decompose(P1, max_size)
-    dec2 = decompose(P2, max_size)
+    dec1 = decompose(P1, max_size, max_group_order)
+    dec2 = decompose(P2, max_size, max_group_order)
     k = P1.k
 
     order1 = sorted(range(k), key=lambda i: (len(P1.blocks[i]), i))

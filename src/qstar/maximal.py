@@ -87,7 +87,7 @@ def maximal_subsemigroups_Q(
             "E is the identity relation, Q is a group; ask for maximal subgroups "
             "of the symmetric group on k points instead"
         )
-    dec = decompose(P, max_size)
+    dec = decompose(P, max_size, max_group_order)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part
     idems = dec.idempotent_part

@@ -8,10 +8,11 @@ indexed by the m image cross-sections.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .engine import (
     DEFAULT_MAX_CLOSURE,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .membership import in_Q
 from .partition import PartitionedSet
-from .transformation import Transformation, compose, image
+from .transformation import Transformation, compose, image, product_map
 
 
 def cardinality_Q(P: PartitionedSet) -> int:
@@ -60,7 +61,32 @@ def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-@lru_cache(maxsize=128)
+def _cached(maxsize: int):
+    """``lru_cache`` keyed on the arguments with their defaults filled in.
+
+    A plain ``lru_cache`` keys f(P), f(P, DEFAULT) and f(P, max_size=DEFAULT)
+    apart, so callers that pass a bound differently would each build the
+    instance again.
+    """
+
+    def decorate(fn):
+        signature = inspect.signature(fn)
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
+
+
+@_cached(maxsize=128)
 def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
     """All of Q, built directly as (block permutation) x (representative choice).
 
@@ -85,11 +111,11 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     for a in elements:
         if not in_Q(P, a):
             raise InternalConsistencyError("constructed element fails the membership predicate")
-    index = set(elements)
-    for a in elements:
-        for b in elements:
-            if compose(a, b) not in index:
-                raise InternalConsistencyError("constructed Q is not closed under composition")
+    images = [a.images for a in elements]
+    index = set(images)
+    for a in images:
+        if not index.issuperset(map(product_map(a), images)):
+            raise InternalConsistencyError("constructed Q is not closed under composition")
     return SemigroupSet(P.n, elements, None)
 
 
@@ -106,7 +132,7 @@ def enumerate_Q_bruteforce(P: PartitionedSet, max_maps: int = 60_000) -> Semigro
     return SemigroupSet(P.n, tuple(sorted(elems)), None)
 
 
-@lru_cache(maxsize=128)
+@_cached(maxsize=128)
 def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
     """The m idempotents of Q: one per choice of a representative in each block.
 
@@ -195,16 +221,21 @@ class RightGroupDecomposition:
         return a, f
 
 
-@lru_cache(maxsize=64)
-def decompose(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> RightGroupDecomposition:
+@_cached(maxsize=64)
+def decompose(
+    P: PartitionedSet,
+    max_size: int = DEFAULT_MAX_CLOSURE,
+    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
+) -> RightGroupDecomposition:
     """Split Q into H_e x E(Q) over the canonically least idempotent e.
 
     The pairing (a, f) -> a*f is verified to be a bijection onto Q, and the
-    coordinate inverse is verified to round-trip.
+    coordinate inverse is verified to round-trip.  ``max_group_order``
+    bounds the H-class build.
     """
     idems = idempotents_Q(P, max_size)
     e = idems[0]
-    G = h_class(e, P)
+    G = h_class(e, P, max_group_order)
     if G.elements.elements[G.identity] != e:
         raise InternalConsistencyError("base idempotent is not the identity of its H-class")
     Q = enumerate_Q(P, max_size)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .engine import DEFAULT_MAX_CLOSURE, SemigroupSet, _close_mask, closure
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .partition import PartitionedSet
-from .qsemigroup import block_permutation, cardinality_Q, enumerate_Q, idempotents_Q
+from .qsemigroup import _pattern_element, enumerate_Q, idempotents_Q
 from .transformation import Transformation, compose, image
 
 
@@ -35,10 +35,6 @@ def rank_Q(P: PartitionedSet) -> int:
 def _base_cross_section(P: PartitionedSet) -> tuple[int, ...]:
     # least idempotent in canonical order = least representative per block
     return tuple(min(b) for b in P.blocks)
-
-
-def _pattern_element(P: PartitionedSet, cross_section, sigma) -> Transformation:
-    return Transformation(tuple(cross_section[sigma[P.block_of[x]]] for x in range(P.n)))
 
 
 def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:

@@ -7,7 +7,8 @@ convention x(ab) = (xa)b used throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import ContractError, ValidationError
 from .partition import PartitionedSet
@@ -34,6 +35,17 @@ class Transformation:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValidationError(f"image of {x} is {v!r}, outside 0..{n - 1}")
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Transformation":
+        """Wrap ``images`` without validation.
+
+        Only for products of valid maps of one degree, which cannot leave
+        the range; every other map goes through the validating constructor.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "images", images)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -53,12 +65,25 @@ def constant_map(n: int, value: int) -> Transformation:
     return Transformation((value,) * n)
 
 
+def product_map(a_images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The product kernel: a C-level callable taking b's images to a*b's.
+
+    ``a_images`` and the images passed in must be valid maps of one degree;
+    nothing is checked.  (a*b)(x) = b(a(x)), so the product's images are b's
+    images picked at a's images, which is ``itemgetter(*a_images)``.  On one
+    point ``itemgetter`` returns a bare int, so that degree is wrapped.
+    """
+    if len(a_images) == 1:
+        (v,) = a_images
+        return lambda b_images: (b_images[v],)
+    return itemgetter(*a_images)
+
+
 def compose(a: Transformation, b: Transformation) -> Transformation:
     """Apply ``a`` first, then ``b``: x -> b(a(x))."""
     if a.n != b.n:
         raise ValidationError(f"degree mismatch: {a.n} vs {b.n}")
-    bi = b.images
-    return Transformation(tuple(bi[v] for v in a.images))
+    return Transformation._unchecked(product_map(a.images)(b.images))
 
 
 def image(a: Transformation) -> frozenset:

@@ -28,10 +28,8 @@ from .engine import (
     green_R_related,
     groups_isomorphic,
     is_left_cancellative,
-    is_maximal_subsemigroup,
     is_regular_semigroup,
     is_right_group,
-    symmetric_group_table,
 )
 from .errors import QstarError
 from .iso import build_isomorphism, q_isomorphic

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import sys
 import jsonschema
 import pytest
 
-from qstar.cli import main
+from qstar.cli import json_int, main
+from qstar.qsemigroup import decompose, enumerate_Q, idempotents_Q
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "schemas" / "qstar-output.schema.json").read_text()
@@ -51,6 +53,33 @@ def test_analyze_handles_huge_instances(capsys):
     assert payload["m"] == str(10**30)
     assert isinstance(payload["cardinality"], str)
     assert int(payload["cardinality"]) > 2**53
+
+
+def test_analyze_counts_past_the_int_to_str_digit_limit(capsys):
+    blocks = "|".join(str(i) for i in range(1, 1601))
+    payload = run_json(capsys, "analyze", "--partition", blocks)
+    digits = payload["cardinality"]
+    assert len(digits) > 4300 and digits.isdigit() and digits[0] != "0"
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == math.factorial(1600)
+    assert payload["h_class_order"] == digits
+
+
+def test_json_int_keeps_every_digit():
+    for value in (2**53, 10**1000, 10**1000 - 1, 10**2000 + 7, -(10**3000) - 1):
+        assert json_int(value) == str(value)
+    assert json_int(2**53 - 1) == 2**53 - 1
+
+
+def test_verify_enumerates_q_once(capsys):
+    for fn in (enumerate_Q, idempotents_Q, decompose):
+        fn.cache_clear()
+    code, _ = run(capsys, "verify", "--partition", "1,2,3,4|5,6,7")
+    assert code == 0
+    assert enumerate_Q.cache_info().misses == 1
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+import qstar.engine
 from qstar import (
     ContractError,
     GroupTable,
+    InternalConsistencyError,
     ResourceLimitError,
     SemigroupSet,
     Transformation,
@@ -36,8 +38,32 @@ def full_transformation_semigroup(n):
 
 def test_semigroup_set_rejects_unclosed():
     a = Transformation((1, 2, 0))  # 3-cycle, closure has 3 elements
-    with pytest.raises(ValidationError, match="not closed"):
+    with pytest.raises(ValidationError, match=r"not closed: \(1, 2, 0\) \* \(1, 2, 0\) escapes"):
         SemigroupSet.from_elements([a]).index_table
+    half = SemigroupSet.from_elements([identity_map(3), a], verify=False)
+    with pytest.raises(ValidationError, match="not closed"):
+        half.index_table
+
+
+def test_index_table_rejects_mixed_degrees():
+    S = SemigroupSet(2, (identity_map(2), identity_map(3)), None)
+    with pytest.raises(ValidationError, match="mixed degrees"):
+        S.index_table
+
+
+def test_closure_left_product_check_fires(monkeypatch, alpha):
+    # The worklist only multiplies by generators on the right; corrupt every
+    # other product so that only the final left-product pass can see it.
+    real = qstar.engine.product_map
+    gens = {alpha(7).images}
+
+    def corrupt(a_images):
+        mul = real(a_images)
+        return lambda b_images: mul(b_images) if b_images in gens else (0,) * len(b_images)
+
+    monkeypatch.setattr(qstar.engine, "product_map", corrupt)
+    with pytest.raises(InternalConsistencyError, match="left product escaped"):
+        closure([alpha(7)])
 
 
 def test_closure_of_one_transposition_pattern(p6, alpha):

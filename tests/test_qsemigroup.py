@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import qstar.qsemigroup
 from qstar import (
     ContractError,
+    InternalConsistencyError,
     ResourceLimitError,
     Transformation,
     block_permutation,
@@ -183,6 +185,40 @@ def test_enumerate_q_resource_limit():
 def test_enumeration_is_cached(p6):
     assert enumerate_Q(p6) is enumerate_Q(p6)
     assert idempotents_Q(p6) is idempotents_Q(p6)
+
+
+def test_cache_entry_does_not_depend_on_how_the_bound_is_passed():
+    P = partition_from_sizes((2, 1, 1))
+    for fn in (enumerate_Q, idempotents_Q, decompose):
+        fn.cache_clear()
+        assert fn(P) is fn(P, 100_000) is fn(P, max_size=100_000)
+        assert fn.cache_info().misses == 1
+
+
+def test_closure_proof_catches_a_corrupted_element(monkeypatch):
+    # With the membership filter switched off, a corrupted element keeps the
+    # count right, so only the |Q|^2 closure proof can notice it.
+    P = partition_from_sizes((2, 1, 1))
+    built = []
+
+    def corrupting(images):
+        built.append(images)
+        if len(built) == 1:
+            images = tuple(range(P.n))  # the identity map, not a member of Q
+        return Transformation(images)
+
+    monkeypatch.setattr(qstar.qsemigroup, "Transformation", corrupting)
+    monkeypatch.setattr(qstar.qsemigroup, "in_Q", lambda P, a: True)
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        enumerate_Q(P)
+
+
+def test_decompose_passes_the_group_order_bound_to_the_h_class():
+    P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, H-class order 120
+    with pytest.raises(ResourceLimitError, match="H-class order 120 exceeds bound 119"):
+        decompose(P, max_group_order=119)
+    assert decompose(P, max_group_order=120).group_part.order == 120
 
 
 def test_shorthand_table_is_the_canonical_presentation(p6, alpha):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qstar import (
@@ -14,6 +16,7 @@ from qstar import (
     transformation_from_json,
     transformation_to_json,
 )
+from qstar.transformation import product_map
 
 
 def test_validation():
@@ -39,6 +42,31 @@ def test_compose_applies_left_factor_first():
     assert compose(a, b).images == (0, 1, 0)
     assert (a * b).images == (0, 1, 0)
     assert compose(b, a).images == (1, 1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_kernel_agrees_with_compose(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        a = Transformation(tuple(rng.randrange(n) for _ in range(n)))
+        b = Transformation(tuple(rng.randrange(n) for _ in range(n)))
+        product = product_map(a.images)(b.images)
+        assert type(product) is tuple
+        assert product == compose(a, b).images == tuple(b(a(x)) for x in range(n))
+
+
+def test_compose_result_equals_a_validated_map():
+    a = Transformation((1, 2, 0))
+    b = Transformation((0, 0, 1))
+    product = compose(a, b)
+    assert product == Transformation((0, 1, 0))
+    assert hash(product) == hash(Transformation((0, 1, 0)))
+    assert sorted([identity_map(3), product]) == [product, identity_map(3)]
+
+
+def test_compose_rejects_degree_mismatch():
+    with pytest.raises(ValidationError, match="degree mismatch"):
+        compose(identity_map(2), identity_map(3))
 
 
 def test_compose_worked_identities(alpha):
