@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -35,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .iso import build_isomorphism, classify_partitions, q_isomorphic
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX
 from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import PartitionedSet, partition_from_spec
@@ -233,7 +233,7 @@ def cmd_iso(args) -> dict:
         "isomorphic": isomorphic,
         "witness_verified": False,
     }
-    if isomorphic and cardinality_Q(P1) <= 200:
+    if isomorphic and cardinality_Q(P1) <= DEFAULT_VERIFY_MAX:
         iso = build_isomorphism(
             P1, P2, max_size=args.max_closure, max_group_order=args.group_order_bound
         )
@@ -291,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-closure",
         type=int,
-        default=int(os.environ.get("QSTAR_MAX_CLOSURE", "100000")),
+        default=DEFAULT_MAX_CLOSURE,
         help="abort closures beyond this many elements",
     )
     common.add_argument(
         "--group-order-bound",
         type=int,
-        default=5040,
+        default=DEFAULT_MAX_GROUP_ORDER,
         help="largest group order subgroup searches will accept",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, "cross-validation battery")
     p.add_argument("--partition", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     return parser
 

@@ -12,6 +12,7 @@ All public containers are immutable and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,13 +24,10 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
+from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER
 from .transformation import Transformation, kernel_partition, product_map
 # Not used here; bench/test_bench.py checks that tracing restores qstar.engine.compose.
 from .transformation import compose  # noqa: F401
-
-DEFAULT_MAX_CLOSURE = 100_000
-DEFAULT_MAX_GROUP_ORDER = 120
-DEFAULT_MAX_CLOSED_SETS = 500_000
 
 
 @dataclass(frozen=True)
@@ -254,6 +252,9 @@ class GroupTable:
 
 def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
     """The full symmetric group on k points, built from scratch."""
+    order = math.factorial(k)
+    if order > max_order:
+        raise ResourceLimitError(f"group order {order} exceeds bound {max_order}")
     perms = [Transformation(p) for p in itertools.permutations(range(k))]
     S = SemigroupSet.from_elements(perms, verify=True)
     return GroupTable.from_semigroup(S, max_order=max_order)

@@ -13,14 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER
 from .errors import ContractError, InternalConsistencyError, ValidationError
+from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLE_PAIRS, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet, partition_from_sizes
 from .qsemigroup import block_permutation, decompose, enumerate_Q
 from .transformation import compose
-
-DEFAULT_VERIFY_MAX = 200
-DEFAULT_SAMPLE_PAIRS = 2000
 
 
 @dataclass(frozen=True, order=True)
@@ -142,7 +139,7 @@ def integer_partitions(n: int):
     yield from rec(n, n)
 
 
-def classify_partitions(n: int, max_n: int = 12) -> dict:
+def classify_partitions(n: int, max_n: int = DEFAULT_CENSUS_MAX_N) -> dict:
     """Group the block-size multisets for ground size n by isomorphism class.
 
     Returns {IsoClassKey: (size tuples...)} ordered by key.

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import (
-    DEFAULT_MAX_CLOSURE,
-    DEFAULT_MAX_GROUP_ORDER,
     SemigroupSet,
+    _mask_indices,
     all_closed_subsets,
     is_maximal_subsemigroup,
     maximal_subgroups,
@@ -27,12 +26,10 @@ from .errors import (
     ResourceLimitError,
     UnsupportedCaseError,
 )
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
 from .qsemigroup import decompose, enumerate_Q
 from .transformation import Transformation, compose
-
-DEFAULT_ORACLE_MAX = 40
-DEFAULT_VERIFY_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MA
         maximal_masks.append(mask)
     out = []
     for mask in maximal_masks:
-        T = SemigroupSet(S.n, S.subset([i for i in range(size) if (mask >> i) & 1]), None)
+        T = SemigroupSet(S.n, S.subset(_mask_indices(mask, size)), None)
         if not is_maximal_subsemigroup(T, S):
             raise InternalConsistencyError("antichain scan kept a non-maximal closed subset")
         out.append(T)

@@ -117,7 +117,6 @@ def partition_from_spec(text: str) -> PartitionedSet:
     if not text or not text.strip():
         raise ValidationError("empty partition text")
     blocks = []
-    seen = []
     for part in text.split("|"):
         items = [p.strip() for p in part.split(",")]
         block = []
@@ -132,8 +131,6 @@ def partition_from_spec(text: str) -> PartitionedSet:
                 raise ValidationError(f"entries are 1-based, got {v}")
             block.append(v - 1)
         blocks.append(block)
-        seen.extend(block)
-    n = max(seen) + 1
     # Re-raise validation failures in the 1-based coordinates the caller used.
     for bi, block in enumerate(blocks):
         if len(set(block)) != len(block):
@@ -147,9 +144,11 @@ def partition_from_spec(text: str) -> PartitionedSet:
                     f"element {v + 1} appears in blocks {owner[v] + 1} and {bi + 1}"
                 )
             owner[v] = bi
-    missing = sorted(set(range(n)) - set(seen))
-    if missing:
-        raise ValidationError(f"element {missing[0] + 1} is not covered by any block")
+    # Scan for the first gap, not over range(n): a huge entry allocates nothing.
+    missing = next(v for v in range(len(owner) + 1) if v not in owner)
+    n = max(owner) + 1
+    if missing < n:
+        raise ValidationError(f"element {missing + 1} is not covered by any block")
     return make_partitioned_set(n, blocks)
 
 

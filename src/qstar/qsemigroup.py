@@ -14,19 +14,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 
-from .engine import (
-    DEFAULT_MAX_CLOSURE,
-    DEFAULT_MAX_GROUP_ORDER,
-    GroupTable,
-    SemigroupSet,
-    _verify_group,
-)
+from .engine import GroupTable, SemigroupSet
 from .errors import (
     ContractError,
     InternalConsistencyError,
     ResourceLimitError,
     ValidationError,
 )
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS
 from .membership import in_Q
 from .partition import PartitionedSet
 from .transformation import Transformation, compose, image, product_map
@@ -119,7 +114,7 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     return SemigroupSet(P.n, elements, None)
 
 
-def enumerate_Q_bruteforce(P: PartitionedSet, max_maps: int = 60_000) -> SemigroupSet:
+def enumerate_Q_bruteforce(P: PartitionedSet, max_maps: int = DEFAULT_MAX_MAPS) -> SemigroupSet:
     """Independent oracle: filter all n^n maps through the membership predicate."""
     total = P.n ** P.n
     if total > max_maps:
@@ -161,39 +156,18 @@ def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_G
     """The H-class of ``a`` inside Q: all members sharing its image, as a group.
 
     The k! elements correspond to block permutations over the fixed image
-    cross-section, so the multiplication table is built by composing the
-    permutation patterns instead of searching Q.  Equivalence with the
-    search route is covered by tests.
+    cross-section, so they are built from the permutation patterns instead
+    of searching Q; their product table then proves closure, identity and
+    inverses.  Equivalence with the search route is covered by tests.
     """
     if not in_Q(P, a):
         raise ContractError("h_class needs a member of Q")
-    k = P.k
-    if math.factorial(k) > max_order:
-        raise ResourceLimitError(f"H-class order {math.factorial(k)} exceeds bound {max_order}")
-    cross_section = [0] * k
-    for v in image(a):
-        cross_section[P.block_of[v]] = v
-    cross_section = tuple(cross_section)
-    perms = sorted(itertools.permutations(range(k)))
-    perm_index = {p: i for i, p in enumerate(perms)}
-    members = [_pattern_element(P, cross_section, p) for p in perms]
-    elements = tuple(sorted(members))
-    pos = {t: i for i, t in enumerate(elements)}
-    place = [pos[t] for t in members]  # perm index -> sorted element index
-    size = len(perms)
-    table = [[0] * size for _ in range(size)]
-    inverse = [0] * size
-    for i, p in enumerate(perms):
-        inv = tuple(sorted(range(k), key=lambda x: p[x]))
-        inverse[place[i]] = place[perm_index[inv]]
-        for j, q in enumerate(perms):
-            prod = tuple(q[p[x]] for x in range(k))  # apply p first, then q
-            table[place[i]][place[j]] = place[perm_index[prod]]
-    identity = place[perm_index[tuple(range(k))]]
-    table_t = tuple(tuple(row) for row in table)
-    _verify_group(table_t, identity, inverse)
-    sset = SemigroupSet(P.n, elements, None)
-    return GroupTable(sset, identity, tuple(inverse), table_t)
+    order = math.factorial(P.k)
+    if order > max_order:
+        raise ResourceLimitError(f"H-class order {order} exceeds bound {max_order}")
+    cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
+    members = [_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))]
+    return GroupTable.from_semigroup(SemigroupSet.from_elements(members), max_order)
 
 
 @dataclass(frozen=True)

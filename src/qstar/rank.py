@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .engine import DEFAULT_MAX_CLOSURE, SemigroupSet, _close_mask, closure
+from .engine import SemigroupSet, _close_mask, closure
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
 from .partition import PartitionedSet
 from .qsemigroup import _pattern_element, enumerate_Q, idempotents_Q
 from .transformation import Transformation, compose, image
@@ -164,7 +165,7 @@ def minimality_certificate(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
     }
 
 
-def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int, max_q: int = 24) -> bool:
+def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int, max_q: int = DEFAULT_BRUTE_FORCE_MAX_Q) -> bool:
     """Plain sweep: closure every ``size``-subset of Q, return True when none generates.
 
     Exponential; intended as an independent cross-check of the certificate

@@ -17,12 +17,14 @@ permutations generating a proper subgroup of the symmetric part.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .engine import (
     SemigroupSet,
     _close_mask,
+    _mask_indices,
     closure,
     green_R_definitional,
     green_R_related,
@@ -33,6 +35,7 @@ from .engine import (
 )
 from .errors import QstarError
 from .iso import build_isomorphism, q_isomorphic
+from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, ORACLE_BOUND
 from .maximal import exhaustive_maximal_oracle, maximal_subsemigroups_Q
 from .membership import (
     in_Q,
@@ -66,11 +69,6 @@ from .transformation import (
     q_shorthand,
 )
 
-ENUM_BOUND = 5000
-ORACLE_BOUND = 200
-EXHAUSTIVE_MAPS_BOUND = 4  # n <= 4: sweep all n^n maps
-DEFAULT_SAMPLES = 100
-
 
 @dataclass(frozen=True)
 class Check:
@@ -92,6 +90,15 @@ def _random_maps(P: PartitionedSet, rng: random.Random, count: int):
 def _all_maps(n: int):
     for imgs in itertools.product(range(n), repeat=n):
         yield Transformation(imgs)
+
+
+def _sampled_closures(P: PartitionedSet, Q, rng, count: int):
+    """Closures of ``count`` random 1-3 element subsets of Q, as (indices, subsemigroup)."""
+    table = Q.index_table
+    for _ in range(count):
+        picks = rng.sample(range(len(Q)), min(rng.randint(1, 3), len(Q)))
+        indices = _mask_indices(_close_mask(table, sum(1 << i for i in picks)), len(Q))
+        yield indices, SemigroupSet(P.n, Q.subset(indices), None)
 
 
 def check_partition_invariants(P: PartitionedSet, rng) -> Check:
@@ -185,35 +192,17 @@ def check_kernel_cross_section(P: PartitionedSet, Q, rng, samples: int) -> Check
             return Check("kernel-cross-section", "fail", f"kernel of {a.images} is not X/E")
         if not is_cross_section(P, image(a)):
             return Check("kernel-cross-section", "fail", f"image of {a.images} is not a cross-section")
-    table = Q.index_table
-    for _ in range(min(samples, 25)):
-        size = rng.randint(1, 3)
-        gens = rng.sample(range(len(Q)), min(size, len(Q)))
-        mask = 0
-        for i in gens:
-            mask |= 1 << i
-        closed = _close_mask(table, mask)
-        indices = [i for i in range(len(Q)) if (closed >> i) & 1]
-        sub = SemigroupSet(P.n, Q.subset(indices), None)
+    for indices, sub in _sampled_closures(P, Q, rng, min(samples, 25)):
         kernels = {kernel_partition(a).as_set_partition() for a in sub}
         if len(kernels) != 1 or next(iter(kernels)) != target:
             return Check("kernel-cross-section", "fail", "a closed subset mixes kernel partitions")
-        if not all(len(set(row)) == len(indices) for row in _sub_table(table, indices)):
+        if not all(len(set(row)) == len(indices) for row in _sub_table(Q.index_table, indices)):
             return Check("kernel-cross-section", "fail", "a closed subset is not a right group")
     return Check("kernel-cross-section", "pass", "same kernel X/E, cross-section images, closed subsets right groups")
 
 
 def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
-    table = Q.index_table
-    for _ in range(samples):
-        size = rng.randint(1, 3)
-        picks = rng.sample(range(len(Q)), min(size, len(Q)))
-        mask = 0
-        for i in picks:
-            mask |= 1 << i
-        closed = _close_mask(table, mask)
-        indices = [i for i in range(len(Q)) if (closed >> i) & 1]
-        sub = SemigroupSet(P.n, Q.subset(indices), None)
+    for _indices, sub in _sampled_closures(P, Q, rng, samples):
         rg = is_right_group(sub)
         triangle = is_regular_semigroup(sub) and is_left_cancellative(sub)
         if rg != triangle:
@@ -254,8 +243,6 @@ def check_closure_idempotence(P: PartitionedSet, Q, rng, samples: int) -> Check:
 
 
 def check_h_class_structure(P: PartitionedSet, Q) -> Check:
-    import math
-
     idems = idempotents_Q(P)
     expected = math.factorial(P.k)
     tables = []
@@ -296,7 +283,7 @@ def check_rank_and_generators(P: PartitionedSet, Q) -> Check:
     if theorem_gen.elements != Q.elements:
         return Check("rank-and-generators", "fail", "symmetric part + idempotents fail to generate Q")
     detail = f"rank {r} achieved and verified; symmetric part + idempotents generate"
-    if not P.is_identity_relation and len(Q) <= 40:
+    if not P.is_identity_relation and len(Q) <= DEFAULT_ORACLE_MAX:
         minimality_certificate(P)
         detail += f"; no {r - 1}-subset generates (certified)"
     return Check("rank-and-generators", "pass", detail)
@@ -310,7 +297,7 @@ def check_maximal(P: PartitionedSet, Q) -> Check:
     got = len(report.all_subsemigroups())
     if got != expected:
         return Check("maximal-subsemigroups", "fail", f"{got} constructed, count formula says {expected}")
-    if len(Q) <= 40:
+    if len(Q) <= DEFAULT_ORACLE_MAX:
         oracle = exhaustive_maximal_oracle(Q)
         constructed = {T.elements for T in report.all_subsemigroups()}
         if constructed != {T.elements for T in oracle}:
@@ -336,8 +323,6 @@ def build_audit(P: PartitionedSet) -> dict:
     only realize patterns from the subgroup its generators' patterns
     generate.
     """
-    import math
-
     if P.k < 2 or P.m < 2:
         return {"applicable": False, "reason": "needs k >= 2 and m >= 2"}
     idems = idempotents_Q(P)

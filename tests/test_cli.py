@@ -7,7 +7,8 @@ import sys
 import jsonschema
 import pytest
 
-from qstar.cli import json_int, main
+from qstar import limits
+from qstar.cli import build_parser, json_int, main
 from qstar.qsemigroup import decompose, enumerate_Q, idempotents_Q
 
 SCHEMA = json.loads(
@@ -209,6 +210,43 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
     assert main(["verify", "--partition", "1,2|3"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is False
+
+
+def test_argparse_defaults_are_the_library_limits():
+    parser = build_parser()
+    for argv in (
+        ["analyze", "--partition", "1"],
+        ["check", "--partition", "1", "--map", "1"],
+        ["generate", "--partition", "1"],
+        ["maximal", "--partition", "1"],
+        ["iso", "--left", "1", "--right", "1"],
+        ["census", "--n", "1"],
+        ["verify", "--partition", "1"],
+    ):
+        args = parser.parse_args(argv)
+        assert args.max_closure == limits.DEFAULT_MAX_CLOSURE
+        assert args.group_order_bound == limits.DEFAULT_MAX_GROUP_ORDER
+    assert args.samples == limits.DEFAULT_SAMPLES
+
+
+def test_max_closure_is_not_read_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("QSTAR_MAX_CLOSURE", "abc")
+    assert main(["analyze", "--partition", "1,2|3"]) == 0
+    monkeypatch.setenv("QSTAR_MAX_CLOSURE", "5")
+    assert main(["generate", "--partition", "1,2,3|4,5|6"]) == 0  # |Q| = 36
+
+
+@pytest.mark.parametrize("spec", ["1|2|3|4|5|6", "1,7|2|3|4|5|6"])
+def test_maximal_on_six_blocks_stops_at_the_default_group_order_bound(spec):
+    # S_6 has order 720; without the bound its subgroup lattice runs for minutes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstar.cli", "maximal", "--partition", spec],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert proc.returncode == 3
+    assert "order 720 exceeds bound 120" in proc.stderr
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -177,6 +177,15 @@ def test_symmetric_group_orders():
         symmetric_group_table(6, max_order=120)
 
 
+def test_symmetric_group_bound_is_checked_before_any_map_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a group past its order bound")
+
+    monkeypatch.setattr(qstar.engine.SemigroupSet, "from_elements", refuse)
+    with pytest.raises(ResourceLimitError, match="group order 5040 exceeds bound 120"):
+        symmetric_group_table(7, max_order=120)
+
+
 def test_subgroup_lattice_of_s3():
     G = symmetric_group_table(3)
     subs = subgroup_lattice(G)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,17 @@ def test_spec_form_errors():
         partition_from_spec("1,x|2")
     with pytest.raises(ValidationError, match="empty"):
         partition_from_spec("")
+
+
+def test_spec_with_a_huge_entry_is_rejected_without_allocating_for_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^element 2 is not covered by any block$"):
+            partition_from_spec("1|1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_json_form_round_trip(p6):
