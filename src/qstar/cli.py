@@ -340,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops a "--" given as "--option=--" and stores [] as the value.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         payload = args.fn(args)
     except (ValidationError, ContractError) as exc:

@@ -172,6 +172,19 @@ def is_left_cancellative(S: SemigroupSet) -> bool:
     return True
 
 
+def is_homomorphism(phi: Sequence[int], t1, t2) -> bool:
+    """True when phi[t1[i][j]] == t2[phi[i]][phi[j]] for all i and j.
+
+    ``phi`` maps the indices of the table ``t1`` to those of ``t2``; every
+    pair is checked, a row at a time.
+    """
+    phi_of = phi.__getitem__
+    return all(
+        list(map(phi_of, row1)) == list(map(t2[phi[i]].__getitem__, phi))
+        for i, row1 in enumerate(t1)
+    )
+
+
 def _verify_group(table, identity: int, inverse: Sequence[int]) -> None:
     size = len(table)
     for x in range(size):
@@ -245,9 +258,6 @@ class GroupTable:
             cls_ = {t[t[g][i]][inv[g]] for g in range(self.order)}
             sizes.append(len(cls_))
         return tuple(sizes)
-
-    def subset_elements(self, indices: Iterable[int]) -> tuple[Transformation, ...]:
-        return tuple(self.elements.elements[i] for i in sorted(set(indices)))
 
 
 def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
@@ -451,19 +461,6 @@ def groups_isomorphic(G1: GroupTable, G2: GroupTable, max_order: int = DEFAULT_M
                 continue
             p, gpos = parent[x]
             phi[x] = t2[phi[p]][assignment[gpos]]
-        if len(set(phi)) != G1.order:
-            continue
-        ok = True
-        for i in range(G1.order):
-            row1 = t1[i]
-            pi = phi[i]
-            row2 = t2[pi]
-            for j in range(G1.order):
-                if phi[row1[j]] != row2[phi[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if len(set(phi)) == G1.order and is_homomorphism(phi, t1, t2):
             return True
     return False

@@ -2,21 +2,20 @@
 
 Two instances are isomorphic exactly when they share the block count k and
 the block-size product m.  ``build_isomorphism`` realizes the bijection
-explicitly through the right-group coordinates and verifies it
-multiplicatively, so a positive answer is always certified.
+explicitly through the right-group coordinates and checks it on the product
+tables of both instances, so a positive answer is always certified.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass
 
-from .errors import ContractError, InternalConsistencyError, ValidationError
-from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLE_PAIRS, DEFAULT_VERIFY_MAX
+from .engine import is_homomorphism
+from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
+from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet, partition_from_sizes
-from .qsemigroup import block_permutation, decompose, enumerate_Q
+from .qsemigroup import block_permutation, cardinality_Q, decompose, enumerate_Q
+from .rank import rank_Q
 from .transformation import compose
 
 
@@ -29,13 +28,11 @@ class IsoClassKey:
 
     @property
     def cardinality(self) -> int:
-        return math.factorial(self.k) * self.m
+        return cardinality_Q(self)
 
     @property
     def rank(self) -> int:
-        if self.m == 1:
-            return 1 if self.k <= 2 else 2
-        return max(2, self.m)
+        return rank_Q(self)
 
 
 def iso_key(P: PartitionedSet) -> IsoClassKey:
@@ -51,22 +48,25 @@ def build_isomorphism(
     P1: PartitionedSet,
     P2: PartitionedSet,
     max_size: int = DEFAULT_MAX_CLOSURE,
-    verify_max: int = DEFAULT_VERIFY_MAX,
-    seed: int = 0,
-    sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> dict:
     """An explicit isomorphism Q(P1) -> Q(P2) as a mapping of elements.
 
     Group parts are matched through the block bijection that pairs blocks
     sorted by size then index; idempotent parts are matched in canonical
-    order.  The map is verified to be a bijective homomorphism, on all
-    pairs when |Q| <= ``verify_max`` and on seeded samples above that.
-    Raises :class:`ContractError` when the instances are not isomorphic.
+    order.  The map is checked to be a bijection and, on the product tables
+    of both instances, a homomorphism on all |Q|^2 pairs.  Raises
+    :class:`ContractError` when the instances are not isomorphic, and
+    :class:`ResourceLimitError` when |Q| exceeds ``DEFAULT_VERIFY_MAX``.
     """
     if not q_isomorphic(P1, P2):
         raise ContractError(
             f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})"
+        )
+    size = cardinality_Q(P1)
+    if size > DEFAULT_VERIFY_MAX:
+        raise ResourceLimitError(
+            f"|Q| = {size} exceeds isomorphism check bound {DEFAULT_VERIFY_MAX}"
         )
     dec1 = decompose(P1, max_size, max_group_order)
     dec2 = decompose(P2, max_size, max_group_order)
@@ -94,32 +94,27 @@ def build_isomorphism(
 
     psi_e = dict(zip(dec1.idempotent_part, dec2.idempotent_part))
 
+    Q1 = enumerate_Q(P1, max_size)
+    Q2 = enumerate_Q(P2, max_size)
     mapping = {}
-    for q in enumerate_Q(P1, max_size):
+    for q in Q1:
         a, f = dec1.coordinates(q)
         mapping[q] = compose(psi_g[a], psi_e[f])
 
-    if len(set(mapping.values())) != len(mapping):
+    values = set(mapping.values())
+    if len(values) != len(mapping):
         raise InternalConsistencyError("constructed map is not injective")
-    if set(mapping.values()) != set(enumerate_Q(P2, max_size).elements):
+    if values != set(Q2.elements):
         raise InternalConsistencyError("constructed map is not onto Q(P2)")
-    elems = list(mapping)
-    if len(elems) <= verify_max:
-        pairs = itertools.product(elems, elems)
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(sample_pairs))
-    checked = 0
-    for a, b in pairs:
-        if mapping[compose(a, b)] != compose(mapping[a], mapping[b]):
-            raise InternalConsistencyError("constructed map is not multiplicative")
-        checked += 1
+    phi = [Q2.index_of(mapping[q]) for q in Q1]
+    if not is_homomorphism(phi, Q1.index_table, Q2.index_table):
+        raise InternalConsistencyError("constructed map is not multiplicative")
     return {
         "mapping": mapping,
         "block_bijection": tuple(beta),
         "verified": True,
-        "pairs_checked": checked,
-        "exhaustive": len(elems) <= verify_max,
+        "pairs_checked": len(phi) ** 2,
+        "exhaustive": True,
     }
 
 

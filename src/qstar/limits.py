@@ -17,12 +17,11 @@ DEFAULT_MAX_GROUP_ORDER = 120
 # Closed subsets listed by next-closure.
 DEFAULT_MAX_CLOSED_SETS = 500_000
 
-# Largest |Q| on which a constructed isomorphism is checked on all pairs and
-# constructed maximal subsemigroups against the maximality predicate; the
-# CLI's ``iso`` builds a witness only up to it.
+# Largest |Q| on which an isomorphism is built and checked on the product
+# tables (``build_isomorphism`` raises above it, and the CLI's ``iso``
+# builds a witness only up to it), and on which constructed maximal
+# subsemigroups are checked against the maximality predicate.
 DEFAULT_VERIFY_MAX = 200
-# Seeded pairs that check an isomorphism above DEFAULT_VERIFY_MAX.
-DEFAULT_SAMPLE_PAIRS = 2000
 # Largest |S| the exhaustive maximal-subsemigroup oracle enumerates, and the
 # largest |Q| on which the battery runs that oracle and the rank certificate.
 DEFAULT_ORACLE_MAX = 40

@@ -89,7 +89,7 @@ def maximal_subsemigroups_Q(
     G = dec.group_part
     idems = dec.idempotent_part
 
-    subgroup_sets = [G.subset_elements(idxs) for idxs in maximal_subgroups(G, max_order=max_group_order)]
+    subgroup_sets = [G.elements.subset(idxs) for idxs in maximal_subgroups(G, max_order=max_group_order)]
     subgroup_sets.sort()
     group_type = []
     for H in subgroup_sets:

@@ -7,6 +7,7 @@ the compact ``"1,2,3|4,5|6"`` text form) is 1-based.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -134,7 +135,8 @@ def partition_from_spec(text: str) -> PartitionedSet:
     # Re-raise validation failures in the 1-based coordinates the caller used.
     for bi, block in enumerate(blocks):
         if len(set(block)) != len(block):
-            dup = next(v for v in block if block.count(v) > 1)
+            counts = Counter(block)
+            dup = next(v for v in block if counts[v] > 1)
             raise ValidationError(f"element {dup + 1} appears twice in block {bi + 1}")
     owner: dict[int, int] = {}
     for bi, block in enumerate(blocks):

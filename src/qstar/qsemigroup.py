@@ -28,7 +28,7 @@ from .transformation import Transformation, compose, image, product_map
 
 
 def cardinality_Q(P: PartitionedSet) -> int:
-    """|Q| = k! * m, exactly."""
+    """|Q| = k! * m, exactly; an ``IsoClassKey`` works as ``P`` too."""
     return math.factorial(P.k) * P.m
 
 

@@ -17,18 +17,19 @@ from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
 from .partition import PartitionedSet
 from .qsemigroup import _pattern_element, enumerate_Q, idempotents_Q
-from .transformation import Transformation, compose, image
+from .transformation import Transformation, compose, image, product_map
 
 
 def rank_Q(P: PartitionedSet) -> int:
     """Smallest size of a generating set of Q.
 
-    Nontrivial relation: max{2, m}.  Identity relation: Q is the symmetric
-    group on k points, whose rank is 1 for k <= 2 and 2 for k >= 3.  (The
-    k <= 2 value counts the single generator of a cyclic group; tests cover
-    it exhaustively for n = 2.)
+    Nontrivial relation (m >= 2): max{2, m}.  Identity relation (m == 1): Q
+    is the symmetric group on k points, whose rank is 1 for k <= 2 and 2 for
+    k >= 3.  (The k <= 2 value counts the single generator of a cyclic
+    group; tests cover it exhaustively for n = 2.)  Only ``P.k`` and ``P.m``
+    are read, so an ``IsoClassKey`` works too.
     """
-    if P.is_identity_relation:
+    if P.m == 1:
         return 1 if P.k <= 2 else 2
     return max(2, P.m)
 
@@ -128,13 +129,12 @@ def verify_image_right_invariance(Q: SemigroupSet) -> int:
     any product of members keeps the image of its last factor, so a closure
     can only reach H-classes its generators already touch.
     """
-    pairs = 0
-    for a in Q:
-        for b in Q:
-            if image(compose(a, b)) != image(b):
-                raise InternalConsistencyError("image is not right-invariant on this set")
-            pairs += 1
-    return pairs
+    images = [b.images for b in Q]
+    image_sets = [frozenset(v) for v in images]
+    for a in images:
+        if list(map(frozenset, map(product_map(a), images))) != image_sets:
+            raise InternalConsistencyError("image is not right-invariant on this set")
+    return len(images) ** 2
 
 
 def minimality_certificate(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> dict:

@@ -273,3 +273,20 @@ def test_every_command_output_validates_against_schema(capsys):
     run_json(capsys, "maximal", "--partition", "1,2|3,4")
     run_json(capsys, "generate", "--partition", "1|2|3")
     run_json(capsys, "census", "--n", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--partition=1", "--map=--"],
+        ["check", "--partition=1", "--q=--"],
+        ["census", "--n=--"],
+        ["analyze", "--max-closure=--", "--partition=1"],
+        ["verify", "--partition=1", "--seed=--"],
+    ],
+)
+def test_option_value_of_a_bare_double_dash_is_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -1,0 +1,96 @@
+"""Fuzz ``cli.main`` with random and malformed arguments.
+
+The exit-code contract: every input ends in 0 (ok), 2 (bad input, including
+argparse's own ``SystemExit(2)``) or 3 (resource limit), never in a
+traceback, and every exit 0 prints JSON that the output schema accepts.
+Specs cover at most 8 points.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import jsonschema
+from hypothesis import given, settings, strategies as st
+
+from qstar.cli import main
+
+SCHEMA = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "schemas" / "qstar-output.schema.json").read_text()
+)
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
+@st.composite
+def valid_blocks(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for x, lab in enumerate(labels):
+        blocks.setdefault(lab, []).append(x + 1)
+    return list(blocks.values())
+
+
+def spec_of(blocks):
+    return "|".join(",".join(map(str, block)) for block in blocks)
+
+
+# Random text is kept short, so it covers at most 6 points.
+TEXT = st.text(alphabet="0123456789,| x-", max_size=12)
+SPECS = st.one_of(valid_blocks().map(spec_of), TEXT)
+
+
+@st.composite
+def check_commands(draw):
+    blocks = draw(valid_blocks())
+    flag = draw(st.sampled_from(["map", "q"]))
+    n = sum(map(len, blocks))
+    length = n if flag == "map" else len(blocks)
+    values = st.lists(st.integers(min_value=1, max_value=n), min_size=length, max_size=length)
+    value = draw(st.one_of(values.map(lambda v: ",".join(map(str, v))), TEXT))
+    spec = draw(st.one_of(st.just(spec_of(blocks)), TEXT))
+    return ["check", f"--partition={spec}", f"--{flag}={value}"]
+
+
+@st.composite
+def iso_commands(draw):
+    left = draw(SPECS)
+    # Half the pairs relabel the left spec, so many are isomorphic.
+    right = draw(st.one_of(SPECS, st.permutations(left.split("|")).map("|".join)))
+    return ["iso", f"--left={left}", f"--right={right}"]
+
+
+NS = st.one_of(st.integers(min_value=-2, max_value=14).map(str), st.text(alphabet="0123456789-x", max_size=4))
+BOUNDS = st.lists(
+    st.tuples(
+        st.sampled_from(["--max-closure", "--group-order-bound"]),
+        st.one_of(st.integers(min_value=-1, max_value=240).map(str), st.just("x")),
+    ).map(lambda t: f"{t[0]}={t[1]}"),
+    max_size=2,
+)
+COMMANDS = st.one_of(
+    SPECS.map(lambda p: ["analyze", f"--partition={p}"]),
+    check_commands(),
+    NS.map(lambda n: ["census", f"--n={n}"]),
+    iso_commands(),
+)
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMMANDS, BOUNDS)
+def test_main_keeps_the_exit_code_contract(command, bounds):
+    code, out = run(command[:1] + bounds + command[1:])
+    assert code in (0, 2, 3)
+    if code == 0:
+        VALIDATOR.validate(json.loads(out))

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import qstar.engine
+from qstar.engine import is_homomorphism
 from qstar import (
     ContractError,
     GroupTable,
@@ -303,3 +304,14 @@ def test_one_element_short_subsets_are_maximal_when_closed():
             assert is_maximal_subsemigroup(sub, S)
             found += 1
     assert found == 1
+
+
+def test_is_homomorphism_rejects_two_swapped_images():
+    G = symmetric_group_table(3)
+    t = G.table
+    phi = list(range(G.order))
+    assert is_homomorphism(phi, t, t)
+    transposition = G.element_orders.index(2)
+    three_cycle = G.element_orders.index(3)
+    phi[transposition], phi[three_cycle] = three_cycle, transposition
+    assert not is_homomorphism(phi, t, t)

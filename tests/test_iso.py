@@ -2,19 +2,26 @@ import itertools
 
 import pytest
 
+import qstar.iso
 from qstar import (
     ContractError,
+    InternalConsistencyError,
     IsoClassKey,
+    ResourceLimitError,
+    Transformation,
     ValidationError,
     build_isomorphism,
+    cardinality_Q,
     classify_partitions,
     compose,
     enumerate_Q,
     identity_partition,
+    idempotents_Q,
     integer_partitions,
     iso_key,
     partition_from_sizes,
     q_isomorphic,
+    rank_Q,
 )
 
 
@@ -151,3 +158,58 @@ def test_key_equality_matches_structure_route():
                 len(enumerate_Q(P1)) == len(enumerate_Q(P2)) and P1.m == P2.m and P1.k == P2.k
             )
             assert same_key == same_counts
+
+
+def test_iso_class_key_uses_the_formulas_of_q():
+    for sizes in integer_partitions(6):
+        P = partition_from_sizes(sizes)
+        key = iso_key(P)
+        assert key.cardinality == cardinality_Q(P) == len(enumerate_Q(P))
+        assert key.rank == rank_Q(P)
+
+
+def _patch_iso_compose(monkeypatch, wrap):
+    real = qstar.iso.compose
+    monkeypatch.setattr(qstar.iso, "compose", lambda a, b: wrap(real(a, b)))
+
+
+def test_build_isomorphism_reports_a_map_that_is_not_injective(monkeypatch):
+    P = partition_from_sizes((2, 1))
+    first = enumerate_Q(P).elements[0]
+    _patch_iso_compose(monkeypatch, lambda q: first)
+    with pytest.raises(InternalConsistencyError, match="^constructed map is not injective$"):
+        build_isomorphism(P, P)
+
+
+def test_build_isomorphism_reports_a_map_that_is_not_onto(monkeypatch):
+    # Injective, but every value has one point more than the maps of Q(P2).
+    P = partition_from_sizes((2, 1))
+    _patch_iso_compose(monkeypatch, lambda q: Transformation(q.images + (0,)))
+    with pytest.raises(InternalConsistencyError, match=r"^constructed map is not onto Q\(P2\)$"):
+        build_isomorphism(P, P)
+
+
+def test_build_isomorphism_reports_a_map_that_is_not_multiplicative(monkeypatch):
+    # A bijection onto Q(P2) that swaps an idempotent with a non-idempotent.
+    P = partition_from_sizes((2, 1))
+    e = idempotents_Q(P)[0]
+    g = next(q for q in enumerate_Q(P) if compose(q, q) != q)
+    swap = {e: g, g: e}
+    _patch_iso_compose(monkeypatch, lambda q: swap.get(q, q))
+    with pytest.raises(InternalConsistencyError, match="^constructed map is not multiplicative$"):
+        build_isomorphism(P, P)
+
+
+def test_build_isomorphism_refuses_q_above_the_check_bound(monkeypatch):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decomposed past the bound")
+
+    monkeypatch.setattr(qstar.iso, "DEFAULT_VERIFY_MAX", 35)
+    monkeypatch.setattr(qstar.iso, "decompose", no_decompose)
+    P1 = partition_from_sizes((3, 2, 1))
+    P2 = partition_from_sizes((6, 1, 1))
+    with pytest.raises(ResourceLimitError, match="^\\|Q\\| = 36 exceeds isomorphism check bound 35$"):
+        build_isomorphism(P1, P2)
+    monkeypatch.undo()
+    monkeypatch.setattr(qstar.iso, "DEFAULT_VERIFY_MAX", 36)
+    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 36

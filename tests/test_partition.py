@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -126,3 +127,19 @@ def test_cross_section_count_is_m(sizes):
 def test_hashable_and_cacheable(p6):
     assert p6 == make_partitioned_set(6, [(5,), (4, 3), (1, 0, 2)])
     assert hash(p6) == hash(make_partitioned_set(6, [(5,), (4, 3), (1, 0, 2)]))
+
+
+def test_duplicate_entry_names_the_first_repeated_element_in_block_order():
+    with pytest.raises(ValidationError, match="^element 3 appears twice in block 1$"):
+        partition_from_spec("3,5,5,3")
+    with pytest.raises(ValidationError, match="^element 4 appears twice in block 2$"):
+        partition_from_spec("1|4,2,3,2,4")
+
+
+def test_duplicate_check_is_linear_in_the_block_length():
+    n = 20_000
+    spec = ",".join(str(v) for v in range(1, n + 1)) + f",{n}"
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"^element {n} appears twice in block 1$"):
+        partition_from_spec(spec)
+    assert time.perf_counter() - start < 1.0

@@ -2,6 +2,7 @@ import pytest
 
 from qstar import (
     ContractError,
+    InternalConsistencyError,
     Transformation,
     block_permutation,
     closure,
@@ -11,6 +12,7 @@ from qstar import (
     generating_set_hits_every_hclass,
     identity_partition,
     idempotents_Q,
+    identity_map,
     minimal_generating_set,
     minimality_certificate,
     partition_from_sizes,
@@ -175,3 +177,10 @@ def test_brute_force_finds_generating_sets_at_rank():
 def test_idempotents_alone_never_generate(p6):
     closed = closure(idempotents_Q(p6))
     assert len(closed) == 6
+
+
+def test_image_right_invariance_raises_when_images_move():
+    S = closure([identity_map(2), constant_map(2, 0)])
+    assert len(S) == 2
+    with pytest.raises(InternalConsistencyError, match="image is not right-invariant on this set"):
+        verify_image_right_invariance(S)
