@@ -39,6 +39,7 @@ print()
 dec = decompose(P)
 print("decomposition: group part", dec.group_part.order, "x", len(dec.idempotent_part), "idempotents")
 sample = list(Q)[17]
-a, f = dec.coordinates(sample)
+i, j = dec.coordinates(sample)
+a, f = dec.group_part.elements.elements[i], dec.idempotent_part[j]
 print("coordinates of", q_shorthand(P, sample), "=", q_shorthand(P, a), "*", q_shorthand(P, f))
-assert compose(a, f) == sample
+assert dec.element(i, j) == compose(a, f) == sample

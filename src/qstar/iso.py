@@ -2,8 +2,10 @@
 
 Two instances are isomorphic exactly when they share the block count k and
 the block-size product m.  ``build_isomorphism`` realizes the bijection
-explicitly through the right-group coordinates and checks it on the product
-tables of both instances, so a positive answer is always certified.
+explicitly in the right-group coordinates of ``decompose``, sending (i, j)
+to (psi(i), j) where psi conjugates block patterns by a block bijection,
+and checks it on the product tables of both instances, so a positive
+answer is always certified.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from .engine import is_homomorphism
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
 from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet, partition_from_sizes
-from .qsemigroup import block_permutation, cardinality_Q, decompose, enumerate_Q
+from .qsemigroup import cardinality_Q, decompose, enumerate_Q
 from .rank import rank_Q
-from .transformation import compose
 
 
 @dataclass(frozen=True, order=True)
@@ -81,25 +82,17 @@ def build_isomorphism(
     for i, v in enumerate(beta):
         beta_inv[v] = i
 
-    # Group part: the element with pattern sigma goes to the element with
-    # pattern beta . sigma . beta^{-1} over the target base cross-section.
-    pattern_to_target = {}
-    for a2 in dec2.group_part.elements:
-        pattern_to_target[block_permutation(P2, a2)] = a2
-    psi_g = {}
-    for a1 in dec1.group_part.elements:
-        sigma = block_permutation(P1, a1)
-        conj = tuple(beta[sigma[beta_inv[i]]] for i in range(k))
-        psi_g[a1] = pattern_to_target[conj]
-
-    psi_e = dict(zip(dec1.idempotent_part, dec2.idempotent_part))
+    # Group element i, of pattern sigma, goes to the target group element of
+    # pattern beta . sigma . beta^{-1}; idempotent j goes to idempotent j.
+    target = {p: i for i, p in enumerate(dec2.patterns)}
+    psi = [target[tuple(beta[sigma[beta_inv[b]]] for b in range(k))] for sigma in dec1.patterns]
 
     Q1 = enumerate_Q(P1, max_size)
     Q2 = enumerate_Q(P2, max_size)
     mapping = {}
     for q in Q1:
-        a, f = dec1.coordinates(q)
-        mapping[q] = compose(psi_g[a], psi_e[f])
+        i, j = dec1.coordinates(q)
+        mapping[q] = dec2.element(psi[i], j)
 
     values = set(mapping.values())
     if len(values) != len(mapping):

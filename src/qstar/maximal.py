@@ -1,8 +1,9 @@
 """Maximal subsemigroups of Q.
 
-For m >= 2 every maximal subsemigroup is one of two shapes under the
-pairing coordinates (group part) x (idempotents): H x E(Q) for a maximal
-subgroup H of the group part, or (group part) x (E(Q) minus one idempotent).
+For m >= 2 every maximal subsemigroup is one of two shapes in the
+right-group coordinates (group part) x (idempotents) of ``decompose``:
+H x E(Q) for a maximal subgroup H of the group part, or
+(group part) x (E(Q) minus one idempotent).
 That yields s_k + m of them, where s_k counts the maximal subgroups of the
 symmetric group on k points.  The exhaustive oracle enumerates every closed
 subset instead and extracts the maximal ones, so the construction can be
@@ -29,7 +30,7 @@ from .errors import (
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
 from .qsemigroup import decompose, enumerate_Q
-from .transformation import Transformation, compose
+from .transformation import Transformation
 
 
 @dataclass(frozen=True)
@@ -87,25 +88,21 @@ def maximal_subsemigroups_Q(
     dec = decompose(P, max_size, max_group_order)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part
-    idems = dec.idempotent_part
+    m = P.m
 
-    subgroup_sets = [G.elements.subset(idxs) for idxs in maximal_subgroups(G, max_order=max_group_order)]
-    subgroup_sets.sort()
+    # decompose certified that its grid holds every element of Q once, so
+    # these families have |H|*m and k!*(m-1) distinct members.
+    subgroups = sorted(maximal_subgroups(G, max_order=max_group_order))
     group_type = []
-    for H in subgroup_sets:
-        elems = {compose(a, f) for a in H for f in idems}
-        if len(elems) != len(H) * len(idems):
-            raise InternalConsistencyError("group-type pairing collapsed; expected |H|*m elements")
+    for H in subgroups:
+        elems = [dec.element(i, j) for i in H for j in range(m)]
         group_type.append(SemigroupSet(P.n, tuple(sorted(elems)), None))
-
     right_zero = []
-    for f in idems:
-        elems = {compose(a, g) for a in G.elements for g in idems if g != f}
-        if len(elems) != G.order * (len(idems) - 1):
-            raise InternalConsistencyError("right-zero pairing collapsed; expected k!*(m-1) elements")
+    for omitted in range(m):
+        elems = [dec.element(i, j) for i in range(G.order) for j in range(m) if j != omitted]
         right_zero.append(SemigroupSet(P.n, tuple(sorted(elems)), None))
 
-    s_k, m, _total = count_maximal(P, max_group_order)
+    s_k = count_maximal(P, max_group_order)[0]
     if len(group_type) != s_k:
         raise InternalConsistencyError(
             f"H-class has {len(group_type)} maximal subgroups, fresh symmetric group has {s_k}"
@@ -119,9 +116,9 @@ def maximal_subsemigroups_Q(
     return MaximalSubsemigroupReport(
         P,
         tuple(group_type),
-        tuple(subgroup_sets),
+        tuple(G.elements.subset(H) for H in subgroups),
         tuple(right_zero),
-        idems,
+        dec.idempotent_part,
         s_k,
         m,
         verified,

@@ -3,7 +3,9 @@
 Q is the set of double-direction equivalence preserving maps that collapse
 every block to a single point while their image meets every block.  It is a
 right group: the disjoint union of its H-classes, each a group of order k!,
-indexed by the m image cross-sections.
+indexed by the m image cross-sections.  :func:`decompose` names every
+element by right-group coordinates (i, j), group element i of the base
+H-class times idempotent j, and certifies that naming once against Q.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 from .engine import GroupTable, SemigroupSet
 from .errors import (
@@ -172,27 +174,33 @@ def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_G
 
 @dataclass(frozen=True)
 class RightGroupDecomposition:
-    """Q as (group part) x (idempotent part) under the pairing (a, f) -> a*f."""
+    """Q in right-group coordinates: Q is isomorphic to H_e x E(Q).
+
+    Element ``(i, j)`` is the product of ``group_part.elements[i]`` and
+    ``idempotent_part[j]``, and ``patterns[i]`` is the block permutation of
+    group element i.  Products follow the right-group law
+    ``(i, j)(i', j') = (group_part.table[i][i'], j')``.  :func:`decompose`
+    certifies the pairing once, so every lookup here is a table read.
+    """
 
     partition: PartitionedSet
     base_idempotent: Transformation
     group_part: GroupTable
     idempotent_part: tuple[Transformation, ...]
+    patterns: tuple[tuple[int, ...], ...]
+    grid: tuple[tuple[Transformation, ...], ...] = field(repr=False, compare=False)
+    index: dict = field(repr=False, compare=False)  # images of q -> (i, j)
 
-    @cached_property
-    def _idempotent_by_image(self) -> dict:
-        return {image(f): f for f in self.idempotent_part}
+    def element(self, i: int, j: int) -> Transformation:
+        """The member of Q with coordinates (i, j)."""
+        return self.grid[i][j]
 
-    def pair(self, a: Transformation, f: Transformation) -> Transformation:
-        return compose(a, f)
-
-    def coordinates(self, q: Transformation) -> tuple[Transformation, Transformation]:
-        """Invert the pairing: q == compose(a, f) with a in H_e and f idempotent."""
-        f = self._idempotent_by_image.get(image(q))
-        if f is None:
-            raise ContractError("element image matches no idempotent cross-section")
-        a = compose(q, self.base_idempotent)
-        return a, f
+    def coordinates(self, q: Transformation) -> tuple[int, int]:
+        """The (i, j) with ``element(i, j) == q``."""
+        try:
+            return self.index[q.images]
+        except KeyError:
+            raise ContractError(f"{q!r} is not an element of Q") from None
 
 
 @_cached(maxsize=64)
@@ -203,25 +211,29 @@ def decompose(
 ) -> RightGroupDecomposition:
     """Split Q into H_e x E(Q) over the canonically least idempotent e.
 
-    The pairing (a, f) -> a*f is verified to be a bijection onto Q, and the
-    coordinate inverse is verified to round-trip.  ``max_group_order``
-    bounds the H-class build.
+    The pairing (a, f) -> a*f is computed on the product kernel and verified
+    to hit every element of Q exactly once; the coordinate lookups are built
+    from the same products.  ``max_group_order`` bounds the H-class build.
     """
     idems = idempotents_Q(P, max_size)
     e = idems[0]
     G = h_class(e, P, max_group_order)
     if G.elements.elements[G.identity] != e:
         raise InternalConsistencyError("base idempotent is not the identity of its H-class")
-    Q = enumerate_Q(P, max_size)
-    dec = RightGroupDecomposition(P, e, G, idems)
-    seen = set()
-    for a in G.elements:
-        for f in idems:
-            seen.add(compose(a, f))
-    if len(seen) != len(Q) or seen != set(Q.elements):
+    unpaired = {q.images: q for q in enumerate_Q(P, max_size)}
+    index = {}
+    grid = []
+    for i, a in enumerate(G.elements):
+        mul = product_map(a.images)
+        row = []
+        for j, f in enumerate(idems):
+            q = unpaired.pop(mul(f.images), None)
+            if q is None:
+                raise InternalConsistencyError("pairing (a, f) -> a*f is not a bijection onto Q")
+            index[q.images] = (i, j)
+            row.append(q)
+        grid.append(tuple(row))
+    if unpaired:
         raise InternalConsistencyError("pairing (a, f) -> a*f is not a bijection onto Q")
-    for q in Q:
-        a, f = dec.coordinates(q)
-        if compose(a, f) != q:
-            raise InternalConsistencyError("coordinate inverse fails to round-trip")
-    return dec
+    patterns = tuple(block_permutation(P, a) for a in G.elements)
+    return RightGroupDecomposition(P, e, G, idems, patterns, tuple(grid), index)

@@ -33,7 +33,7 @@ from .engine import (
     is_regular_semigroup,
     is_right_group,
 )
-from .errors import QstarError
+from .errors import QstarError, ValidationError
 from .iso import build_isomorphism, q_isomorphic
 from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, ORACLE_BOUND
 from .maximal import exhaustive_maximal_oracle, maximal_subsemigroups_Q
@@ -125,7 +125,6 @@ def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check
     else:
         maps = _random_maps(P, rng, samples)
         label = f"{samples} sampled maps"
-    checked = 0
     for a in maps:
         fast = in_TEstar(P, a)
         if fast != in_TEstar_pairwise(P, a):
@@ -136,7 +135,6 @@ def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check
             return Check("membership-implications", "fail", f"in_TEstar without in_TE on {a.images}")
         if P.is_identity_relation and fast != (len(set(a.images)) == P.n):
             return Check("membership-implications", "fail", "identity relation: in_TEstar != injectivity")
-        checked += 1
     return Check("membership-implications", "pass", f"implication chain holds, {label}")
 
 
@@ -221,7 +219,7 @@ def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
                     return Check("green-r", "fail", f"forms disagree on {a.images}, {b.images} in T(X)")
         extra = f"all {len(TX) ** 2} pairs of T({P.n}) agree; "
     else:
-        extra = f"T(X) sweep skipped for n > 3; "
+        extra = "T(X) sweep skipped for n > 3; "
     elems = list(Q)
     for _ in range(min(samples, 50)):
         a = rng.choice(elems)
@@ -378,6 +376,8 @@ class VerificationReport:
 
 def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
     """Run the full battery on one instance with a deterministic seed."""
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     checks = [
         check_partition_invariants(P, rng),

@@ -189,6 +189,14 @@ def test_exit_code_on_bad_partition(capsys):
     assert "appears in blocks" in err
 
 
+def test_verify_rejects_a_negative_sample_count(capsys):
+    assert main(["verify", "--partition=1,2,3", "--samples=-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be >= 0, got -5\n"
+    assert run_json(capsys, "verify", "--partition=1,2,3", "--samples=0")["all_passed"] is True
+
+
 def test_exit_code_on_resource_limit(capsys):
     blocks = "|".join(",".join(str(i * 3 + j + 1) for j in range(3)) for i in range(8))
     assert main(["generate", "--partition", blocks]) == 3

@@ -3,7 +3,7 @@
 The exit-code contract: every input ends in 0 (ok), 2 (bad input, including
 argparse's own ``SystemExit(2)``) or 3 (resource limit), never in a
 traceback, and every exit 0 prints JSON that the output schema accepts.
-Specs cover at most 8 points.
+Specs cover at most 8 points, and at most 3 for ``verify``.
 """
 
 import contextlib
@@ -61,6 +61,18 @@ def iso_commands(draw):
     return ["iso", f"--left={left}", f"--right={right}"]
 
 
+SAMPLE_TEXT = st.text(alphabet="0123456789-x", max_size=2)
+
+
+@st.composite
+def verify_commands(draw):
+    # At most 3 points, so the whole battery stays cheap; samples may be negative.
+    spec = spec_of(draw(valid_blocks(max_n=3)))
+    samples = draw(st.one_of(st.integers(min_value=-50, max_value=50).map(str), SAMPLE_TEXT))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return ["verify", f"--partition={spec}", f"--samples={samples}", f"--seed={seed}"]
+
+
 NS = st.one_of(st.integers(min_value=-2, max_value=14).map(str), st.text(alphabet="0123456789-x", max_size=4))
 BOUNDS = st.lists(
     st.tuples(
@@ -74,6 +86,7 @@ COMMANDS = st.one_of(
     check_commands(),
     NS.map(lambda n: ["census", f"--n={n}"]),
     iso_commands(),
+    verify_commands(),
 )
 
 
@@ -92,5 +105,19 @@ def run(argv):
 def test_main_keeps_the_exit_code_contract(command, bounds):
     code, out = run(command[:1] + bounds + command[1:])
     assert code in (0, 2, 3)
+    if code == 0:
+        VALIDATOR.validate(json.loads(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_commands())
+def test_verify_exits_2_exactly_on_a_bad_sample_count(command):
+    samples = command[2].removeprefix("--samples=")
+    try:
+        expected = 2 if int(samples) < 0 else 0
+    except ValueError:
+        expected = 2  # argparse rejects it
+    code, out = run(command)
+    assert code == expected
     if code == 0:
         VALIDATOR.validate(json.loads(out))

@@ -171,6 +171,18 @@ def test_group_table_rejects_non_group():
         GroupTable.from_semigroup(T2)
 
 
+def test_group_table_rejects_a_right_zero_band_for_lacking_an_identity():
+    band = SemigroupSet.from_elements([constant_map(2, 0), constant_map(2, 1)])
+    with pytest.raises(ContractError, match="^not a group: no two-sided identity$"):
+        GroupTable.from_semigroup(band)
+
+
+def test_group_table_rejects_an_element_without_an_inverse():
+    monoid = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
+    with pytest.raises(ContractError, match="^not a group: element 0 has no inverse$"):
+        GroupTable.from_semigroup(monoid)
+
+
 def test_symmetric_group_orders():
     for k, order in ((1, 1), (2, 2), (3, 6), (4, 24)):
         assert symmetric_group_table(k).order == order

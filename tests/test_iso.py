@@ -8,6 +8,7 @@ from qstar import (
     InternalConsistencyError,
     IsoClassKey,
     ResourceLimitError,
+    RightGroupDecomposition,
     Transformation,
     ValidationError,
     build_isomorphism,
@@ -168,15 +169,16 @@ def test_iso_class_key_uses_the_formulas_of_q():
         assert key.rank == rank_Q(P)
 
 
-def _patch_iso_compose(monkeypatch, wrap):
-    real = qstar.iso.compose
-    monkeypatch.setattr(qstar.iso, "compose", lambda a, b: wrap(real(a, b)))
+def _patch_target_elements(monkeypatch, wrap):
+    # build_isomorphism reads every image from the target's coordinates.
+    real = RightGroupDecomposition.element
+    monkeypatch.setattr(RightGroupDecomposition, "element", lambda self, i, j: wrap(real(self, i, j)))
 
 
 def test_build_isomorphism_reports_a_map_that_is_not_injective(monkeypatch):
     P = partition_from_sizes((2, 1))
     first = enumerate_Q(P).elements[0]
-    _patch_iso_compose(monkeypatch, lambda q: first)
+    _patch_target_elements(monkeypatch, lambda q: first)
     with pytest.raises(InternalConsistencyError, match="^constructed map is not injective$"):
         build_isomorphism(P, P)
 
@@ -184,7 +186,7 @@ def test_build_isomorphism_reports_a_map_that_is_not_injective(monkeypatch):
 def test_build_isomorphism_reports_a_map_that_is_not_onto(monkeypatch):
     # Injective, but every value has one point more than the maps of Q(P2).
     P = partition_from_sizes((2, 1))
-    _patch_iso_compose(monkeypatch, lambda q: Transformation(q.images + (0,)))
+    _patch_target_elements(monkeypatch, lambda q: Transformation(q.images + (0,)))
     with pytest.raises(InternalConsistencyError, match=r"^constructed map is not onto Q\(P2\)$"):
         build_isomorphism(P, P)
 
@@ -195,7 +197,7 @@ def test_build_isomorphism_reports_a_map_that_is_not_multiplicative(monkeypatch)
     e = idempotents_Q(P)[0]
     g = next(q for q in enumerate_Q(P) if compose(q, q) != q)
     swap = {e: g, g: e}
-    _patch_iso_compose(monkeypatch, lambda q: swap.get(q, q))
+    _patch_target_elements(monkeypatch, lambda q: swap.get(q, q))
     with pytest.raises(InternalConsistencyError, match="^constructed map is not multiplicative$"):
         build_isomorphism(P, P)
 

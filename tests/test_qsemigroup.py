@@ -1,14 +1,17 @@
 import math
+import sys
 
 import pytest
 
 import qstar.qsemigroup
+import qstar.transformation
 from qstar import (
     ContractError,
     InternalConsistencyError,
     ResourceLimitError,
     Transformation,
     block_permutation,
+    build_isomorphism,
     cardinality_Q,
     compose,
     decompose,
@@ -20,6 +23,7 @@ from qstar import (
     image,
     in_Q,
     is_group_Q,
+    maximal_subsemigroups_Q,
     partition_from_sizes,
     q_shorthand,
     symmetric_group_table,
@@ -157,23 +161,74 @@ def test_decomposition_round_trip(p6, alpha):
     assert dec.base_idempotent == alpha(1)
     assert dec.group_part.order == 6
     assert len(dec.idempotent_part) == 6
-    for q in enumerate_Q(p6):
-        a, f = dec.coordinates(q)
-        assert dec.pair(a, f) == q
-    assert dec.coordinates(alpha(8)) == (alpha(7), alpha(2))
+    G = dec.group_part.elements.elements
+    Q = enumerate_Q(p6)
+    for q in Q:
+        i, j = dec.coordinates(q)
+        assert dec.element(i, j) is Q.elements[Q.index_of(q)]
+        assert dec.patterns[i] == block_permutation(p6, G[i])
+    assert dec.coordinates(alpha(8)) == (G.index(alpha(7)), dec.idempotent_part.index(alpha(2)))
+    with pytest.raises(ContractError, match="not an element of Q"):
+        dec.coordinates(Transformation((0,) * 6))
 
 
-def test_decomposition_product_law(p6):
-    # In coordinates, products keep the left group part and the right tag.
-    dec = decompose(p6)
-    Q = list(enumerate_Q(p6))
-    for q1 in Q[::5]:
-        for q2 in Q[::7]:
-            a1, _ = dec.coordinates(q1)
-            a2, f2 = dec.coordinates(q2)
-            prod_a, prod_f = dec.coordinates(compose(q1, q2))
-            assert prod_f == f2
-            assert prod_a == compose(a1, a2)
+def test_decomposition_product_law():
+    # (i, j)(i', j') = (i * i', j') on every pair, and (i, j) is G[i] * idems[j].
+    for sizes in ((3, 2, 1), (2, 2, 1, 1), (1, 1, 1), (4,)):
+        P = partition_from_sizes(sizes)
+        dec = decompose(P)
+        G = dec.group_part
+        idems = dec.idempotent_part
+        Q = enumerate_Q(P)
+        coords = [dec.coordinates(q) for q in Q]
+        for q, (i, j) in zip(Q, coords):
+            assert compose(G.elements.elements[i], idems[j]) == q
+        for q1, (i1, _) in zip(Q, coords):
+            for q2, (i2, j2) in zip(Q, coords):
+                assert dec.coordinates(compose(q1, q2)) == (G.table[i1][i2], j2)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda idems: idems[:-1],  # too few products: some of Q is never reached
+        lambda idems: idems[:-1] + idems[:1],  # a product is reached twice
+        lambda idems: idems[:-1] + (Transformation((0,) * 4),),  # a product outside Q
+    ],
+    ids=["dropped", "duplicated", "foreign"],
+)
+def test_decompose_reports_a_pairing_that_is_not_a_bijection(monkeypatch, corrupt):
+    P = partition_from_sizes((2, 1, 1))
+    real = qstar.qsemigroup.idempotents_Q
+    monkeypatch.setattr(qstar.qsemigroup, "idempotents_Q", lambda *args: corrupt(real(*args)))
+    decompose.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=r"^pairing \(a, f\) -> a\*f is not a bijection onto Q$"):
+        decompose(P)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1, 1), (3, 2, 1, 1)])
+def test_constructions_on_coordinates_make_no_compose_calls(monkeypatch, sizes):
+    P = partition_from_sizes(sizes)
+    idempotents_Q(P)
+    enumerate_Q(P)
+    decompose.cache_clear()
+    real = qstar.transformation.compose
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qstar" and getattr(module, "compose", None) is real:
+            monkeypatch.setattr(module, "compose", counting)
+    assert Transformation((1, 0)) * Transformation((1, 0)) == Transformation((0, 1))
+    assert len(calls) == 1  # the counter sees compose, also through Transformation.__mul__
+    calls.clear()
+    decompose(P)
+    build_isomorphism(P, P)
+    maximal_subsemigroups_Q(P)
+    assert calls == []
 
 
 def test_enumerate_q_resource_limit():
