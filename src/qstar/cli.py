@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -184,27 +185,18 @@ def cmd_maximal(args) -> dict:
     report = maximal_subsemigroups_Q(
         P, max_size=args.max_closure, max_group_order=args.group_order_bound
     )
-    rows = []
-    for T in report.group_type:
-        rows.append(
-            {
-                "label": f"T{len(rows) + 1}",
-                "type": "group",
-                "size": len(T),
-                "omitted_idempotent": None,
-                "elements": [list(q_shorthand(P, a)) for a in T],
-            }
-        )
-    for T, f in zip(report.right_zero_type, report.omitted_idempotents):
-        rows.append(
-            {
-                "label": f"T{len(rows) + 1}",
-                "type": "right-zero",
-                "size": len(T),
-                "omitted_idempotent": list(q_shorthand(P, f)),
-                "elements": [list(q_shorthand(P, a)) for a in T],
-            }
-        )
+    families = [(T, "group", None) for T in report.group_type]
+    families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
+    rows = [
+        {
+            "label": f"T{label}",
+            "type": kind,
+            "size": len(T),
+            "omitted_idempotent": None if f is None else list(q_shorthand(P, f)),
+            "elements": [list(q_shorthand(P, a)) for a in T],
+        }
+        for label, (T, kind, f) in enumerate(families, start=1)
+    ]
     return {
         "command": "maximal",
         "partition": P.to_spec(),
@@ -355,11 +347,14 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency: {exc}\n")
         return 4
-    _emit(payload, args.format)
-    if not payload.get("all_passed", True):
-        # verify reports every check before failing the run.
-        return 4
-    return 0
+    code = 0 if payload.get("all_passed", True) else 4  # verify fails after reporting every check
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to /dev/null, so the final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,9 @@ ENUM_BOUND = 5000
 ORACLE_BOUND = 200
 EXHAUSTIVE_MAPS_BOUND = 4
 DEFAULT_SAMPLES = 100
+# Largest ``--samples`` the battery accepts: the right-group battery draws
+# that many closures, at about 1 ms each on |Q| = 192.
+MAX_SAMPLES = 10_000
 
 # Definitional sweeps: |Q| for the plain rank sweep over subsets, n^n for
 # the brute-force enumeration of Q, and n for the isomorphism census.

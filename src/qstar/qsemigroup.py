@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
-from .engine import GroupTable, SemigroupSet
+from .engine import GroupTable, SemigroupSet, closure
 from .errors import (
     ContractError,
     InternalConsistencyError,
@@ -90,7 +90,9 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     The element for a permutation sigma and representatives c (with
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
     result is verified: the count is k!*m, every member passes in_Q, and
-    the set is closed under composition.
+    the closure of the symmetric-part generators and the m idempotents,
+    bounded by |Q|, is the built set, which proves it closed with
+    O(|Q|*|G|) products for those generators G instead of |Q|^2.
     """
     expected = cardinality_Q(P)
     if expected > max_size:
@@ -108,11 +110,15 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     for a in elements:
         if not in_Q(P, a):
             raise InternalConsistencyError("constructed element fails the membership predicate")
-    images = [a.images for a in elements]
-    index = set(images)
-    for a in images:
-        if not index.issuperset(map(product_map(a), images)):
+    generators = symmetric_part_generators(P) + idempotents_Q(P, max_size)
+    try:
+        generated = closure(generators, max_size=expected).elements
+    except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
+        generated = None
+    if generated != elements:
+        if generated is None or not set(elements).issuperset(generated):
             raise InternalConsistencyError("constructed Q is not closed under composition")
+        raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
     return SemigroupSet(P.n, elements, None)
 
 
@@ -152,6 +158,28 @@ def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tup
 def _pattern_element(P: PartitionedSet, cross_section: tuple[int, ...], sigma) -> Transformation:
     """The member of Q sending block i to cross_section[sigma[i]]."""
     return Transformation(tuple(cross_section[sigma[P.block_of[x]]] for x in range(P.n)))
+
+
+def _base_cross_section(P: PartitionedSet) -> tuple[int, ...]:
+    # least idempotent in canonical order = least representative per block
+    return tuple(min(b) for b in P.blocks)
+
+
+def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
+    """Generators of the base H-class fixing its cross-section setwise.
+
+    k >= 3: a transposition pattern and a k-cycle pattern; k == 2: the
+    transposition; k == 1: the least constant map.
+    """
+    c = _base_cross_section(P)
+    k = P.k
+    if k == 1:
+        return (_pattern_element(P, c, (0,)),)
+    transposition = tuple([1, 0] + list(range(2, k)))
+    if k == 2:
+        return (_pattern_element(P, c, transposition),)
+    cycle = tuple(list(range(1, k)) + [0])
+    return tuple(sorted((_pattern_element(P, c, transposition), _pattern_element(P, c, cycle))))
 
 
 def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:

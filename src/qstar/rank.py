@@ -16,7 +16,7 @@ from .engine import SemigroupSet, _close_mask, closure
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
 from .partition import PartitionedSet
-from .qsemigroup import _pattern_element, enumerate_Q, idempotents_Q
+from .qsemigroup import enumerate_Q, idempotents_Q, symmetric_part_generators
 from .transformation import Transformation, compose, image, product_map
 
 
@@ -32,28 +32,6 @@ def rank_Q(P: PartitionedSet) -> int:
     if P.m == 1:
         return 1 if P.k <= 2 else 2
     return max(2, P.m)
-
-
-def _base_cross_section(P: PartitionedSet) -> tuple[int, ...]:
-    # least idempotent in canonical order = least representative per block
-    return tuple(min(b) for b in P.blocks)
-
-
-def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
-    """Generators of the base H-class fixing its cross-section setwise.
-
-    k >= 3: a transposition pattern and a k-cycle pattern; k == 2: the
-    transposition; k == 1: the least constant map.
-    """
-    c = _base_cross_section(P)
-    k = P.k
-    if k == 1:
-        return (_pattern_element(P, c, (0,)),)
-    transposition = tuple([1, 0] + list(range(2, k)))
-    if k == 2:
-        return (_pattern_element(P, c, transposition),)
-    cycle = tuple(list(range(1, k)) + [0])
-    return tuple(sorted((_pattern_element(P, c, transposition), _pattern_element(P, c, cycle))))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -197,6 +198,20 @@ def test_verify_rejects_a_negative_sample_count(capsys):
     assert run_json(capsys, "verify", "--partition=1,2,3", "--samples=0")["all_passed"] is True
 
 
+def test_verify_stops_past_the_sample_bound(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the battery ran past the sample bound")
+
+    over = limits.MAX_SAMPLES + 1
+    monkeypatch.setattr("qstar.verify.check_partition_invariants", no_work)
+    assert main(["verify", "--partition=1,2,3", f"--samples={over}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: samples = 10001 exceeds MAX_SAMPLES = 10000\n"
+    monkeypatch.undo()
+    assert run_json(capsys, "verify", "--partition=1,2,3", f"--samples={limits.MAX_SAMPLES}")["all_passed"] is True
+
+
 def test_exit_code_on_resource_limit(capsys):
     blocks = "|".join(",".join(str(i * 3 + j + 1) for j in range(3)) for i in range(8))
     assert main(["generate", "--partition", blocks]) == 3
@@ -272,6 +287,60 @@ def test_console_script_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["cardinality"] == 4
+
+
+FAILING_VERIFY = """
+import sys
+import qstar.cli
+from qstar.verify import Check, VerificationReport
+
+def forced_failure(P, seed, samples):
+    return VerificationReport(P, seed, (Check("q-counts", "fail", "forced"),), {"applicable": False})
+
+qstar.cli.run_verification = forced_failure
+sys.exit(qstar.cli.main(["verify", "--partition", "1,2|3"]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "qstar.cli", "analyze", "--partition", "1,2|3"], 0),
+        (["-m", "qstar.cli", "maximal", "--format", "table", "--partition", "1,2|3|4"], 0),
+        (["-c", FAILING_VERIFY], 4),
+    ],
+)
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code, unbuffered):
+    # Buffered, the write fails at the final flush; unbuffered, at once.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the command prints
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=20
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""
+
+
+def test_generate_on_ten_thousand_elements():
+    # |Q| = 7! * 2 = 10080: a pairwise closure proof would compose 10080^2
+    # (about 10^8) products; the generator closure needs about 8 * 10080.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstar.cli", "generate", "--partition", "1,2|3|4|5|6|7|8"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["rank"] == 2
+    assert payload["verified"] is True
 
 
 def test_every_command_output_validates_against_schema(capsys):

@@ -3,7 +3,8 @@
 The exit-code contract: every input ends in 0 (ok), 2 (bad input, including
 argparse's own ``SystemExit(2)``) or 3 (resource limit), never in a
 traceback, and every exit 0 prints JSON that the output schema accepts.
-Specs cover at most 8 points, and at most 3 for ``verify``.
+Specs cover at most 8 points, at most 6 for ``generate`` and at most 3 for
+``verify``.
 """
 
 import contextlib
@@ -73,6 +74,14 @@ def verify_commands(draw):
     return ["verify", f"--partition={spec}", f"--samples={samples}", f"--seed={seed}"]
 
 
+@st.composite
+def generate_commands(draw):
+    # At most 6 points (|Q| <= 720), often with a --max-closure below |Q|.
+    spec = draw(st.one_of(valid_blocks(max_n=6).map(spec_of), TEXT))
+    bound = draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=50)))
+    return ["generate", f"--partition={spec}"] + ([] if bound is None else [f"--max-closure={bound}"])
+
+
 NS = st.one_of(st.integers(min_value=-2, max_value=14).map(str), st.text(alphabet="0123456789-x", max_size=4))
 BOUNDS = st.lists(
     st.tuples(
@@ -87,6 +96,7 @@ COMMANDS = st.one_of(
     NS.map(lambda n: ["census", f"--n={n}"]),
     iso_commands(),
     verify_commands(),
+    generate_commands(),
 )
 
 

@@ -27,6 +27,7 @@ from qstar import (
     partition_from_sizes,
     q_shorthand,
     symmetric_group_table,
+    symmetric_part_generators,
     universal_partition,
 )
 from qstar.engine import groups_isomorphic
@@ -252,7 +253,8 @@ def test_cache_entry_does_not_depend_on_how_the_bound_is_passed():
 
 def test_closure_proof_catches_a_corrupted_element(monkeypatch):
     # With the membership filter switched off, a corrupted element keeps the
-    # count right, so only the |Q|^2 closure proof can notice it.
+    # count right, so only the closure proof can notice it: the closure of
+    # the symmetric part and the idempotents reaches the element it replaced.
     P = partition_from_sizes((2, 1, 1))
     built = []
 
@@ -267,6 +269,54 @@ def test_closure_proof_catches_a_corrupted_element(monkeypatch):
     enumerate_Q.cache_clear()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
+
+
+def test_closure_proof_reports_escaping_generators_as_not_closed(monkeypatch):
+    # A 4-cycle and a transposition generate all 24 permutations of 4 points,
+    # twice |Q| = 12: the bounded closure stops at |Q| and the proof fails as
+    # an internal inconsistency, not as a resource limit.
+    P = partition_from_sizes((2, 1, 1))
+    escaping = (Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3)))
+    monkeypatch.setattr(qstar.qsemigroup, "symmetric_part_generators", lambda P: escaping)
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        enumerate_Q(P)
+
+
+def test_closure_proof_reports_generators_that_fall_short(monkeypatch):
+    # The idempotents alone close to the right-zero band on them, a proper
+    # subset of the built set.
+    P = partition_from_sizes((2, 1, 1))
+    monkeypatch.setattr(qstar.qsemigroup, "symmetric_part_generators", lambda P: ())
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="do not generate the constructed Q"):
+        enumerate_Q(P)
+
+
+def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
+    # The closure of the generators G, bounded by |Q|, computes |Q|*|G| right
+    # products and |G|*|Q| left products; a pairwise proof would need |Q|^2.
+    P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, m = 2, |Q| = 240
+    products = []
+    real = qstar.transformation.product_map
+
+    def counting(a_images):
+        mul = real(a_images)
+
+        def counted(b_images):
+            products.append(None)
+            return mul(b_images)
+
+        return counted
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("qstar") and hasattr(module, "product_map"):
+            monkeypatch.setattr(module, "product_map", counting)
+    enumerate_Q.cache_clear()
+    idempotents_Q.cache_clear()
+    Q = enumerate_Q(P)
+    generators = len(symmetric_part_generators(P)) + P.m
+    assert 0 < len(products) <= 2 * len(Q) * (generators + 1)
 
 
 def test_decompose_passes_the_group_order_bound_to_the_h_class():
