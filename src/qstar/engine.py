@@ -6,6 +6,14 @@ explicit multiplication tables.  Everything here is definitional, so the
 structural constructions in the higher-level modules can be validated
 against it.
 
+Index sets are bitmasks over a table's rows and have two closure kernels.
+``_close_mask`` closes an arbitrary mask from scratch.  ``_extend`` adds one
+element to a set that is already closed: it multiplies the old members by
+the new element only, after Froidure & Pin's one-generator step, and can
+stop early when a forbidden element appears.  Close-by-One closed-set
+enumeration (Kuznetsov), the maximality predicate and the rank level search
+grow closed sets one element at a time on ``_extend``.
+
 All public containers are immutable and safe to share across threads.
 """
 
@@ -278,6 +286,45 @@ def _close_mask(table, mask: int) -> int:
     return known
 
 
+def _extend(table, closed: int, members: list[int], gens: list[int], x: int, stop: int = 0):
+    """Closure of the closed set C plus element ``x``, with its member list.
+
+    C = <gens> is the mask ``closed`` and lists its elements in ``members``.
+    Every new element is a product whose first factor x follows a member of
+    C or starts the word, so the old members are multiplied by x only and
+    each new element by every generator in ``gens + [x]``.  Returns
+    ``(mask, members)``, or ``None`` as soon as an element of ``stop`` (a
+    mask disjoint from C) joins.
+    """
+    bit = 1 << x
+    if closed & bit:
+        return closed, members
+    if stop & bit:
+        return None
+    known = closed | bit
+    new = [x]
+    for c in members:
+        q = table[c][x]
+        b = 1 << q
+        if not known & b:
+            if stop & b:
+                return None
+            known |= b
+            new.append(q)
+    gens = gens + [x]
+    for p in new:  # grows while it is read
+        row = table[p]
+        for g in gens:
+            q = row[g]
+            b = 1 << q
+            if not known & b:
+                if stop & b:
+                    return None
+                known |= b
+                new.append(q)
+    return known, members + new
+
+
 def _mask_indices(mask: int, size: int) -> list[int]:
     return [i for i in range(size) if (mask >> i) & 1]
 
@@ -342,10 +389,15 @@ def is_maximal_subsemigroup(T: SemigroupSet, S: SemigroupSet) -> bool:
     full = (1 << len(S)) - 1
     if _close_mask(t, tmask) != tmask:
         raise ContractError("T is not closed")
+    closed, members, gens = 0, [], []
+    for i in indices:
+        if not (closed >> i) & 1:
+            closed, members = _extend(t, closed, members, gens, i)
+            gens.append(i)
     for x in range(len(S)):
         if (tmask >> x) & 1:
             continue
-        if _close_mask(t, tmask | (1 << x)) != full:
+        if _extend(t, tmask, members, gens, x)[0] != full:
             return False
     return True
 
@@ -353,32 +405,32 @@ def is_maximal_subsemigroup(T: SemigroupSet, S: SemigroupSet) -> bool:
 def all_closed_subsets(S: SemigroupSet, max_count: int = DEFAULT_MAX_CLOSED_SETS) -> tuple[int, ...]:
     """Every composition-closed subset of S, as bitmasks, in lectic order.
 
-    Ganter-style next-closure enumeration: each closed set is visited exactly
-    once using at most |S| closure calls per set, with no dependence on the
-    structure theory being validated elsewhere.
+    Close-by-One (Kuznetsov), the depth-first form of Ganter's next-closure:
+    a closed set C reached by adding element y has one child per i > y
+    outside C, the closure of C plus i, kept only when it gains no element
+    below i.  Each closed set is reached exactly once, by one ``_extend``
+    call that stops at the first element below i.  Visiting C before its
+    children, and children from the largest i down, is lectic order (a set
+    with a smaller element ranks higher).  No structure theory is used.
     """
     t = S.index_table
     size = len(S)
     full = (1 << size) - 1
-    out = [0]
-    a = 0
-    while a != full:
-        nxt = None
-        for i in range(size - 1, -1, -1):
-            bit = 1 << i
-            if a & bit:
-                continue
-            lower = bit - 1
-            b = _close_mask(t, (a & lower) | bit)
-            if (b & lower) & ~a == 0:
-                nxt = b
-                break
-        if nxt is None:
-            raise InternalConsistencyError("next-closure search stalled below the full set")
-        a = nxt
-        out.append(a)
+    out = []
+    stack = [(0, [], [], -1)]
+    while stack:
+        closed, members, gens, y = stack.pop()
+        out.append(closed)
         if len(out) > max_count:
             raise ResourceLimitError(f"more than {max_count} closed subsets")
+        for i in range(y + 1, size):
+            if (closed >> i) & 1:
+                continue
+            child = _extend(t, closed, members, gens, i, ((1 << i) - 1) & ~closed)
+            if child is not None:
+                stack.append((*child, gens + [i], i))
+    if out[-1] != full:
+        raise InternalConsistencyError("Close-by-One enumeration missed the full set")
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ DEFAULT_MAX_CLOSURE = 100_000
 # (``--group-order-bound``).  The subgroup-lattice search has no work budget,
 # and on S_6 (order 720) it runs for minutes.
 DEFAULT_MAX_GROUP_ORDER = 120
-# Closed subsets listed by next-closure.
+# Closed subsets listed by ``all_closed_subsets``.
 DEFAULT_MAX_CLOSED_SETS = 500_000
 
 # Largest |Q| on which an isomorphism is built and checked on the product

@@ -128,7 +128,7 @@ def maximal_subsemigroups_Q(
 def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MAX) -> tuple[SemigroupSet, ...]:
     """Every maximal subsemigroup of S by complete closed-subset enumeration.
 
-    Next-closure lists all closed subsets; a size-descending antichain scan
+    Close-by-One lists all closed subsets; a size-descending antichain scan
     keeps the inclusion-maximal proper nonempty ones, and each survivor is
     re-checked with the definitional maximality predicate.  No structure
     theory is assumed anywhere.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .engine import SemigroupSet, _close_mask, closure
+from .engine import SemigroupSet, _close_mask, _extend, closure
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
 from .partition import PartitionedSet
@@ -144,17 +144,54 @@ def minimality_certificate(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
 
 
 def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int, max_q: int = DEFAULT_BRUTE_FORCE_MAX_Q) -> bool:
-    """Plain sweep: closure every ``size``-subset of Q, return True when none generates.
+    """True when no ``size``-subset of Q generates Q, by a search over closed sets.
 
-    Exponential; intended as an independent cross-check of the certificate
-    on very small instances.
+    Uses Q's product table and nothing else, as an independent cross-check
+    of the certificate on small instances.
     """
+    if size < 0:
+        raise ContractError(f"size must be >= 0, got {size}")
     Q = enumerate_Q(P)
     if len(Q) > max_q:
         raise ResourceLimitError(f"|Q| = {len(Q)} exceeds brute-force bound {max_q}")
-    table = Q.index_table
-    full = (1 << len(Q)) - 1
-    for combo in itertools.combinations(range(len(Q)), size):
+    return _no_generating_set_by_levels(Q.index_table, size)
+
+
+def _no_generating_set_by_levels(table, size: int) -> bool:
+    """Level search: level 0 is the empty set, and level j holds the closure
+    of C plus x for every C in level j - 1 and every x outside C.
+
+    Since <S + x> = <<S> + x>, every set in level j is the closure of a
+    j-subset, and the closure of a j-subset lies in some level up to j
+    (skip the elements its closure already holds).  A generating set can be
+    padded with any other elements, so for ``size`` <= |Q| some
+    ``size``-subset generates exactly when the full set appears at a level
+    up to ``size``; it has no outside element, so it drops out of later
+    levels.  Each closed set keeps one generator chain for ``_extend``.
+    """
+    if size > len(table):
+        return True
+    full = (1 << len(table)) - 1
+    level = {0: ([], [])}
+    for _ in range(size):
+        nxt = {}
+        for closed, (members, gens) in level.items():
+            for x in range(len(table)):
+                if (closed >> x) & 1:
+                    continue
+                mask, grown = _extend(table, closed, members, gens, x)
+                if mask == full:
+                    return False
+                if mask not in nxt:
+                    nxt[mask] = (grown, gens + [x])
+        level = nxt
+    return True
+
+
+def _no_generating_set_by_subsets(table, size: int) -> bool:
+    """Plain sweep: the closure of every ``size``-subset; True when none is full."""
+    full = (1 << len(table)) - 1
+    for combo in itertools.combinations(range(len(table)), size):
         mask = 0
         for i in combo:
             mask |= 1 << i

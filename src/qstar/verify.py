@@ -56,6 +56,7 @@ from .qsemigroup import (
     symmetric_part_generators,
 )
 from .rank import (
+    GeneratingSetReport,
     generating_set_hits_every_hclass,
     minimal_generating_set,
     minimality_certificate,
@@ -268,8 +269,7 @@ def check_decomposition(P: PartitionedSet) -> Check:
     )
 
 
-def check_rank_and_generators(P: PartitionedSet, Q) -> Check:
-    report = minimal_generating_set(P)
+def check_rank_and_generators(P: PartitionedSet, Q, report: GeneratingSetReport) -> Check:
     r = rank_Q(P)
     if len(report.generators) != r or not report.verified:
         return Check("rank-and-generators", "fail", f"construction gave {len(report.generators)}, rank {r}")
@@ -307,8 +307,11 @@ def check_self_isomorphism(P: PartitionedSet) -> Check:
     return Check("self-isomorphism", "pass", "identity-class isomorphism built and verified")
 
 
-def build_audit(P: PartitionedSet) -> dict:
+def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     """Audit the textbook-style generating candidate for this instance.
+
+    ``rank_report`` is ``minimal_generating_set(P)``, whose generators the
+    audit lists beside the candidate.
 
     Candidate: every idempotent except the base one, plus the
     transposition-patterned element of the base H-class.  The closure is
@@ -341,7 +344,6 @@ def build_audit(P: PartitionedSet) -> dict:
             if p not in reached:
                 missing = [v + 1 for v in p]
                 break
-    rank_report = minimal_generating_set(P)
     return {
         "applicable": True,
         "candidate": [list(q_shorthand(P, a)) for a in candidate],
@@ -396,10 +398,11 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
             checks.append(check_closure_idempotence(P, Q, rng, samples))
             checks.append(check_h_class_structure(P, Q))
             checks.append(check_decomposition(P))
-            checks.append(check_rank_and_generators(P, Q))
+            rank_report = minimal_generating_set(P)
+            checks.append(check_rank_and_generators(P, Q, rank_report))
             checks.append(check_maximal(P, Q))
             checks.append(check_self_isomorphism(P))
-            audit = build_audit(P)
+            audit = build_audit(P, rank_report)
         else:
             checks.append(Check("oracle-battery", "skipped", f"|Q| = {len(Q)} exceeds oracle bound {ORACLE_BOUND}"))
     else:

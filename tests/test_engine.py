@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import qstar.engine
-from qstar.engine import is_homomorphism
+from qstar.engine import _close_mask, _extend, _mask_indices, is_homomorphism
 from qstar import (
     ContractError,
     GroupTable,
@@ -20,12 +20,14 @@ from qstar import (
     green_R_related,
     groups_isomorphic,
     identity_map,
+    integer_partitions,
     is_left_cancellative,
     is_maximal_subsemigroup,
     is_regular_semigroup,
     is_right_group,
     kernel_partition,
     maximal_subgroups,
+    partition_from_sizes,
     subgroup_lattice,
     symmetric_group_table,
 )
@@ -282,6 +284,129 @@ def test_all_closed_subsets_count_matches_brute_force():
             if all(table[i][j] in chosen for i in combo for j in combo):
                 brute += 1
     assert brute == len(all_closed_subsets(Q))
+
+
+def _next_closure_reference(S):
+    """Ganter's next-closure, one ``_close_mask`` call per candidate: the
+    reference order for ``all_closed_subsets``."""
+    t = S.index_table
+    size = len(S)
+    full = (1 << size) - 1
+    out = [0]
+    a = 0
+    while a != full:
+        for i in range(size - 1, -1, -1):
+            bit = 1 << i
+            if a & bit:
+                continue
+            lower = bit - 1
+            b = _close_mask(t, (a & lower) | bit)
+            if (b & lower) & ~a == 0:
+                break
+        else:
+            raise AssertionError("next-closure stalled below the full set")
+        a = b
+        out.append(a)
+    return tuple(out)
+
+
+def test_all_closed_subsets_equals_next_closure_in_order():
+    covered = 0
+    for n in range(1, 7):
+        for sizes in integer_partitions(n):
+            Q = enumerate_Q(partition_from_sizes(sizes))
+            if len(Q) > 48:
+                continue
+            assert all_closed_subsets(Q) == _next_closure_reference(Q), sizes
+            covered += 1
+    assert covered == 24
+
+
+def _closed_sets_with_chains(sizes):
+    """(table, C, members, gens) for every closed set C of Q, with C = <gens>."""
+    Q = enumerate_Q(partition_from_sizes(sizes))
+    t = Q.index_table
+    for C in all_closed_subsets(Q):
+        members = _mask_indices(C, len(Q))
+        gens, closed = [], 0
+        for i in members:
+            if not (closed >> i) & 1:
+                gens.append(i)
+                closed = _close_mask(t, sum(1 << g for g in gens))
+        assert closed == C
+        yield t, C, members, gens
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1), (3, 2, 1), (4, 3)])
+def test_extend_equals_close_mask_on_every_closed_set(sizes):
+    for t, C, members, gens in _closed_sets_with_chains(sizes):
+        for x in range(len(t)):
+            if (C >> x) & 1:
+                assert _extend(t, C, members, gens, x) == (C, members)
+                continue
+            expected = _close_mask(t, C | (1 << x))
+            mask, grown = _extend(t, C, members, gens, x)
+            assert mask == expected
+            assert sorted(grown) == _mask_indices(expected, len(t))
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1), (3, 2, 1)])
+def test_extend_returns_none_exactly_when_the_closure_meets_stop(sizes):
+    for t, C, members, gens in _closed_sets_with_chains(sizes):
+        full = (1 << len(t)) - 1
+        for x in range(len(t)):
+            if (C >> x) & 1:
+                continue
+            expected = _close_mask(t, C | (1 << x))
+            # Stop masks disjoint from C: the whole outside, what the closure
+            # misses, and the lowest and highest element it gains besides x.
+            gained = expected & ~C & ~(1 << x)
+            stops = [full & ~C, full & ~expected]
+            if gained:
+                stops += [gained & -gained, 1 << (gained.bit_length() - 1)]
+            for stop in stops:
+                result = _extend(t, C, members, gens, x, stop)
+                if stop & expected:
+                    assert result is None
+                else:
+                    assert result is not None and result[0] == expected
+
+
+def test_oracles_close_from_scratch_only_to_test_closedness(monkeypatch, p6, t_sets):
+    calls = []
+    real = qstar.engine._close_mask
+
+    def counting(table, mask):
+        calls.append(mask)
+        return real(table, mask)
+
+    monkeypatch.setattr(qstar.engine, "_close_mask", counting)
+    Q = enumerate_Q(p6)
+    assert len(all_closed_subsets(Q)) > 2
+    assert calls == []
+    assert is_maximal_subsemigroup(SemigroupSet.from_elements(t_sets["T1"]), Q)
+    assert len(calls) == 1
+
+
+def test_all_closed_subsets_raises_when_the_full_set_is_missed(monkeypatch):
+    Q = enumerate_Q(partition_from_sizes((2, 1)))
+    full = (1 << len(Q)) - 1
+    real = qstar.engine._extend
+
+    def drop_full(table, closed, members, gens, x, stop=0):
+        result = real(table, closed, members, gens, x, stop)
+        return None if result is not None and result[0] == full else result
+
+    monkeypatch.setattr(qstar.engine, "_extend", drop_full)
+    with pytest.raises(InternalConsistencyError, match="^Close-by-One enumeration missed the full set$"):
+        all_closed_subsets(Q)
+
+
+def test_all_closed_subsets_count_bound():
+    Q = enumerate_Q(partition_from_sizes((2, 2)))
+    assert len(all_closed_subsets(Q, max_count=31)) == 31
+    with pytest.raises(ResourceLimitError, match="^more than 30 closed subsets$"):
+        all_closed_subsets(Q, max_count=30)
 
 
 def test_is_maximal_subsemigroup(p6, alpha, t_sets):

@@ -1,5 +1,8 @@
 import pytest
 
+import qstar.rank
+from qstar.rank import _no_generating_set_by_levels, _no_generating_set_by_subsets
+from qstar.verify import run_verification
 from qstar import (
     ContractError,
     InternalConsistencyError,
@@ -13,9 +16,11 @@ from qstar import (
     identity_partition,
     idempotents_Q,
     identity_map,
+    integer_partitions,
     minimal_generating_set,
     minimality_certificate,
     partition_from_sizes,
+    partition_from_spec,
     rank_Q,
     symmetric_part_generators,
     universal_partition,
@@ -172,6 +177,52 @@ def test_no_smaller_generating_set_brute_force(sizes):
 def test_brute_force_finds_generating_sets_at_rank():
     P = partition_from_sizes((2, 1))
     assert not brute_force_no_generating_set_of_size(P, rank_Q(P))
+
+
+def test_level_search_agrees_with_the_subset_sweep_at_every_size():
+    covered = 0
+    for n in range(1, 7):
+        for sizes in integer_partitions(n):
+            P = partition_from_sizes(sizes)
+            Q = enumerate_Q(P)
+            if len(Q) > 20:
+                continue
+            t = Q.index_table
+            levels = [_no_generating_set_by_levels(t, size) for size in range(len(Q) + 2)]
+            assert levels == [_no_generating_set_by_subsets(t, size) for size in range(len(Q) + 2)], sizes
+            assert levels.index(False) == rank_Q(P), sizes
+            covered += 1
+    assert covered == 18
+
+
+def test_level_search_finds_a_small_generating_set_on_a_mutated_table():
+    # In Q for (2, 1) no single element generates; rewire element 0's
+    # products so that its powers reach every element.
+    t = [list(row) for row in enumerate_Q(partition_from_sizes((2, 1))).index_table]
+    assert _no_generating_set_by_levels(t, 1)
+    for p, q in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        t[p][0] = q
+    for size in range(len(t) + 1):
+        assert _no_generating_set_by_levels(t, size) == _no_generating_set_by_subsets(t, size) == (size == 0)
+
+
+def test_brute_force_rejects_a_negative_size():
+    with pytest.raises(ContractError, match="^size must be >= 0, got -1$"):
+        brute_force_no_generating_set_of_size(partition_from_sizes((2, 1)), -1)
+
+
+def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
+    calls = []
+    real = qstar.rank.closure
+
+    def counting(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(qstar.rank, "closure", counting)
+    assert run_verification(partition_from_spec("1,2|3,4|5")).all_passed
+    # minimal_generating_set's own check and generating_set_hits_every_hclass.
+    assert len(calls) == 2 and len(set(calls)) == 1
 
 
 def test_idempotents_alone_never_generate(p6):
