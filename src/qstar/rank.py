@@ -96,6 +96,11 @@ def generating_set_hits_every_hclass(gens, P: PartitionedSet, max_size: int = DE
     closed = closure(tuple(gens), max_size=max_size)
     if closed.elements != Q.elements:
         raise ContractError("gens do not generate Q, hit-every-H-class is undefined")
+    return _hits_every_hclass(gens, P, max_size)
+
+
+def _hits_every_hclass(gens, P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> bool:
+    """The image comparison alone, for ``gens`` already known to generate Q."""
     targets = {image(f) for f in idempotents_Q(P, max_size)}
     return {image(g) for g in gens} == targets
 

@@ -57,7 +57,7 @@ from .qsemigroup import (
 )
 from .rank import (
     GeneratingSetReport,
-    generating_set_hits_every_hclass,
+    _hits_every_hclass,
     minimal_generating_set,
     minimality_certificate,
     rank_Q,
@@ -273,7 +273,8 @@ def check_rank_and_generators(P: PartitionedSet, Q, report: GeneratingSetReport)
     r = rank_Q(P)
     if len(report.generators) != r or not report.verified:
         return Check("rank-and-generators", "fail", f"construction gave {len(report.generators)}, rank {r}")
-    if not generating_set_hits_every_hclass(report.generators, P):
+    # minimal_generating_set has closed these generators and compared the result with Q.
+    if not _hits_every_hclass(report.generators, P):
         return Check("rank-and-generators", "fail", "verified generating set misses an H-class")
     # enumerate_Q has already proved that symmetric part + idempotents generate Q.
     detail = f"rank {r} achieved and verified; symmetric part + idempotents generate"

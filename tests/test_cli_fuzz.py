@@ -3,8 +3,8 @@
 The exit-code contract: every input ends in 0 (ok), 2 (bad input, including
 argparse's own ``SystemExit(2)``) or 3 (resource limit), never in a
 traceback, and every exit 0 prints JSON that the output schema accepts.
-Specs cover at most 8 points, at most 6 for ``generate`` and at most 3 for
-``verify``.
+Specs cover at most 8 points, at most 6 for ``generate``, at most 5 for
+``maximal`` and at most 3 for ``verify``.
 """
 
 import contextlib
@@ -82,6 +82,16 @@ def generate_commands(draw):
     return ["generate", f"--partition={spec}"] + ([] if bound is None else [f"--max-closure={bound}"])
 
 
+@st.composite
+def maximal_commands(draw):
+    # At most 5 points, and a group-order bound of at most 24, so no S_5
+    # subgroup lattice is built; nine characters of text hold at most 5 entries.
+    spec = draw(st.one_of(valid_blocks(max_n=5).map(spec_of), st.text(alphabet="0123456789,| x-", max_size=9)))
+    bound = draw(st.integers(min_value=-1, max_value=24))
+    # Last on the line, so it overrides any bound the fuzz test puts first.
+    return ["maximal", f"--partition={spec}", f"--group-order-bound={bound}"]
+
+
 NS = st.one_of(st.integers(min_value=-2, max_value=14).map(str), st.text(alphabet="0123456789-x", max_size=4))
 BOUNDS = st.lists(
     st.tuples(
@@ -97,6 +107,7 @@ COMMANDS = st.one_of(
     iso_commands(),
     verify_commands(),
     generate_commands(),
+    maximal_commands(),
 )
 
 

@@ -27,6 +27,7 @@ from qstar import (
     is_right_group,
     kernel_partition,
     maximal_subgroups,
+    maximal_subsemigroups_Q,
     partition_from_sizes,
     subgroup_lattice,
     symmetric_group_table,
@@ -351,7 +352,7 @@ def test_extend_equals_close_mask_on_every_closed_set(sizes):
 
 
 @pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1), (3, 2, 1)])
-def test_extend_returns_none_exactly_when_the_closure_meets_stop(sizes):
+def test_extend_returns_a_witness_exactly_when_the_closure_meets_stop(sizes):
     for t, C, members, gens in _closed_sets_with_chains(sizes):
         full = (1 << len(t)) - 1
         for x in range(len(t)):
@@ -367,9 +368,12 @@ def test_extend_returns_none_exactly_when_the_closure_meets_stop(sizes):
             for stop in stops:
                 result = _extend(t, C, members, gens, x, stop)
                 if stop & expected:
-                    assert result is None
+                    assert isinstance(result, int)
+                    assert (stop >> result) & 1 and (expected >> result) & 1
                 else:
-                    assert result is not None and result[0] == expected
+                    mask, grown = result
+                    assert mask == expected
+                    assert sorted(grown) == _mask_indices(expected, len(t))
 
 
 def test_oracles_close_from_scratch_only_to_test_closedness(monkeypatch, p6, t_sets):
@@ -395,11 +399,30 @@ def test_all_closed_subsets_raises_when_the_full_set_is_missed(monkeypatch):
 
     def drop_full(table, closed, members, gens, x, stop=0):
         result = real(table, closed, members, gens, x, stop)
-        return None if result is not None and result[0] == full else result
+        # Claim the full set stopped, with x as its witness.
+        return x if not isinstance(result, int) and result[0] == full else result
 
     monkeypatch.setattr(qstar.engine, "_extend", drop_full)
     with pytest.raises(InternalConsistencyError, match="^Close-by-One enumeration missed the full set$"):
         all_closed_subsets(Q)
+
+
+def test_all_closed_subsets_skips_the_extensions_a_witness_decides(monkeypatch):
+    Q = enumerate_Q(partition_from_sizes((3, 3)))
+    real = qstar.engine._extend
+    results = []
+
+    def counting(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(qstar.engine, "_extend", counting)
+    closed = all_closed_subsets(Q)
+    stopped = sum(isinstance(r, int) for r in results)
+    # One call reaches each nonempty closed set.  Plain Close-by-One makes
+    # 5,890 calls that stop below i; the inherited witnesses leave 511.
+    assert len(results) - stopped == len(closed) - 1 == 1022
+    assert stopped == 511
 
 
 def test_all_closed_subsets_count_bound():
@@ -419,6 +442,43 @@ def test_is_maximal_subsemigroup(p6, alpha, t_sets):
         is_maximal_subsemigroup(Q, Q)
     with pytest.raises(ContractError):
         is_maximal_subsemigroup(SemigroupSet.from_elements([identity_map(6)]), Q)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1), (3, 2, 1)])
+def test_is_maximal_subsemigroup_equals_the_rule_from_scratch(sizes):
+    Q = enumerate_Q(partition_from_sizes(sizes))
+    t = Q.index_table
+    full = (1 << len(Q)) - 1
+    verdicts = []
+    for T in all_closed_subsets(Q):
+        if T in (0, full):
+            continue
+        outside = [x for x in range(len(Q)) if not (T >> x) & 1]
+        expected = all(_close_mask(t, T | (1 << x)) == full for x in outside)
+        sub = SemigroupSet(Q.n, Q.subset(_mask_indices(T, len(Q))), None)
+        assert is_maximal_subsemigroup(sub, Q) == expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_each_maximal_set_gets_one_full_closure(monkeypatch):
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1, 1)))
+    full = (1 << len(Q)) - 1
+    real = qstar.engine._extend
+    full_results = []
+
+    def counting(table, closed, members, gens, x, stop=0):
+        result = real(table, closed, members, gens, x, stop)
+        if not (closed >> x) & 1 and not isinstance(result, int) and result[0] == full:
+            full_results.append(closed)
+        return result
+
+    monkeypatch.setattr(qstar.engine, "_extend", counting)
+    report = maximal_subsemigroups_Q(partition_from_sizes((3, 2, 1, 1)))
+    assert report.verified and report.total == 14  # s_4 = 8, m = 6
+    # One full closure per set, for its first outside element; every later
+    # outside element stops at an element already known to generate.
+    assert len(full_results) == len(set(full_results)) == 14
 
 
 def test_dropping_any_element_of_a_right_zero_is_maximal():
