@@ -13,10 +13,10 @@ the new element only, after Froidure & Pin's one-generator step, and can
 stop early when a forbidden element appears, returning it as a witness.
 Fast Close-by-One closed-set enumeration (Krajca, Outrata & Vychodil), the
 maximality predicate and the rank level search grow closed sets one element
-at a time on ``_extend``.  The first two prune by monotonicity of closure:
-if z lies in <C + x>, then <C + z> lies inside <C + x>, and z lies in
-<D + x> for every D containing C.  No closure whose outcome such a witness
-already decides is computed.
+at a time on ``_extend``, and so is every subgroup lattice.  The first two
+prune by monotonicity of closure: if z lies in <C + x>, then <C + z> lies
+inside <C + x>, and z lies in <D + x> for every D containing C.  No closure
+whose outcome such a witness already decides is computed.
 
 All public containers are immutable and safe to share across threads.
 """
@@ -28,6 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -108,6 +109,25 @@ class SemigroupSet:
 
     def subset(self, indices: Iterable[int]) -> tuple[Transformation, ...]:
         return tuple(self.elements[i] for i in sorted(set(indices)))
+
+    def restrict(self, indices: Iterable[int]) -> SemigroupSet:
+        """The subsemigroup on the closed index set ``indices``; its table is
+        this one's rows and columns there, renumbered, with no new product."""
+        indices = sorted(set(indices))
+        if not indices:
+            raise ContractError("a semigroup needs at least one element")
+        table = self.index_table
+        pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
+        position = {i: p for p, i in enumerate(indices)}.__getitem__
+        try:
+            rows = tuple(tuple(map(position, pick(table[i]))) for i in indices)
+        except KeyError:
+            a, b = next((a, b) for a in indices for b in indices if table[a][b] not in indices)
+            a, b = self.elements[a].images, self.elements[b].images
+            raise ValidationError(f"set is not closed: {a} * {b} escapes") from None
+        sub = SemigroupSet(self.n, tuple(self.elements[i] for i in indices), None)
+        sub.__dict__["index_table"] = rows
+        return sub
 
 
 def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
@@ -334,49 +354,31 @@ def _mask_indices(mask: int, size: int) -> list[int]:
     return [i for i in range(size) if (mask >> i) & 1]
 
 
-def subgroup_lattice(G: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[tuple[int, ...], ...]:
-    """All subgroups, as sorted index tuples.
+def _maximal_masks(masks: Iterable[int], full: int) -> list[int]:
+    """The inclusion-maximal masks among ``masks`` other than 0 and ``full``,
+    by a size-descending scan that keeps a mask unless a kept one holds it."""
+    proper = sorted((m for m in masks if m not in (0, full)), key=lambda m: (-m.bit_count(), m))
+    kept: list[int] = []
+    for mask in proper:
+        if not any(mask | k == k for k in kept):
+            kept.append(mask)
+    return kept
 
-    Cyclic subgroups are closed first; pairwise joins are then iterated to a
-    fixpoint.  Every subgroup is the join of its cyclic subgroups, so this
-    is complete.
-    """
+
+def subgroup_lattice(G: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[tuple[int, ...], ...]:
+    """All subgroups, as sorted index tuples, listed by Fast Close-by-One: in a
+    finite group every nonempty closed subset holds the powers of its members,
+    so their inverses and the identity, and is a subgroup."""
     if G.order > max_order:
         raise ResourceLimitError(f"group order {G.order} exceeds bound {max_order}")
-    t = G.table
-    initial = {_close_mask(t, 1 << i) for i in range(G.order)}
-    known = set(initial)
-    work = deque(initial)
-    while work:
-        x = work.popleft()
-        for y in list(known):
-            if x | y in (x, y):
-                continue
-            j = _close_mask(t, x | y)
-            if j not in known:
-                known.add(j)
-                work.append(j)
-    subs = [tuple(_mask_indices(mask, G.order)) for mask in known]
+    subs = [tuple(_mask_indices(mask, G.order)) for mask in all_closed_subsets(G.elements) if mask]
     return tuple(sorted(subs, key=lambda s: (len(s), s)))
 
 
 def maximal_subgroups(G: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[tuple[int, ...], ...]:
     """Proper subgroups not contained in any larger proper subgroup."""
-    subs = subgroup_lattice(G, max_order=max_order)
-    masks = []
-    for s in subs:
-        mask = 0
-        for i in s:
-            mask |= 1 << i
-        masks.append(mask)
-    full = (1 << G.order) - 1
-    out = []
-    for s, mask in zip(subs, masks):
-        if mask == full:
-            continue
-        if any(other != mask and other != full and mask | other == other for other in masks):
-            continue
-        out.append(s)
+    masks = [sum(1 << i for i in s) for s in subgroup_lattice(G, max_order=max_order)]
+    out = [tuple(_mask_indices(mask, G.order)) for mask in _maximal_masks(masks, (1 << G.order) - 1)]
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
@@ -399,13 +401,13 @@ def is_maximal_subsemigroup(T: SemigroupSet, S: SemigroupSet) -> bool:
     for i in indices:
         tmask |= 1 << i
     full = (1 << len(S)) - 1
-    if _close_mask(t, tmask) != tmask:
-        raise ContractError("T is not closed")
     closed, members, gens = 0, [], []
     for i in indices:
         if not (closed >> i) & 1:
             closed, members = _extend(t, closed, members, gens, i)
             gens.append(i)
+    if closed != tmask:  # closed is <T>
+        raise ContractError("T is not closed")
     good = 0
     for x in range(len(S)):
         if (tmask >> x) & 1:

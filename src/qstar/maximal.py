@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .engine import (
     SemigroupSet,
     _mask_indices,
+    _maximal_masks,
     all_closed_subsets,
     is_maximal_subsemigroup,
     maximal_subgroups,
@@ -62,7 +63,7 @@ def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_OR
             "E is the identity relation, Q is a group; ask for maximal subgroups "
             "of the symmetric group on k points instead"
         )
-    s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_order=max_group_order)))
+    s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_group_order), max_group_order))
     return (s_k, P.m, s_k + P.m)
 
 
@@ -125,28 +126,23 @@ def maximal_subsemigroups_Q(
     )
 
 
+def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
+    """Masks of the maximal proper nonempty closed subsets of S, by Close-by-One."""
+    return _maximal_masks(all_closed_subsets(S), (1 << len(S)) - 1)
+
+
 def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MAX) -> tuple[SemigroupSet, ...]:
     """Every maximal subsemigroup of S by complete closed-subset enumeration.
 
-    Close-by-One lists all closed subsets; a size-descending antichain scan
-    keeps the inclusion-maximal proper nonempty ones, and each survivor is
-    re-checked with the definitional maximality predicate.  No structure
-    theory is assumed anywhere.
+    The survivors of :func:`_maximal_closed_masks` are each re-checked with
+    the definitional maximality predicate.  No structure theory is assumed
+    anywhere.
     """
     if len(S) > max_size:
         raise ResourceLimitError(f"|S| = {len(S)} exceeds oracle bound {max_size}")
-    size = len(S)
-    full = (1 << size) - 1
-    proper = [mask for mask in all_closed_subsets(S) if mask not in (0, full)]
-    proper.sort(key=lambda mask: (-bin(mask).count("1"), mask))
-    maximal_masks = []
-    for mask in proper:
-        if any(mask | kept == kept for kept in maximal_masks):
-            continue
-        maximal_masks.append(mask)
     out = []
-    for mask in maximal_masks:
-        T = SemigroupSet(S.n, S.subset(_mask_indices(mask, size)), None)
+    for mask in _maximal_closed_masks(S):
+        T = SemigroupSet(S.n, S.subset(_mask_indices(mask, len(S))), None)
         if not is_maximal_subsemigroup(T, S):
             raise InternalConsistencyError("antichain scan kept a non-maximal closed subset")
         out.append(T)

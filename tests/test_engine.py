@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 
@@ -19,6 +20,8 @@ from qstar import (
     green_R_definitional,
     green_R_related,
     groups_isomorphic,
+    h_class,
+    idempotents_Q,
     identity_map,
     integer_partitions,
     is_left_cancellative,
@@ -47,6 +50,35 @@ def test_semigroup_set_rejects_unclosed():
     half = SemigroupSet.from_elements([identity_map(3), a], verify=False)
     with pytest.raises(ValidationError, match="not closed"):
         half.index_table
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1)])
+def test_restrict_reads_the_table_of_every_closed_subset(sizes):
+    Q = enumerate_Q(partition_from_sizes(sizes))
+    for mask in all_closed_subsets(Q):
+        if mask:
+            ix = _mask_indices(mask, len(Q))
+            sub = Q.restrict(ix)
+            assert sub.elements == Q.subset(ix)
+            assert sub.index_table == SemigroupSet.from_elements(Q.subset(ix)).index_table
+
+
+def test_restrict_to_one_index():
+    P = partition_from_sizes((2, 1))
+    Q = enumerate_Q(P)
+    e = Q.index_of(idempotents_Q(P)[0])
+    sub = Q.restrict([e])
+    assert sub.elements == (Q.elements[e],)
+    assert sub.index_table == ((0,),)
+
+
+def test_restrict_rejects_a_set_that_is_not_closed():
+    S = full_transformation_semigroup(2)
+    swap = S.index_of(Transformation((1, 0)))
+    with pytest.raises(ValidationError, match=r"not closed: \(1, 0\) \* \(1, 0\) escapes"):
+        S.restrict([swap])
+    with pytest.raises(ContractError):
+        S.restrict([])
 
 
 def test_index_table_rejects_mixed_degrees():
@@ -215,6 +247,36 @@ def test_subgroup_lattice_of_s3():
 def test_subgroup_lattice_of_tiny_groups():
     assert len(subgroup_lattice(symmetric_group_table(1))) == 1
     assert len(subgroup_lattice(symmetric_group_table(2))) == 2
+
+
+def _subgroup_lattice_reference(G):
+    """Cyclic subgroups, then pairwise joins iterated to a fixpoint: the
+    reference lattice for ``subgroup_lattice``.  Every subgroup is the join
+    of its cyclic subgroups, so this is complete."""
+    t = G.table
+    initial = {_close_mask(t, 1 << i) for i in range(G.order)}
+    known = set(initial)
+    work = deque(initial)
+    while work:
+        x = work.popleft()
+        for y in list(known):
+            if x | y in (x, y):
+                continue
+            j = _close_mask(t, x | y)
+            if j not in known:
+                known.add(j)
+                work.append(j)
+    subs = [tuple(_mask_indices(mask, G.order)) for mask in known]
+    return tuple(sorted(subs, key=lambda s: (len(s), s)))
+
+
+def test_subgroup_lattice_equals_the_pairwise_join_fixpoint():
+    groups = [symmetric_group_table(k) for k in range(1, 5)]
+    for sizes in ((2, 2, 1), (3, 2, 1, 1)):
+        P = partition_from_sizes(sizes)
+        groups.append(h_class(idempotents_Q(P)[0], P))
+    for G in groups:
+        assert subgroup_lattice(G) == _subgroup_lattice_reference(G)
 
 
 def test_subgroup_counts_of_s4():
@@ -389,7 +451,14 @@ def test_oracles_close_from_scratch_only_to_test_closedness(monkeypatch, p6, t_s
     assert len(all_closed_subsets(Q)) > 2
     assert calls == []
     assert is_maximal_subsemigroup(SemigroupSet.from_elements(t_sets["T1"]), Q)
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_maximality_predicate_rejects_a_set_that_is_not_closed(p6, alpha):
+    Q = enumerate_Q(p6)
+    T = SemigroupSet(p6.n, (alpha(13),), None)  # a 3-cycle pattern: its square is missing
+    with pytest.raises(ContractError, match="^T is not closed$"):
+        is_maximal_subsemigroup(T, Q)
 
 
 def test_all_closed_subsets_raises_when_the_full_set_is_missed(monkeypatch):

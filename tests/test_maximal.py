@@ -13,6 +13,7 @@ from qstar import (
     is_maximal_subsemigroup,
     maximal_subsemigroups_Q,
     partition_from_sizes,
+    partition_from_spec,
 )
 
 
@@ -24,6 +25,15 @@ def test_counts_on_reference_instance(p6):
 def test_counts_on_degenerate_shapes():
     assert count_maximal(partition_from_sizes((4, 1))) == (1, 4, 5)
     assert count_maximal(partition_from_sizes((5,))) == (0, 5, 5)
+
+
+def test_count_maximal_passes_the_group_order_bound_to_the_lattice():
+    assert count_maximal(partition_from_spec("1,2|3|4|5|6|7"), 720) == (53, 2, 55)
+
+
+def test_s_k_under_the_order_bound_720():
+    counts = [count_maximal(partition_from_sizes((2,) + (1,) * (k - 1)), 720)[0] for k in range(1, 7)]
+    assert counts == [0, 1, 4, 8, 22, 53]
 
 
 def test_right_zero_case_drops_one_constant_each():

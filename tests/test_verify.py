@@ -1,0 +1,51 @@
+import dataclasses
+import random
+import sys
+
+import pytest
+
+import qstar.transformation
+import qstar.verify
+from qstar import enumerate_Q, partition_from_sizes
+from qstar.verify import check_kernel_cross_section, check_maximal, check_right_group_battery
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
+def test_sampled_closures_read_q_table_and_compute_no_product(monkeypatch, sizes):
+    P = partition_from_sizes(sizes)
+    Q = enumerate_Q(P)
+    Q.index_table
+    calls = []
+    real = qstar.transformation.product_map
+
+    def counting(a_images):
+        calls.append(a_images)
+        return real(a_images)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("qstar") and hasattr(module, "product_map"):
+            monkeypatch.setattr(module, "product_map", counting)
+    rng = random.Random(5)
+    assert check_kernel_cross_section(P, Q, rng, 100).status == "pass"
+    assert check_right_group_battery(P, Q, rng, 100).status == "pass"
+    assert calls == []
+
+
+def test_check_maximal_fails_when_the_oracle_misses_a_maximal_set(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    assert check_maximal(p6, Q).status == "pass"
+    real = qstar.verify._maximal_closed_masks
+    monkeypatch.setattr(qstar.verify, "_maximal_closed_masks", lambda S: real(S)[1:])
+    check = check_maximal(p6, Q)
+    assert (check.status, check.detail) == ("fail", "construction differs from the exhaustive oracle")
+
+
+def test_check_maximal_fails_on_an_unverified_construction(monkeypatch, p6):
+    real = qstar.verify.maximal_subsemigroups_Q
+    monkeypatch.setattr(
+        qstar.verify,
+        "maximal_subsemigroups_Q",
+        lambda P: dataclasses.replace(real(P), verified=False),
+    )
+    check = check_maximal(p6, enumerate_Q(p6))
+    assert (check.status, check.detail) == ("fail", "constructed sets were not checked for maximality")
