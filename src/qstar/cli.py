@@ -21,6 +21,7 @@ exceeded, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -329,8 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call and kept for the
+    process: nothing in it depends on argv or the environment, and every
+    parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # argparse drops a "--" given as "--option=--" and stores [] as the value.
     for name, value in vars(args).items():

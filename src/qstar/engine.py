@@ -193,6 +193,13 @@ def is_regular_semigroup(S: SemigroupSet) -> bool:
     return all(any(t[t[ia][ib]][ia] == ia for ib in range(size)) for ia in range(size))
 
 
+def idempotents_right_zero(S: SemigroupSet) -> bool:
+    """True when the idempotents of S form a right-zero band: e*f == f."""
+    t = S.index_table
+    idems = [i for i, row in enumerate(t) if row[i] == i]
+    return all(t[e][f] == f for e in idems for f in idems)
+
+
 def is_left_cancellative(S: SemigroupSet) -> bool:
     """True when a*x == a*y forces x == y, checked row by row."""
     for row in S.index_table:

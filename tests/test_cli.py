@@ -367,3 +367,75 @@ def test_option_value_of_a_bare_double_dash_is_bad_input(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# Every subcommand, interleaved with usage errors and help, so a parse that
+# left state behind in the parser would change a later call's outcome.
+REUSE_ARGV = [
+    ["check", "--partition", "1,2,3|4,5|6", "--map", "4,4,4,1,1,6"],
+    ["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"],
+    ["check", "--partition", "1,2,3|4,5|6", "--map", "4,4,4,1,1,6", "--q", "4,1,6"],
+    ["check", "--partition", "1,2,3|4,5|6"],
+    ["check", "--partition", "1,2,3|4,5|6", "--map", "1,1,1,1,1,1"],
+    ["analyze", "--partition", "1,2,3|4,5|6"],
+    ["analyze"],
+    ["analyze", "--partition", "1,2|3", "--format", "xml"],
+    ["analyze", "--partition", "1,2|3", "--format", "table"],
+    ["check", "--partition=1", "--map=--"],
+    ["census", "--n=--"],
+    ["generate", "--partition", "1,2|3"],
+    ["--help"],
+    ["maximal", "--partition", "1,2|3|4"],
+    ["verify", "--help"],
+    ["iso", "--left", "1,2|3,4", "--right", "1,2,3,4|5"],
+    ["iso", "--left", "1,2|3"],
+    ["census", "--n", "4"],
+    ["verify", "--partition", "1,2|3", "--samples", "5"],
+    ["analyze", "--partition", "1,2|2,3"],
+    ["frobnicate"],
+    ["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_gives_the_outcome_of_a_fresh_one(capsys):
+    from qstar.cli import _parser
+
+    warm = [outcome(capsys, argv) for argv in REUSE_ARGV]
+    fresh = []
+    for argv in REUSE_ARGV:
+        _parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert warm == fresh
+    codes = [code for code, _, _ in warm]
+    assert codes[:4] == [0, 0, ("SystemExit", 2), ("SystemExit", 2)]
+    assert codes[12] == codes[14] == ("SystemExit", 0)
+    assert "not allowed with argument" in warm[2][2]
+    assert "one of the arguments --map --q is required" in warm[3][2]
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    from qstar import cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    outcome(capsys, ["analyze", "--partition", "1,2|3"])
+    assert len(builds) == 1
+    for argv in REUSE_ARGV:
+        outcome(capsys, argv)
+    assert len(builds) == 1

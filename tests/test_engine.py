@@ -22,6 +22,7 @@ from qstar import (
     groups_isomorphic,
     h_class,
     idempotents_Q,
+    idempotents_right_zero,
     identity_map,
     integer_partitions,
     is_left_cancellative,
@@ -173,6 +174,28 @@ def test_regularity_and_cancellativity():
     G = closure([Transformation((1, 2, 0))])
     assert is_regular_semigroup(G) and is_left_cancellative(G)
     assert is_right_group(G)
+
+
+def test_regular_with_right_zero_idempotents_is_false_on_a_semilattice():
+    # {identity, constant 0} of T(2): both idempotent and regular, but
+    # constant * identity == constant, not identity.
+    S = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
+    assert is_regular_semigroup(S)
+    assert not idempotents_right_zero(S)
+    assert not is_right_group(S)
+
+
+def test_right_group_iff_regular_with_right_zero_idempotents_on_t3():
+    # Closures of every one or two maps of T(3): many are regular without
+    # being right groups, and the second leg must tell them apart.
+    maps = [Transformation(images) for images in itertools.product(range(3), repeat=3)]
+    subs = {S.elements: S for S in map(closure, itertools.combinations_with_replacement(maps, 2))}
+    regular_only = 0
+    for S in subs.values():
+        regular = is_regular_semigroup(S)
+        assert is_right_group(S) == (regular and idempotents_right_zero(S))
+        regular_only += regular and not is_right_group(S)
+    assert regular_only > 0
 
 
 @pytest.mark.parametrize("sizes,q_size", [((2, 1, 1), 12), ((4, 2), 16)])

@@ -6,7 +6,7 @@ import pytest
 
 import qstar.transformation
 import qstar.verify
-from qstar import enumerate_Q, partition_from_sizes
+from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, partition_from_sizes
 from qstar.verify import check_kernel_cross_section, check_maximal, check_right_group_battery
 
 
@@ -49,3 +49,33 @@ def test_check_maximal_fails_on_an_unverified_construction(monkeypatch, p6):
     )
     check = check_maximal(p6, enumerate_Q(p6))
     assert (check.status, check.detail) == ("fail", "constructed sets were not checked for maximality")
+
+
+SEMILATTICE = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
+
+
+@pytest.mark.parametrize(
+    "patched, detail",
+    [
+        (("is_right_group",), "right group != regular + left cancellative"),
+        (("is_right_group", "is_left_cancellative"), "right group != regular + right-zero idempotents"),
+    ],
+)
+def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everything(monkeypatch, patched, detail):
+    # The row test and left cancellativity are one predicate on a finite
+    # table, so the second leg must catch the fault with both patched.
+    P = partition_from_sizes((2,))
+    check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
+    assert check.detail == "a subsemigroup of Q failed the right-group test"
+    for name in patched:
+        monkeypatch.setattr(qstar.verify, name, lambda S: True)
+    check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
+    assert (check.status, check.detail) == ("fail", detail)
+
+
+def test_kernel_cross_section_draws_the_same_samples(p6):
+    Q = enumerate_Q(p6)
+    rng, reference = random.Random(3), random.Random(3)
+    assert check_kernel_cross_section(p6, Q, rng, 100).status == "pass"
+    list(qstar.verify._sampled_closures(Q, reference, 25))
+    assert rng.getstate() == reference.getstate()
