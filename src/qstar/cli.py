@@ -168,7 +168,7 @@ def cmd_maximal(args) -> dict:
         # Q is the symmetric group on the blocks; the right-group theorem
         # needs at least two idempotents, so report maximal subgroups instead.
         G = symmetric_group_table(P.k, max_order=args.group_order_bound)
-        maxima = maximal_subgroups(G, max_order=args.group_order_bound)
+        maxima = maximal_subgroups(G)
         return {
             "command": "maximal",
             "partition": P.to_spec(),

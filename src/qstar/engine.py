@@ -57,17 +57,15 @@ class SemigroupSet:
     generators: tuple[Transformation, ...] | None = field(default=None, compare=False)
 
     @classmethod
-    def from_elements(cls, elems: Iterable[Transformation], generators=None, verify: bool = True):
+    def from_elements(cls, elems: Iterable[Transformation]):
         elements = tuple(sorted(set(elems)))
         if not elements:
             raise ContractError("a semigroup needs at least one element")
         n = elements[0].n
         if any(e.n != n for e in elements):
             raise ValidationError("elements have mixed degrees")
-        gens = tuple(sorted(set(generators))) if generators is not None else None
-        s = cls(n, elements, gens)
-        if verify:
-            s.index_table  # building the table proves closure
+        s = cls(n, elements)
+        s.index_table  # building the table proves closure
         return s
 
     def __len__(self) -> int:
@@ -230,6 +228,9 @@ class GroupTable:
 
     ``identity`` and ``inverse`` are found by exhaustive search of the table
     at construction time.  Associativity is inherited from map composition.
+    The order is bounded where the elements are built (``h_class``,
+    ``symmetric_group_table``), and nothing that takes a built group checks
+    it again.
     """
 
     elements: SemigroupSet
@@ -238,9 +239,7 @@ class GroupTable:
     table: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_semigroup(cls, S: SemigroupSet, max_order: int = DEFAULT_MAX_GROUP_ORDER):
-        if len(S) > max_order:
-            raise ResourceLimitError(f"group order {len(S)} exceeds bound {max_order}")
+    def from_semigroup(cls, S: SemigroupSet):
         t = S.index_table
         size = len(S)
         identity = None
@@ -294,8 +293,7 @@ def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> G
     if order > max_order:
         raise ResourceLimitError(f"group order {order} exceeds bound {max_order}")
     perms = [Transformation(p) for p in itertools.permutations(range(k))]
-    S = SemigroupSet.from_elements(perms, verify=True)
-    return GroupTable.from_semigroup(S, max_order=max_order)
+    return GroupTable.from_semigroup(SemigroupSet.from_elements(perms))
 
 
 def _close_mask(table, mask: int) -> int:
@@ -372,19 +370,17 @@ def _maximal_masks(masks: Iterable[int], full: int) -> list[int]:
     return kept
 
 
-def subgroup_lattice(G: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[tuple[int, ...], ...]:
+def subgroup_lattice(G: GroupTable) -> tuple[tuple[int, ...], ...]:
     """All subgroups, as sorted index tuples, listed by Fast Close-by-One: in a
     finite group every nonempty closed subset holds the powers of its members,
     so their inverses and the identity, and is a subgroup."""
-    if G.order > max_order:
-        raise ResourceLimitError(f"group order {G.order} exceeds bound {max_order}")
     subs = [tuple(_mask_indices(mask, G.order)) for mask in all_closed_subsets(G.elements) if mask]
     return tuple(sorted(subs, key=lambda s: (len(s), s)))
 
 
-def maximal_subgroups(G: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[tuple[int, ...], ...]:
+def maximal_subgroups(G: GroupTable) -> tuple[tuple[int, ...], ...]:
     """Proper subgroups not contained in any larger proper subgroup."""
-    masks = [sum(1 << i for i in s) for s in subgroup_lattice(G, max_order=max_order)]
+    masks = [sum(1 << i for i in s) for s in subgroup_lattice(G)]
     out = [tuple(_mask_indices(mask, G.order)) for mask in _maximal_masks(masks, (1 << G.order) - 1)]
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
@@ -483,7 +479,7 @@ def _small_generating_sequence(G: GroupTable) -> list[int]:
     return gens
 
 
-def groups_isomorphic(G1: GroupTable, G2: GroupTable, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> bool:
+def groups_isomorphic(G1: GroupTable, G2: GroupTable) -> bool:
     """Decide group isomorphism by pruned backtracking over generator images.
 
     Pruning: order, element-order multiset, conjugacy-class-size multiset.
@@ -491,8 +487,6 @@ def groups_isomorphic(G1: GroupTable, G2: GroupTable, max_order: int = DEFAULT_M
     profile; each full assignment is checked as a bijective homomorphism on
     all pairs, so a True answer is certified.
     """
-    if G1.order > max_order or G2.order > max_order:
-        raise ResourceLimitError(f"group order exceeds bound {max_order}")
     if G1.order != G2.order:
         return False
     if G1.order == 1:

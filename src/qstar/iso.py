@@ -127,13 +127,13 @@ def integer_partitions(n: int):
     yield from rec(n, n)
 
 
-def classify_partitions(n: int, max_n: int = DEFAULT_CENSUS_MAX_N) -> dict:
+def classify_partitions(n: int) -> dict:
     """Group the block-size multisets for ground size n by isomorphism class.
 
     Returns {IsoClassKey: (size tuples...)} ordered by key.
     """
-    if n > max_n:
-        raise ValidationError(f"census bound is n <= {max_n}, got {n}")
+    if n > DEFAULT_CENSUS_MAX_N:
+        raise ValidationError(f"census bound is n <= {DEFAULT_CENSUS_MAX_N}, got {n}")
     buckets: dict[IsoClassKey, list] = {}
     for sizes in integer_partitions(n):
         P = partition_from_sizes(sizes)

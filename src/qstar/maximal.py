@@ -63,7 +63,7 @@ def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_OR
             "E is the identity relation, Q is a group; ask for maximal subgroups "
             "of the symmetric group on k points instead"
         )
-    s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_group_order), max_group_order))
+    s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_group_order)))
     return (s_k, P.m, s_k + P.m)
 
 
@@ -71,14 +71,13 @@ def maximal_subsemigroups_Q(
     P: PartitionedSet,
     max_size: int = DEFAULT_MAX_CLOSURE,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-    verify_max: int = DEFAULT_VERIFY_MAX,
 ) -> MaximalSubsemigroupReport:
     """Construct every maximal subsemigroup of Q (m >= 2).
 
     Group type: (maximal subgroup of the base H-class) paired with all
     idempotents.  Right-zero type: the whole group part paired with all but
     one idempotent.  Each set is checked for maximality against the
-    definitional engine predicate when |Q| <= ``verify_max``, and the
+    definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``, and the
     group-type count is cross-checked against the fresh symmetric group.
     """
     if P.m < 2:
@@ -93,7 +92,7 @@ def maximal_subsemigroups_Q(
 
     # decompose certified that its grid holds every element of Q once, so
     # these families have |H|*m and k!*(m-1) distinct members.
-    subgroups = sorted(maximal_subgroups(G, max_order=max_group_order))
+    subgroups = sorted(maximal_subgroups(G))
     group_type = []
     for H in subgroups:
         elems = [dec.element(i, j) for i in H for j in range(m)]
@@ -109,7 +108,7 @@ def maximal_subsemigroups_Q(
             f"H-class has {len(group_type)} maximal subgroups, fresh symmetric group has {s_k}"
         )
     verified = False
-    if len(Q) <= verify_max:
+    if len(Q) <= DEFAULT_VERIFY_MAX:
         for T in group_type + right_zero:
             if not is_maximal_subsemigroup(T, Q):
                 raise InternalConsistencyError("constructed set fails the maximality oracle")

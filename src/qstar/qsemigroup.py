@@ -122,11 +122,11 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     return SemigroupSet(P.n, elements, None)
 
 
-def enumerate_Q_bruteforce(P: PartitionedSet, max_maps: int = DEFAULT_MAX_MAPS) -> SemigroupSet:
+def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
     """Independent oracle: filter all n^n maps through the membership predicate."""
     total = P.n ** P.n
-    if total > max_maps:
-        raise ResourceLimitError(f"{total} candidate maps exceed max_maps={max_maps}")
+    if total > DEFAULT_MAX_MAPS:
+        raise ResourceLimitError(f"{total} candidate maps exceed max_maps={DEFAULT_MAX_MAPS}")
     elems = [
         t
         for imgs in itertools.product(range(P.n), repeat=P.n)
@@ -197,7 +197,7 @@ def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_G
         raise ResourceLimitError(f"H-class order {order} exceeds bound {max_order}")
     cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
     members = [_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))]
-    return GroupTable.from_semigroup(SemigroupSet.from_elements(members), max_order)
+    return GroupTable.from_semigroup(SemigroupSet.from_elements(members))
 
 
 @dataclass(frozen=True)

@@ -52,25 +52,15 @@ def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
     Symmetric-part generators are paired injectively with the least
     idempotents (products g*f); every idempotent outside the pairing joins
     as itself (e*f == f).  When the generators outnumber the idempotents,
-    which only happens for the identity relation, the pairing becomes the
-    canonical surjection.  The closure oracle must reproduce Q exactly and
+    which only happens for the identity relation, the pairing cycles
+    through them.  The closure oracle must reproduce Q exactly and
     the size must equal rank_Q, otherwise an internal error is raised.
     """
     Q = enumerate_Q(P, max_size)
     idems = idempotents_Q(P, max_size)
     gens_sym = symmetric_part_generators(P)
-    base = idems[0]
-    paired = []
-    leftover = []
-    if len(gens_sym) <= len(idems):
-        for g, f in zip(gens_sym, idems):
-            paired.append((g, f, compose(g, f)))
-        for f in idems[len(gens_sym):]:
-            leftover.append((f, compose(base, f)))
-    else:
-        for i, g in enumerate(gens_sym):
-            f = idems[i % len(idems)]
-            paired.append((g, f, compose(g, f)))
+    paired = [(g, f, compose(g, f)) for g, f in zip(gens_sym, itertools.cycle(idems))]
+    leftover = [(f, compose(idems[0], f)) for f in idems[len(gens_sym):]]
     generators = tuple(sorted({p[2] for p in paired} | {l[1] for l in leftover}))
     claimed = rank_Q(P)
     if len(generators) != claimed:
@@ -85,23 +75,23 @@ def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
     )
 
 
-def generating_set_hits_every_hclass(gens, P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> bool:
+def generating_set_hits_every_hclass(gens, P: PartitionedSet) -> bool:
     """Validator: a verified generating set must meet every H-class of Q.
 
     Precondition: ``gens`` actually generates Q; otherwise a
     :class:`ContractError` is raised.  H-classes are indexed by image
     cross-sections, so the check compares image sets.
     """
-    Q = enumerate_Q(P, max_size)
-    closed = closure(tuple(gens), max_size=max_size)
+    Q = enumerate_Q(P)
+    closed = closure(tuple(gens))
     if closed.elements != Q.elements:
         raise ContractError("gens do not generate Q, hit-every-H-class is undefined")
-    return _hits_every_hclass(gens, P, max_size)
+    return _hits_every_hclass(gens, P)
 
 
-def _hits_every_hclass(gens, P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> bool:
+def _hits_every_hclass(gens, P: PartitionedSet) -> bool:
     """The image comparison alone, for ``gens`` already known to generate Q."""
-    targets = {image(f) for f in idempotents_Q(P, max_size)}
+    targets = {image(f) for f in idempotents_Q(P)}
     return {image(g) for g in gens} == targets
 
 
@@ -120,7 +110,7 @@ def verify_image_right_invariance(Q: SemigroupSet) -> int:
     return len(images) ** 2
 
 
-def minimality_certificate(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> dict:
+def minimality_certificate(P: PartitionedSet) -> dict:
     """Certify that no (rank - 1)-subset of Q generates Q, for a nontrivial relation.
 
     Steps: (1) exhaustively verify image right-invariance on Q; (2) note that
@@ -130,7 +120,7 @@ def minimality_certificate(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
     """
     if P.is_identity_relation:
         raise ContractError("certificate covers nontrivial relations only")
-    Q = enumerate_Q(P, max_size)
+    Q = enumerate_Q(P)
     pairs = verify_image_right_invariance(Q)
     r = rank_Q(P)
     m = P.m

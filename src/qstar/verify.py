@@ -210,7 +210,7 @@ def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
 
 def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
     if P.n <= 3:
-        TX = SemigroupSet.from_elements(_all_maps(P.n), verify=True)
+        TX = SemigroupSet.from_elements(_all_maps(P.n))
         for a in TX:
             for b in TX:
                 if green_R_related(a, b) != green_R_definitional(a, b, TX):

@@ -30,6 +30,7 @@ from qstar import (
     groups_isomorphic,
     h_class,
     idempotents_Q,
+    idempotents_right_zero,
     image,
     integer_partitions,
     is_left_cancellative,
@@ -148,7 +149,7 @@ def test_acceptance_5_maximal_construction_vs_exhaustive_oracle(criterion):
 
 
 def test_acceptance_6_right_group_battery(criterion):
-    with criterion(6, "500 sampled subsemigroups: right group iff regular + left cancellative", 300.0):
+    with criterion(6, "500 sampled subsemigroups: right group iff regular + right-zero idempotents", 300.0):
         rng = random.Random(20260818)
         instances = [P for P in all_partitions_up_to(5)]
         violations = 0
@@ -163,10 +164,14 @@ def test_acceptance_6_right_group_battery(criterion):
                 mask |= 1 << i
             closed = _close_mask(table, mask)
             indices = [i for i in range(len(Q)) if (closed >> i) & 1]
-            sub = SemigroupSet(P.n, Q.subset(indices), None)
+            sub = Q.restrict(indices)
             rg = is_right_group(sub)
-            triangle = is_regular_semigroup(sub) and is_left_cancellative(sub)
-            if rg != triangle or not rg:
+            regular = is_regular_semigroup(sub)
+            triangle = regular and is_left_cancellative(sub)
+            # Left cancellation is the row test of is_right_group itself, so
+            # only this leg can tell a right group from a regular semigroup.
+            right_zero = regular and idempotents_right_zero(sub)
+            if rg != triangle or rg != right_zero or not rg:
                 violations += 1
             runs += 1
         assert runs == 500 and violations == 0

@@ -151,6 +151,12 @@ def test_maximal_group_mode(capsys):
     assert "listing its maximal subgroups" in payload["note"]
 
 
+def test_maximal_group_mode_uses_the_bound_the_group_was_built_with(capsys):
+    payload = run_json(capsys, "maximal", "--group-order-bound", "720", "--partition", "1|2|3|4|5|6")
+    assert payload["group_order"] == 720
+    assert payload["s_k"] == 53
+
+
 def test_iso_positive_and_negative(capsys):
     yes = run_json(capsys, "iso", "--left", "1,2|3,4", "--right", "1,2,3,4|5")
     assert yes["isomorphic"] is True
@@ -261,7 +267,8 @@ def test_max_closure_is_not_read_from_the_environment(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["1|2|3|4|5|6", "1,7|2|3|4|5|6"])
 def test_maximal_on_six_blocks_stops_at_the_default_group_order_bound(spec):
-    # S_6 has order 720; without the bound its subgroup lattice runs for minutes.
+    # S_6 has order 720, past the default bound of 120; both modes stop before
+    # building a table (the S_6 lattice itself takes about 0.5 s).
     proc = subprocess.run(
         [sys.executable, "-m", "qstar.cli", "maximal", "--partition", spec],
         capture_output=True,

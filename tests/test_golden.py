@@ -1,0 +1,40 @@
+"""Golden CLI outputs: stdout, stderr and exit code, byte for byte.
+
+Each case's expected stdout is ``golden/<name>.stdout``; its stderr is
+``golden/<name>.stderr`` when that file exists, and empty otherwise.  A
+change that is meant to keep every CLI output passes these unedited.
+"""
+
+import pathlib
+
+import pytest
+
+from qstar.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "analyze": (["analyze", "--partition", "1,2,3|4,5|6"], 0),
+    "check_q": (["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"], 0),
+    "census_6": (["census", "--n", "6"], 0),
+    "generate": (["generate", "--partition", "1,2|3,4|5"], 0),
+    "maximal_right_group": (["maximal", "--partition", "1,2|3|4"], 0),
+    "maximal_group": (["maximal", "--partition", "1|2|3"], 0),
+    "iso": (["iso", "--left", "1,2|3,4", "--right", "1|2,3|4"], 0),
+    "verify": (["verify", "--partition", "1,2|3,4|5", "--seed", "0"], 0),
+    "maximal_past_group_bound": (["maximal", "--partition", "1,7|2|3|4|5|6"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    argv, code = CASES[name]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    stderr_file = GOLDEN / f"{name}.stderr"
+    assert err == (stderr_file.read_text() if stderr_file.exists() else "")
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.iterdir()} == set(CASES)

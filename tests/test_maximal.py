@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import qstar.maximal
 from qstar import (
     SemigroupSet,
     UnsupportedCaseError,
@@ -162,6 +163,14 @@ def test_group_case_is_not_covered():
         count_maximal(identity_partition(3))
     with pytest.raises(UnsupportedCaseError):
         maximal_subsemigroups_Q(identity_partition(4))
+
+
+def test_maximality_is_not_checked_past_the_verify_bound(p6, monkeypatch):
+    assert maximal_subsemigroups_Q(p6).verified is True
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_VERIFY_MAX", 35)  # |Q| = 36
+    report = maximal_subsemigroups_Q(p6)
+    assert report.verified is False
+    assert report.total == 10
 
 
 def test_oracle_respects_size_bound(p6):

@@ -66,6 +66,15 @@ def test_enumeration_matches_brute_force(sizes):
     assert len(fast) == cardinality_Q(P)
 
 
+def test_brute_force_enumeration_stops_at_the_map_bound(monkeypatch):
+    P = partition_from_sizes((2, 1))  # 3^3 = 27 candidate maps
+    monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_MAPS", 26)
+    with pytest.raises(ResourceLimitError, match="^27 candidate maps exceed max_maps=26$"):
+        enumerate_Q_bruteforce(P)
+    monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_MAPS", 27)
+    assert len(enumerate_Q_bruteforce(P)) == 4
+
+
 def test_reference_instance_is_exactly_the_frozen_table(p6, alpha):
     Q = enumerate_Q(p6)
     assert len(Q) == 36
@@ -324,6 +333,15 @@ def test_decompose_passes_the_group_order_bound_to_the_h_class():
     with pytest.raises(ResourceLimitError, match="H-class order 120 exceeds bound 119"):
         decompose(P, max_group_order=119)
     assert decompose(P, max_group_order=120).group_part.order == 120
+
+
+def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an H-class past its order bound")
+
+    monkeypatch.setattr(qstar.qsemigroup, "_pattern_element", refuse)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
+        h_class(alpha(1), p6, max_order=5)
 
 
 def test_shorthand_table_is_the_canonical_presentation(p6, alpha):

@@ -9,6 +9,7 @@ from qstar import (
     Transformation,
     block_permutation,
     closure,
+    compose,
     constant_map,
     enumerate_Q,
     brute_force_no_generating_set_of_size,
@@ -105,10 +106,26 @@ def test_report_structure(p6, alpha):
     assert len(report.paired) == 2
     assert len(report.leftover) == 4
     for g, f, combined in report.paired:
-        from qstar import compose
-
         assert compose(g, f) == combined
         assert combined in report.generators
+    # Generators take the least idempotents in order; the rest are leftovers.
+    idems = idempotents_Q(p6)
+    assert [f for _, f, _ in report.paired] == list(idems[:2])
+    assert report.leftover == tuple((f, compose(idems[0], f)) for f in idems[2:])
+    # The identity relation has one idempotent, and both generators pair with it.
+    for k in (3, 4):
+        P = identity_partition(k)
+        shape = minimal_generating_set(P)
+        (e,) = idempotents_Q(P)
+        assert [(g, f) for g, f, _ in shape.paired] == [(g, e) for g in symmetric_part_generators(P)]
+        assert shape.leftover == ()
+    # k = 2 has one generator, which pairs with the least idempotent.
+    P = partition_from_sizes((2, 2))
+    shape = minimal_generating_set(P)
+    idems = idempotents_Q(P)
+    (g,) = symmetric_part_generators(P)
+    assert shape.paired == ((g, idems[0], compose(g, idems[0])),)
+    assert shape.leftover == tuple((f, compose(idems[0], f)) for f in idems[1:])
 
 
 def test_hits_every_h_class(p6, alpha):
