@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--group-order-bound",
         type=int,
         default=DEFAULT_MAX_GROUP_ORDER,
-        help="largest group order subgroup searches will accept",
+        help="largest order of a group built as a table: the H-class or a symmetric group",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

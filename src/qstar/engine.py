@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -48,13 +48,11 @@ class SemigroupSet:
     """A finite composition-closed set of equal-degree transformations.
 
     Elements are deduplicated and kept in canonical order (lexicographic on
-    image sequences).  ``generators`` records how the set was produced and
-    does not take part in equality.
+    image sequences).
     """
 
     n: int
     elements: tuple[Transformation, ...]
-    generators: tuple[Transformation, ...] | None = field(default=None, compare=False)
 
     @classmethod
     def from_elements(cls, elems: Iterable[Transformation]):
@@ -123,7 +121,7 @@ class SemigroupSet:
             a, b = next((a, b) for a in indices for b in indices if table[a][b] not in indices)
             a, b = self.elements[a].images, self.elements[b].images
             raise ValidationError(f"set is not closed: {a} * {b} escapes") from None
-        sub = SemigroupSet(self.n, tuple(self.elements[i] for i in indices), None)
+        sub = SemigroupSet(self.n, tuple(self.elements[i] for i in indices))
         sub.__dict__["index_table"] = rows
         return sub
 
@@ -156,7 +154,7 @@ def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE)
     for g in gen_images:
         if not known.issuperset(map(product_map(g), images)):
             raise InternalConsistencyError("left product escaped a right-product closure")
-    return SemigroupSet(n, tuple(map(Transformation._unchecked, images)), gens)
+    return SemigroupSet(n, tuple(map(Transformation._unchecked, images)))
 
 
 def green_R_related(a: Transformation, b: Transformation) -> bool:

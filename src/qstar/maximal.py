@@ -5,9 +5,9 @@ right-group coordinates (group part) x (idempotents) of ``decompose``:
 H x E(Q) for a maximal subgroup H of the group part, or
 (group part) x (E(Q) minus one idempotent).
 That yields s_k + m of them, where s_k counts the maximal subgroups of the
-symmetric group on k points.  The exhaustive oracle enumerates every closed
-subset instead and extracts the maximal ones, so the construction can be
-checked set-for-set.
+symmetric group on k points.  The exhaustive oracle instead searches the
+closed subsets of Q by branch and cut, with no theory, for the maximal
+ones, so the construction can be checked set-for-set.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .engine import (
     SemigroupSet,
+    _extend,
     _mask_indices,
     _maximal_masks,
-    all_closed_subsets,
     is_maximal_subsemigroup,
     maximal_subgroups,
     symmetric_group_table,
@@ -28,6 +28,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedCaseError,
 )
+from .limits import DEFAULT_MAX_CLOSED_SETS
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
 from .qsemigroup import decompose, enumerate_Q
@@ -96,11 +97,11 @@ def maximal_subsemigroups_Q(
     group_type = []
     for H in subgroups:
         elems = [dec.element(i, j) for i in H for j in range(m)]
-        group_type.append(SemigroupSet(P.n, tuple(sorted(elems)), None))
+        group_type.append(SemigroupSet(P.n, tuple(sorted(elems))))
     right_zero = []
     for omitted in range(m):
         elems = [dec.element(i, j) for i in range(G.order) for j in range(m) if j != omitted]
-        right_zero.append(SemigroupSet(P.n, tuple(sorted(elems)), None))
+        right_zero.append(SemigroupSet(P.n, tuple(sorted(elems))))
 
     s_k = count_maximal(P, max_group_order)[0]
     if len(group_type) != s_k:
@@ -126,12 +127,60 @@ def maximal_subsemigroups_Q(
 
 
 def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
-    """Masks of the maximal proper nonempty closed subsets of S, by Close-by-One."""
-    return _maximal_masks(all_closed_subsets(S), (1 << len(S)) - 1)
+    """Masks of the maximal proper nonempty closed subsets of S, by branch and cut.
+
+    A maximal M with least missing element u holds F = <0..u-1> and misses
+    U = {u}.  Each state keeps closed F inside M and U outside it: a free
+    element whose closure with F meets U is forbidden, and the option with the
+    largest closure joins F in one branch and is forbidden in the other.  A
+    state with no options records F = S - U; one whose room S - U lies in a
+    record is cut.  So every maximal M is recorded (after Donoven, Mitchell &
+    Wilson's one-generator idea), and :func:`_maximal_masks` keeps those.
+    """
+    t = S.index_table
+    size = len(S)
+    full = (1 << size) - 1
+    found: list[int] = []
+    states = 0
+    F, members, gens = 0, [], []
+    for u in range(size):
+        if (F >> u) & 1:
+            continue
+        stack = [(F, members, gens, 1 << u, None)]
+        while stack:
+            closed, mem, gen, U, options = stack.pop()
+            states += 1
+            if states > DEFAULT_MAX_CLOSED_SETS:
+                raise ResourceLimitError(f"more than DEFAULT_MAX_CLOSED_SETS={DEFAULT_MAX_CLOSED_SETS} search states")
+            if options is None:  # F grew: close it with each free element afresh
+                options = {}
+                for c in range(size):
+                    if not ((closed | U) >> c) & 1:
+                        grown = _extend(t, closed, mem, gen, c, U)
+                        if isinstance(grown, int):
+                            U |= 1 << c
+                        else:
+                            options[c] = grown
+            else:  # one pass suffices: a closure that holds a blocked c holds c's closure
+                for c in [c for c, (mask, _) in options.items() if mask & U]:
+                    del options[c]
+                    U |= 1 << c
+            if any((full & ~U) | G == G for G in found):
+                continue
+            if not options:
+                found.append(closed)
+                continue
+            c = max(options, key=lambda c: options[c][0].bit_count())
+            mask, grown_members = options.pop(c)
+            stack.append((closed, mem, gen, U | 1 << c, options))
+            stack.append((mask, grown_members, gen + [c], U, None))
+        F, members = _extend(t, F, members, gens, u)
+        gens = gens + [u]
+    return _maximal_masks(found, full)
 
 
 def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MAX) -> tuple[SemigroupSet, ...]:
-    """Every maximal subsemigroup of S by complete closed-subset enumeration.
+    """Every maximal subsemigroup of S, by a branch-and-cut search over closed subsets.
 
     The survivors of :func:`_maximal_closed_masks` are each re-checked with
     the definitional maximality predicate.  No structure theory is assumed
@@ -141,7 +190,7 @@ def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MA
         raise ResourceLimitError(f"|S| = {len(S)} exceeds oracle bound {max_size}")
     out = []
     for mask in _maximal_closed_masks(S):
-        T = SemigroupSet(S.n, S.subset(_mask_indices(mask, len(S))), None)
+        T = SemigroupSet(S.n, S.subset(_mask_indices(mask, len(S))))
         if not is_maximal_subsemigroup(T, S):
             raise InternalConsistencyError("antichain scan kept a non-maximal closed subset")
         out.append(T)

@@ -119,20 +119,20 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         if generated is None or not set(elements).issuperset(generated):
             raise InternalConsistencyError("constructed Q is not closed under composition")
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
-    return SemigroupSet(P.n, elements, None)
+    return SemigroupSet(P.n, elements)
 
 
 def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
     """Independent oracle: filter all n^n maps through the membership predicate."""
     total = P.n ** P.n
     if total > DEFAULT_MAX_MAPS:
-        raise ResourceLimitError(f"{total} candidate maps exceed max_maps={DEFAULT_MAX_MAPS}")
+        raise ResourceLimitError(f"{total} candidate maps exceed DEFAULT_MAX_MAPS={DEFAULT_MAX_MAPS}")
     elems = [
         t
         for imgs in itertools.product(range(P.n), repeat=P.n)
         if in_Q(P, t := Transformation(imgs))
     ]
-    return SemigroupSet(P.n, tuple(sorted(elems)), None)
+    return SemigroupSet(P.n, tuple(sorted(elems)))
 
 
 @_cached(maxsize=128)

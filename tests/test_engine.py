@@ -83,7 +83,7 @@ def test_restrict_rejects_a_set_that_is_not_closed():
 
 
 def test_index_table_rejects_mixed_degrees():
-    S = SemigroupSet(2, (identity_map(2), identity_map(3)), None)
+    S = SemigroupSet(2, (identity_map(2), identity_map(3)))
     with pytest.raises(ValidationError, match="mixed degrees"):
         S.index_table
 
@@ -113,9 +113,9 @@ def test_closure_of_identity_singleton():
     assert set(S) == {identity_map(3)}
 
 
-def test_closure_records_generators(alpha):
-    S = closure([alpha(7)])
-    assert S.generators == (alpha(7),)
+def test_closure_lists_its_elements_in_canonical_order(alpha):
+    S = closure([alpha(7), alpha(7)])
+    assert S.elements == tuple(sorted({alpha(1), alpha(7)}))
 
 
 def test_corrected_generating_set_reaches_everything(p6, alpha):
@@ -481,7 +481,7 @@ def test_oracles_close_from_scratch_only_to_test_closedness(monkeypatch, p6, t_s
 
 def test_maximality_predicate_rejects_a_set_that_is_not_closed(p6, alpha):
     Q = enumerate_Q(p6)
-    T = SemigroupSet(p6.n, (alpha(13),), None)  # a 3-cycle pattern: its square is missing
+    T = SemigroupSet(p6.n, (alpha(13),))  # a 3-cycle pattern: its square is missing
     with pytest.raises(ContractError, match="^T is not closed$"):
         is_maximal_subsemigroup(T, Q)
 
@@ -549,7 +549,7 @@ def test_is_maximal_subsemigroup_equals_the_rule_from_scratch(sizes):
             continue
         outside = [x for x in range(len(Q)) if not (T >> x) & 1]
         expected = all(_close_mask(t, T | (1 << x)) == full for x in outside)
-        sub = SemigroupSet(Q.n, Q.subset(_mask_indices(T, len(Q))), None)
+        sub = SemigroupSet(Q.n, Q.subset(_mask_indices(T, len(Q))))
         assert is_maximal_subsemigroup(sub, Q) == expected
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
@@ -591,7 +591,7 @@ def test_one_element_short_subsets_are_maximal_when_closed():
     for x in range(len(S)):
         keep = [i for i in range(len(S)) if i != x]
         if all(table[i][j] != x for i in keep for j in keep):
-            sub = SemigroupSet(S.n, S.subset(keep), None)
+            sub = SemigroupSet(S.n, S.subset(keep))
             assert is_maximal_subsemigroup(sub, S)
             found += 1
     assert found == 1

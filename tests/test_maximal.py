@@ -1,21 +1,31 @@
 import itertools
+import random
 
 import pytest
 
 import qstar.maximal
 from qstar import (
+    ResourceLimitError,
     SemigroupSet,
+    Transformation,
     UnsupportedCaseError,
+    closure,
     count_maximal,
     enumerate_Q,
     exhaustive_maximal_oracle,
     identity_partition,
     idempotents_Q,
     is_maximal_subsemigroup,
+    make_partitioned_set,
     maximal_subsemigroups_Q,
     partition_from_sizes,
     partition_from_spec,
+    symmetric_group_table,
 )
+from qstar.cli import main
+from qstar.engine import _maximal_masks, all_closed_subsets
+from qstar.limits import DEFAULT_ORACLE_MAX
+from qstar.maximal import _maximal_closed_masks
 
 
 def test_counts_on_reference_instance(p6):
@@ -98,7 +108,7 @@ def test_two_blocks_two_points():
             chosen = set(combo)
             if not all(table[i][j] in chosen for i in combo for j in combo):
                 continue
-            sub = SemigroupSet(P.n, Q.subset(sorted(chosen)), None)
+            sub = SemigroupSet(P.n, Q.subset(sorted(chosen)))
             if is_maximal_subsemigroup(sub, Q):
                 by_definition.append(frozenset(sub))
     assert {frozenset(T) for T in report.all_subsemigroups()} == set(by_definition)
@@ -176,3 +186,70 @@ def test_maximality_is_not_checked_past_the_verify_bound(p6, monkeypatch):
 def test_oracle_respects_size_bound(p6):
     with pytest.raises(Exception):
         exhaustive_maximal_oracle(enumerate_Q(p6), max_size=10)
+
+
+def _labellings(sizes):
+    n = sum(sizes)
+    found = set()
+    for perm in itertools.permutations(range(n)):
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        found.add(make_partitioned_set(n, [perm[a:b] for a, b in zip(cuts, cuts[1:])]))
+    return sorted(found, key=lambda P: P.blocks)
+
+
+def _close_by_one_reference(S):
+    return _maximal_masks(all_closed_subsets(S), (1 << len(S)) - 1)
+
+
+@pytest.mark.parametrize("sizes, count", [((2, 2, 1), 15), ((3, 3), 10), ((3, 2, 1), 60), ((4, 3), 35)])
+def test_search_matches_close_by_one_on_every_labelling(sizes, count):
+    labellings = _labellings(sizes)
+    assert len(labellings) == count
+    for P in labellings:
+        Q = enumerate_Q(P)
+        assert _maximal_closed_masks(Q) == _close_by_one_reference(Q), P.blocks
+
+
+def test_search_matches_close_by_one_on_symmetric_groups():
+    for k in range(1, 6):
+        S = symmetric_group_table(k).elements
+        assert _maximal_closed_masks(S) == _close_by_one_reference(S), k
+
+
+def test_search_matches_close_by_one_on_random_closures():
+    # Closures above the oracle bound are skipped: Close-by-One lists
+    # hundreds of thousands of closed sets there.
+    rng = random.Random(7)
+    checked = 0
+    for n in (3, 4):
+        for _ in range(80):
+            gens = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(rng.randint(1, 3))]
+            S = closure(gens)
+            if len(S) <= DEFAULT_ORACLE_MAX:
+                assert _maximal_closed_masks(S) == _close_by_one_reference(S), gens
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("sizes, total", [((5, 3), 16), ((4, 4), 17)])
+def test_search_finds_the_constructed_sets_past_close_by_one(sizes, total):
+    P = partition_from_sizes(sizes)
+    Q = enumerate_Q(P)
+    report = maximal_subsemigroups_Q(P)
+    constructed = {sum(1 << Q.index_of(a) for a in T) for T in report.all_subsemigroups()}
+    assert len(constructed) == total
+    assert set(_maximal_closed_masks(Q)) == constructed
+
+
+def test_search_stops_at_the_state_bound(monkeypatch, capsys):
+    # The search on (3, 2, 1) visits 86 states.  Without the forbid pass, the
+    # cut or the largest-closure choice it visits more.
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 86)
+    assert len(_maximal_closed_masks(Q)) == 10
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 85)
+    with pytest.raises(ResourceLimitError, match="^more than DEFAULT_MAX_CLOSED_SETS=85 search states$"):
+        _maximal_closed_masks(Q)
+    capsys.readouterr()
+    assert main(["verify", "--partition", "1,2,3|4,5|6"]) == 3
+    assert capsys.readouterr().err == "resource limit: more than DEFAULT_MAX_CLOSED_SETS=85 search states\n"

@@ -69,7 +69,7 @@ def test_enumeration_matches_brute_force(sizes):
 def test_brute_force_enumeration_stops_at_the_map_bound(monkeypatch):
     P = partition_from_sizes((2, 1))  # 3^3 = 27 candidate maps
     monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_MAPS", 26)
-    with pytest.raises(ResourceLimitError, match="^27 candidate maps exceed max_maps=26$"):
+    with pytest.raises(ResourceLimitError, match="^27 candidate maps exceed DEFAULT_MAX_MAPS=26$"):
         enumerate_Q_bruteforce(P)
     monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_MAPS", 27)
     assert len(enumerate_Q_bruteforce(P)) == 4
