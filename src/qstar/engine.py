@@ -420,7 +420,7 @@ def is_maximal_subsemigroup(T: SemigroupSet, S: SemigroupSet) -> bool:
     return True
 
 
-def all_closed_subsets(S: SemigroupSet, max_count: int = DEFAULT_MAX_CLOSED_SETS) -> tuple[int, ...]:
+def all_closed_subsets(S: SemigroupSet) -> tuple[int, ...]:
     """Every composition-closed subset of S, as bitmasks, in lectic order.
 
     Fast Close-by-One (Krajca, Outrata & Vychodil), the depth-first form of
@@ -443,8 +443,8 @@ def all_closed_subsets(S: SemigroupSet, max_count: int = DEFAULT_MAX_CLOSED_SETS
     while stack:
         closed, members, gens, y, inherited = stack.pop()
         out.append(closed)
-        if len(out) > max_count:
-            raise ResourceLimitError(f"more than {max_count} closed subsets")
+        if len(out) > DEFAULT_MAX_CLOSED_SETS:
+            raise ResourceLimitError(f"more than {DEFAULT_MAX_CLOSED_SETS} closed subsets")
         # Children are popped only after this loop, so they see every failure.
         witness = dict(inherited)
         for i in range(y + 1, size):

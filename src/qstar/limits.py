@@ -22,18 +22,19 @@ DEFAULT_MAX_CLOSED_SETS = 500_000
 
 # Largest |Q| on which an isomorphism is built and checked on the product
 # tables (``build_isomorphism`` raises above it, and the CLI's ``iso``
-# builds a witness only up to it), and on which constructed maximal
-# subsemigroups are checked against the maximality predicate.
+# builds a witness only up to it), on which constructed maximal
+# subsemigroups are checked against the maximality predicate, and on which
+# ``run_verification`` runs its oracle battery (skipped above it; one
+# number, since the battery's self-isomorphism check builds an isomorphism).
 DEFAULT_VERIFY_MAX = 200
 # Largest |S| the exhaustive maximal-subsemigroup oracle enumerates, and the
 # largest |Q| on which the battery runs that oracle and the rank certificate.
 DEFAULT_ORACLE_MAX = 40
 
-# Verification battery: largest |Q| it enumerates, largest |Q| it runs the
-# oracle checks on, largest n at which it sweeps all n^n maps, and how many
-# random samples a check draws (``--samples``).
+# Verification battery: largest |Q| it enumerates, largest n at which it
+# sweeps all n^n maps, and how many random samples a check draws
+# (``--samples``).
 ENUM_BOUND = 5000
-ORACLE_BOUND = 200
 EXHAUSTIVE_MAPS_BOUND = 4
 DEFAULT_SAMPLES = 100
 # Largest ``--samples`` the battery accepts: the right-group battery draws

@@ -179,15 +179,15 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
     return _maximal_masks(found, full)
 
 
-def exhaustive_maximal_oracle(S: SemigroupSet, max_size: int = DEFAULT_ORACLE_MAX) -> tuple[SemigroupSet, ...]:
+def exhaustive_maximal_oracle(S: SemigroupSet) -> tuple[SemigroupSet, ...]:
     """Every maximal subsemigroup of S, by a branch-and-cut search over closed subsets.
 
     The survivors of :func:`_maximal_closed_masks` are each re-checked with
     the definitional maximality predicate.  No structure theory is assumed
     anywhere.
     """
-    if len(S) > max_size:
-        raise ResourceLimitError(f"|S| = {len(S)} exceeds oracle bound {max_size}")
+    if len(S) > DEFAULT_ORACLE_MAX:
+        raise ResourceLimitError(f"|S| = {len(S)} exceeds oracle bound {DEFAULT_ORACLE_MAX}")
     out = []
     for mask in _maximal_closed_masks(S):
         T = SemigroupSet(S.n, S.subset(_mask_indices(mask, len(S))))

@@ -56,32 +56,53 @@ def make_partitioned_set(n: int, blocks: Iterable[Iterable[int]]) -> Partitioned
     """Validate and build a :class:`PartitionedSet`.
 
     Raises :class:`ValidationError` naming the offending element or block
-    when the blocks are empty, overlap, leave elements uncovered, or contain
-    out-of-range values.
+    when the blocks are empty, repeat or share an element, leave elements
+    uncovered, or contain out-of-range values.
+    """
+    return _partition(n, blocks, 0)
+
+
+def _partition(n: int, blocks: Iterable[Iterable[int]], base: int) -> PartitionedSet:
+    """Check 0-based ``blocks`` of {0..n-1} and build: the one partition validator.
+
+    Checks, in order: n, out-of-range entries and empty blocks, a point
+    repeated in a block, a point in two blocks, the first uncovered point.
+    Errors add ``base`` to each point and block they name, so every input
+    form reports in its caller's coordinates.  A valid input costs set sizes
+    and one union; an offender is searched for only after a check fails.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"ground set size must be a positive integer, got {n!r}")
-    norm: list[tuple[int, ...]] = []
-    owner: dict[int, int] = {}
-    for bi, raw in enumerate(blocks):
-        block = tuple(sorted(set(raw)))
+    blocks = [tuple(raw) for raw in blocks]
+    if not blocks:
+        raise ValidationError("a partition needs at least one block")
+    for bi, block in enumerate(blocks, base):
         if not block:
             raise ValidationError(f"block {bi} is empty")
-        for x in raw:
+        for x in block:
             if not isinstance(x, int) or not 0 <= x < n:
-                raise ValidationError(f"block {bi} contains {x!r}, outside 0..{n - 1}")
-            if x in owner and owner[x] != bi:
-                raise ValidationError(f"element {x} appears in blocks {owner[x]} and {bi}")
-            owner[x] = bi
-        norm.append(block)
-    if not norm:
-        raise ValidationError("a partition needs at least one block")
-    for x in range(n):
-        if x not in owner:
-            raise ValidationError(f"element {x} is not covered by any block")
+                shown = x + base if base else x
+                raise ValidationError(f"block {bi} contains {shown!r}, outside {base}..{n - 1 + base}")
+    covered = set().union(*blocks)
+    if len(covered) != sum(map(len, blocks)):
+        for bi, block in enumerate(blocks, base):
+            if len(set(block)) != len(block):
+                counts = Counter(block)
+                dup = next(x for x in block if counts[x] > 1)
+                raise ValidationError(f"element {dup + base} appears twice in block {bi}")
+        owner: dict[int, int] = {}
+        for bi, block in enumerate(blocks, base):
+            for x in block:
+                if x in owner:
+                    raise ValidationError(f"element {x + base} appears in blocks {owner[x]} and {bi}")
+                owner[x] = bi
+    if len(covered) != n:
+        # The first gap lies at or below len(covered), so a huge n costs nothing.
+        missing = next(x for x in range(n) if x not in covered)
+        raise ValidationError(f"element {missing + base} is not covered by any block")
     # Canonical form: blocks ordered by least element, so two descriptions
     # of the same partition compare and hash equal.
-    norm.sort(key=lambda b: b[0])
+    norm = sorted(tuple(sorted(block)) for block in blocks)
     block_of_list = [0] * n
     for bi, block in enumerate(norm):
         for x in block:
@@ -114,14 +135,14 @@ def partition_from_sizes(sizes: Sequence[int]) -> PartitionedSet:
 
 
 def partition_from_spec(text: str) -> PartitionedSet:
-    """Parse the 1-based ``"1,2,3|4,5|6"`` form."""
+    """Parse the 1-based ``"1,2,3|4,5|6"`` form; n is its largest entry."""
     if not text or not text.strip():
         raise ValidationError("empty partition text")
     blocks = []
     for part in text.split("|"):
-        items = [p.strip() for p in part.split(",")]
         block = []
-        for item in items:
+        for item in part.split(","):
+            item = item.strip()
             if not item:
                 raise ValidationError(f"empty entry in block {part!r}")
             try:
@@ -132,44 +153,18 @@ def partition_from_spec(text: str) -> PartitionedSet:
                 raise ValidationError(f"entries are 1-based, got {v}")
             block.append(v - 1)
         blocks.append(block)
-    # Re-raise validation failures in the 1-based coordinates the caller used.
-    for bi, block in enumerate(blocks):
-        if len(set(block)) != len(block):
-            counts = Counter(block)
-            dup = next(v for v in block if counts[v] > 1)
-            raise ValidationError(f"element {dup + 1} appears twice in block {bi + 1}")
-    owner: dict[int, int] = {}
-    for bi, block in enumerate(blocks):
-        for v in block:
-            if v in owner:
-                raise ValidationError(
-                    f"element {v + 1} appears in blocks {owner[v] + 1} and {bi + 1}"
-                )
-            owner[v] = bi
-    # Scan for the first gap, not over range(n): a huge entry allocates nothing.
-    missing = next(v for v in range(len(owner) + 1) if v not in owner)
-    n = max(owner) + 1
-    if missing < n:
-        raise ValidationError(f"element {missing + 1} is not covered by any block")
-    return make_partitioned_set(n, blocks)
+    return _partition(max(map(max, blocks)) + 1, blocks, 1)
 
 
 def partition_from_json(obj: dict) -> PartitionedSet:
     """Parse the JSON form ``{"n": 6, "blocks": [[1,2,3],[4,5],[6]]}`` (1-based)."""
     if not isinstance(obj, dict) or "n" not in obj or "blocks" not in obj:
         raise ValidationError("partition JSON needs 'n' and 'blocks' keys")
-    n = obj["n"]
-    if not isinstance(n, int):
-        raise ValidationError(f"'n' must be an integer, got {n!r}")
-    blocks = []
-    for raw in obj["blocks"]:
-        block = []
-        for v in raw:
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"block entries are 1-based integers, got {v!r}")
-            block.append(v - 1)
-        blocks.append(block)
-    return make_partitioned_set(n, blocks)
+    try:
+        blocks = [[v - 1 for v in raw] for raw in obj["blocks"]]
+    except TypeError:
+        raise ValidationError("'blocks' must be lists of 1-based integers") from None
+    return _partition(obj["n"], blocks, 1)
 
 
 def is_cross_section(P: PartitionedSet, elems: Iterable[int]) -> bool:

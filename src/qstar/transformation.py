@@ -150,9 +150,10 @@ def transformation_from_json(obj: dict, P: PartitionedSet | None = None) -> Tran
         raise ValidationError("transformation JSON must be an object")
     if "images" in obj:
         images = obj["images"]
-        for v in images:
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"image entries are 1-based integers, got {v!r}")
+        # Checked here, not by the 0-based constructor, so errors use 1-based points.
+        for x, v in enumerate(images, 1):
+            if not isinstance(v, int) or not 1 <= v <= len(images):
+                raise ValidationError(f"image of {x} is {v!r}, outside 1..{len(images)}")
         return Transformation(tuple(v - 1 for v in images))
     if "q" in obj:
         if P is None:

@@ -36,7 +36,7 @@ from .engine import (
 )
 from .errors import QstarError, ResourceLimitError, ValidationError
 from .iso import build_isomorphism, q_isomorphic
-from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, MAX_SAMPLES, ORACLE_BOUND
+from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, MAX_SAMPLES
 from .maximal import _maximal_closed_masks, maximal_subsemigroups_Q
 from .membership import (
     in_Q,
@@ -387,7 +387,7 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
     audit: dict = {"applicable": False, "reason": "enumeration bound exceeded"}
     if cardinality_Q(P) <= ENUM_BOUND:
         Q = enumerate_Q(P)
-        small = len(Q) <= ORACLE_BOUND
+        small = len(Q) <= DEFAULT_VERIFY_MAX
         checks.append(check_idempotent_criterion(P, Q))
         checks.append(check_q_counts(P, Q))
         checks.append(check_idempotents_right_zero(P))
@@ -405,7 +405,7 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
             checks.append(check_self_isomorphism(P))
             audit = build_audit(P, rank_report)
         else:
-            checks.append(Check("oracle-battery", "skipped", f"|Q| = {len(Q)} exceeds oracle bound {ORACLE_BOUND}"))
+            checks.append(Check("oracle-battery", "skipped", f"|Q| = {len(Q)} exceeds oracle bound {DEFAULT_VERIFY_MAX}"))
     else:
         checks.append(Check("enumeration", "skipped", f"|Q| = {cardinality_Q(P)} exceeds bound {ENUM_BOUND}"))
     return VerificationReport(P, seed, tuple(checks), audit)

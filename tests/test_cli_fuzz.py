@@ -111,9 +111,9 @@ COMMANDS = st.one_of(
 )
 
 
-def run(argv):
+def run(argv, err=None):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err or io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -142,3 +142,25 @@ def test_verify_exits_2_exactly_on_a_bad_sample_count(command):
     assert code == expected
     if code == 0:
         VALIDATOR.validate(json.loads(out))
+
+
+@st.composite
+def check_map_commands(draw):
+    blocks = draw(valid_blocks())
+    n = sum(map(len, blocks))
+    images = draw(st.lists(st.integers(min_value=0, max_value=n + 2), min_size=n, max_size=n))
+    return ["check", f"--partition={spec_of(blocks)}", f"--map={','.join(map(str, images))}"], images
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_map_commands())
+def test_check_map_range_errors_use_1_based_points(case):
+    command, images = case
+    err = io.StringIO()
+    code, out = run(command, err)
+    if all(1 <= v <= len(images) for v in images):
+        assert code == 0
+        VALIDATOR.validate(json.loads(out))
+    else:
+        assert code == 2
+        assert "outside 0.." not in err.getvalue()

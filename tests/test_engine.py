@@ -519,11 +519,13 @@ def test_all_closed_subsets_skips_the_extensions_a_witness_decides(monkeypatch):
     assert stopped == 511
 
 
-def test_all_closed_subsets_count_bound():
+def test_all_closed_subsets_count_bound(monkeypatch):
     Q = enumerate_Q(partition_from_sizes((2, 2)))
-    assert len(all_closed_subsets(Q, max_count=31)) == 31
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSED_SETS", 31)
+    assert len(all_closed_subsets(Q)) == 31
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSED_SETS", 30)
     with pytest.raises(ResourceLimitError, match="^more than 30 closed subsets$"):
-        all_closed_subsets(Q, max_count=30)
+        all_closed_subsets(Q)
 
 
 def test_is_maximal_subsemigroup(p6, alpha, t_sets):

@@ -183,9 +183,10 @@ def test_maximality_is_not_checked_past_the_verify_bound(p6, monkeypatch):
     assert report.total == 10
 
 
-def test_oracle_respects_size_bound(p6):
-    with pytest.raises(Exception):
-        exhaustive_maximal_oracle(enumerate_Q(p6), max_size=10)
+def test_oracle_respects_size_bound(p6, monkeypatch):
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_ORACLE_MAX", 10)
+    with pytest.raises(ResourceLimitError, match=r"^\|S\| = 36 exceeds oracle bound 10$"):
+        exhaustive_maximal_oracle(enumerate_Q(p6))
 
 
 def _labellings(sizes):

@@ -1,8 +1,10 @@
 import itertools
+import re
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qstar import (
     ValidationError,
@@ -143,3 +145,72 @@ def test_duplicate_check_is_linear_in_the_block_length():
     with pytest.raises(ValidationError, match=f"^element {n} appears twice in block 1$"):
         partition_from_spec(spec)
     assert time.perf_counter() - start < 1.0
+
+
+def test_make_partitioned_set_rejects_a_point_repeated_in_a_block():
+    with pytest.raises(ValidationError, match="^element 0 appears twice in block 0$"):
+        make_partitioned_set(3, [(0, 0, 1), (2,)])
+
+
+@pytest.mark.parametrize(
+    "blocks, n",
+    [
+        ([[1, 2], [2, 3]], 3),  # overlap
+        ([[1, 2], [4]], 4),  # uncovered point
+        ([[1, 1], [2, 3]], 3),  # repeated entry
+        ([[3, 5, 5, 3], [1, 2, 4]], 5),  # the first repeated point in block order
+    ],
+)
+def test_json_form_errors_match_the_spec_form(blocks, n):
+    spec = "|".join(",".join(map(str, b)) for b in blocks)
+    with pytest.raises(ValidationError) as from_spec:
+        partition_from_spec(spec)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(from_spec.value))}$"):
+        partition_from_json({"n": n, "blocks": blocks})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 3, "blocks": [[1, 2], [4]]}, "block 2 contains 4, outside 1..3"),
+        ({"n": 3, "blocks": [[0, 1], [2, 3]]}, "block 1 contains 0, outside 1..3"),
+        ({"n": 2, "blocks": [[1, 2.0]]}, "block 1 contains 2.0, outside 1..2"),
+        ({"n": 3, "blocks": [[1, 2], []]}, "block 2 is empty"),
+        ({"n": 2, "blocks": [[1, "2"]]}, "'blocks' must be lists of 1-based integers"),
+    ],
+)
+def test_json_form_range_errors_are_1_based(obj, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        partition_from_json(obj)
+
+
+@st.composite
+def perturbed_block_lists(draw):
+    """Blocks of a partition of {1..n}, then up to two entries added or dropped."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    grouped: dict[int, list[int]] = {}
+    for x, label in enumerate(labels, 1):
+        grouped.setdefault(label, []).append(x)
+    blocks = [draw(st.permutations(b)) for b in grouped.values()]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        block = blocks[draw(st.integers(min_value=0, max_value=len(blocks) - 1))]
+        if draw(st.booleans()):
+            block.append(draw(st.integers(min_value=1, max_value=n + 2)))
+        elif len(block) > 1:
+            block.pop(draw(st.integers(min_value=0, max_value=len(block) - 1)))
+    return blocks
+
+
+def _outcome(parse, arg):
+    try:
+        return parse(arg)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(perturbed_block_lists())
+def test_spec_and_json_forms_agree(blocks):
+    spec = "|".join(",".join(map(str, b)) for b in blocks)
+    json_form = {"n": max(map(max, blocks)), "blocks": blocks}
+    assert _outcome(partition_from_spec, spec) == _outcome(partition_from_json, json_form)

@@ -140,6 +140,15 @@ def test_json_forms(p6, alpha):
         transformation_from_json({"images": [0, 1]})
 
 
+def test_json_image_errors_name_1_based_points():
+    with pytest.raises(ValidationError, match=r"^image of 1 is 4, outside 1\.\.3$"):
+        transformation_from_json({"images": [4, 1, 1]})
+    with pytest.raises(ValidationError, match=r"^image of 2 is 0, outside 1\.\.2$"):
+        transformation_from_json({"images": [1, 0]})
+    with pytest.raises(ValidationError, match=r"^image of 1 is '1', outside 1\.\.1$"):
+        transformation_from_json({"images": ["1"]})
+
+
 def test_total_order_is_images_lex():
     a = Transformation((0, 1))
     b = Transformation((1, 0))
