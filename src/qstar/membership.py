@@ -62,18 +62,18 @@ def in_TEstar_pairwise(P: PartitionedSet, a: Transformation) -> bool:
 def in_Q(P: PartitionedSet, a: Transformation) -> bool:
     """True when every block collapses to one point and the image meets every block.
 
+    The collapse is one comparison: the block heads' images, spread back
+    over the points by ``block_of``, must be the map's images.
+
     These two conditions force the induced block map to be a bijection, so
     members automatically lie in T_{E*}(X); the cross-section postcondition
     is re-checked defensively.
     """
     _check_degree(P, a)
     imgs = a.images
-    points = []
-    for block in P.blocks:
-        first = imgs[block[0]]
-        if any(imgs[x] != first for x in block):
-            return False
-        points.append(first)
+    points = [imgs[block[0]] for block in P.blocks]
+    if tuple(map(points.__getitem__, P.block_of)) != imgs:
+        return False
     covered = {P.block_of[v] for v in points}
     if len(covered) != P.k:
         return False

@@ -92,31 +92,34 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     result is verified: the count is k!*m, every member passes in_Q, and
     the closure of the symmetric-part generators and the m idempotents,
     bounded by |Q|, is the built set, which proves it closed with
-    O(|Q|*|G|) products for those generators G instead of |Q|^2.
+    O(|Q|*|G|) products for those generators G instead of |Q|^2.  Elements
+    are built, sorted and compared as image tuples; each is wrapped by the
+    validating constructor once.
     """
     expected = cardinality_Q(P)
     if expected > max_size:
         raise ResourceLimitError(f"|Q| = {expected} exceeds max_size={max_size}")
-    k = P.k
     blocks = P.blocks
-    block_of = P.block_of
-    elems = []
-    for sigma in itertools.permutations(range(k)):
-        for choice in itertools.product(*(blocks[sigma[i]] for i in range(k))):
-            elems.append(Transformation(tuple(choice[block_of[x]] for x in range(P.n))))
-    elements = tuple(sorted(set(elems)))
-    if len(elements) != expected:
-        raise InternalConsistencyError(f"built {len(elements)} elements of Q, expected {expected}")
+    spread = product_map(P.block_of)  # one image per block -> one per point
+    images = sorted({
+        spread(choice)
+        for sigma in itertools.permutations(range(P.k))
+        for choice in itertools.product(*(blocks[i] for i in sigma))
+    })
+    if len(images) != expected:
+        raise InternalConsistencyError(f"built {len(images)} elements of Q, expected {expected}")
+    elements = tuple(map(Transformation, images))
     for a in elements:
         if not in_Q(P, a):
             raise InternalConsistencyError("constructed element fails the membership predicate")
+    built = [a.images for a in elements]  # what is returned is what the proof covers
     generators = symmetric_part_generators(P) + idempotents_Q(P, max_size)
     try:
-        generated = closure(generators, max_size=expected).elements
+        generated = [a.images for a in closure(generators, max_size=expected)]
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
         generated = None
-    if generated != elements:
-        if generated is None or not set(elements).issuperset(generated):
+    if generated != built:
+        if generated is None or not set(built).issuperset(generated):
             raise InternalConsistencyError("constructed Q is not closed under composition")
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
     return SemigroupSet(P.n, elements)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .engine import SemigroupSet, _close_mask, _extend, closure
+from .engine import SemigroupSet, _extend, closure
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
 from .partition import PartitionedSet
@@ -68,7 +68,7 @@ def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
             f"construction produced {len(generators)} generators, rank is {claimed}"
         )
     closed = closure(generators, max_size=max_size)
-    if closed.elements != Q.elements:
+    if [a.images for a in closed] != [a.images for a in Q]:
         raise InternalConsistencyError("constructed generating set does not generate Q")
     return GeneratingSetReport(
         P, generators, claimed, tuple(paired), tuple(leftover), True
@@ -180,16 +180,4 @@ def _no_generating_set_by_levels(table, size: int) -> bool:
                 if mask not in nxt:
                     nxt[mask] = (grown, gens + [x])
         level = nxt
-    return True
-
-
-def _no_generating_set_by_subsets(table, size: int) -> bool:
-    """Plain sweep: the closure of every ``size``-subset; True when none is full."""
-    full = (1 << len(table)) - 1
-    for combo in itertools.combinations(range(len(table)), size):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        if _close_mask(table, mask) == full:
-            return False
     return True

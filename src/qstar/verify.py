@@ -90,11 +90,16 @@ def _all_maps(n: int):
 
 
 def _sampled_closures(Q, rng, count: int):
-    """Closures of ``count`` random 1-3 element subsets of Q, as restrictions of Q."""
+    """Closures of ``count`` random 1-3 element subsets of Q, as restrictions of Q.
+    All are drawn and closed, but each distinct closed set is yielded once."""
     table = Q.index_table
+    seen = set()
     for _ in range(count):
         picks = rng.sample(range(len(Q)), min(rng.randint(1, 3), len(Q)))
-        yield Q.restrict(_mask_indices(_close_mask(table, sum(1 << i for i in picks)), len(Q)))
+        mask = _close_mask(table, sum(1 << i for i in picks))
+        if mask not in seen:
+            seen.add(mask)
+            yield Q.restrict(_mask_indices(mask, len(Q)))
 
 
 def check_partition_invariants(P: PartitionedSet, rng) -> Check:

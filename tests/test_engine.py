@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -35,6 +36,7 @@ from qstar import (
     partition_from_sizes,
     subgroup_lattice,
     symmetric_group_table,
+    symmetric_part_generators,
 )
 
 
@@ -128,6 +130,53 @@ def test_corrected_generating_set_reaches_everything(p6, alpha):
 def test_closure_resource_limit(alpha):
     with pytest.raises(ResourceLimitError):
         closure([alpha(i) for i in (2, 3, 4, 5, 6, 7, 13)], max_size=10)
+
+
+BOUND_CASES = [
+    [(1, 2, 0)],
+    [(0, 0, 1)],
+    [(1, 0, 2), (1, 2, 0)],
+    [(1, 2, 0), (1, 0, 2), (0, 0, 2)],  # all of T(3)
+]
+
+
+@pytest.mark.parametrize("gens", [[Transformation(g) for g in case] for case in BOUND_CASES] + ["Q(2,2,1)"])
+def test_closure_stops_exactly_at_its_bound(gens):
+    if gens == "Q(2,2,1)":
+        P = partition_from_sizes((2, 2, 1))
+        gens = symmetric_part_generators(P) + idempotents_Q(P)
+    S = closure(gens)
+    assert len(S) > len(set(gens))
+    assert closure(gens, max_size=len(S)).elements == S.elements
+    with pytest.raises(ResourceLimitError, match=f"^closure exceeded max_size={len(S) - 1}$"):
+        closure(gens, max_size=len(S) - 1)
+
+
+def _closure_one_product_at_a_time(gens):
+    """Each known element times each generator, one product at a time."""
+    gen_images = sorted({g.images for g in gens})
+    known = set(gen_images)
+    work = deque(gen_images)
+    while work:
+        a = work.popleft()
+        for g in gen_images:
+            p = tuple(g[v] for v in a)
+            if p not in known:
+                known.add(p)
+                work.append(p)
+    return sorted(known)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closure_equals_a_one_product_at_a_time_worklist(n):
+    rng = random.Random(n)
+    sizes = set()
+    for _ in range(150):
+        gens = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(rng.randint(1, 3))]
+        expected = _closure_one_product_at_a_time(gens)
+        assert [a.images for a in closure(gens)] == expected, [g.images for g in gens]
+        sizes.add(len(expected))
+    assert len(sizes) > 10
 
 
 def test_green_r_forms_agree_on_full_transformation_semigroup():

@@ -14,6 +14,7 @@ from qstar import (
     in_TEstar_pairwise,
     is_idempotent_Q,
     is_regular_element,
+    make_partitioned_set,
     partition_from_sizes,
     universal_partition,
 )
@@ -141,3 +142,36 @@ def test_regular_element_requires_membership():
     S = closure([Transformation((1, 2, 2))])
     with pytest.raises(ContractError):
         is_regular_element(Transformation((0, 1, 2)), S)
+
+
+def set_partitions(n):
+    """Every set partition of {0..n-1}, by restricted growth strings."""
+    def grow(labels):
+        if len(labels) == n:
+            yield [[x for x in range(n) if labels[x] == b] for b in range(max(labels) + 1)]
+            return
+        for b in range(max(labels) + 2):
+            yield from grow(labels + [b])
+
+    yield from grow([0])
+
+
+def _in_Q_by_definition(P, a):
+    """The paper's definition: |A a| = 1 and A meets X a, for every block A."""
+    image = set(a.images)
+    return all(len({a.images[x] for x in A}) == 1 and not image.isdisjoint(A) for A in P.blocks)
+
+
+def test_in_Q_equals_its_definition_on_every_map_of_every_partition_up_to_five_points():
+    pairs = members = 0
+    for n in range(1, 6):
+        maps = list(all_maps(n))
+        for blocks in set_partitions(n):
+            P = make_partitioned_set(n, blocks)
+            for a in maps:
+                member = in_Q(P, a)
+                assert member == _in_Q_by_definition(P, a), (blocks, a.images)
+                members += member
+            pairs += len(maps)
+    assert pairs == 166_484
+    assert members == 1479  # the sum of k! * m over those 203 partitions

@@ -66,6 +66,14 @@ def test_enumeration_matches_brute_force(sizes):
     assert len(fast) == cardinality_Q(P)
 
 
+def test_enumeration_and_membership_on_one_point():
+    # product_map wraps the bare int that itemgetter returns on one point.
+    P = partition_from_sizes((1,))
+    build = enumerate_Q.__wrapped__  # uncached, so the build runs here
+    assert build(P).elements == (Transformation((0,)),)
+    assert in_Q(P, Transformation((0,)))
+
+
 def test_brute_force_enumeration_stops_at_the_map_bound(monkeypatch):
     P = partition_from_sizes((2, 1))  # 3^3 = 27 candidate maps
     monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_MAPS", 26)

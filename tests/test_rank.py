@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 import qstar.rank
-from qstar.rank import _no_generating_set_by_levels, _no_generating_set_by_subsets
+from qstar.engine import _close_mask
+from qstar.rank import _no_generating_set_by_levels
 from qstar.verify import run_verification
 from qstar import (
     ContractError,
@@ -194,6 +197,16 @@ def test_no_smaller_generating_set_brute_force(sizes):
 def test_brute_force_finds_generating_sets_at_rank():
     P = partition_from_sizes((2, 1))
     assert not brute_force_no_generating_set_of_size(P, rank_Q(P))
+
+
+def _no_generating_set_by_subsets(table, size: int) -> bool:
+    """Plain sweep, one ``_close_mask`` call per ``size``-subset: the
+    reference for the level search.  True when no closure is the full set."""
+    full = (1 << len(table)) - 1
+    for combo in itertools.combinations(range(len(table)), size):
+        if _close_mask(table, sum(1 << i for i in combo)) == full:
+            return False
+    return True
 
 
 def test_level_search_agrees_with_the_subset_sweep_at_every_size():

@@ -6,6 +6,7 @@ import pytest
 
 import qstar.transformation
 import qstar.verify
+from qstar.engine import _close_mask, _mask_indices
 from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, partition_from_sizes
 from qstar.verify import check_kernel_cross_section, check_maximal, check_right_group_battery
 
@@ -78,4 +79,44 @@ def test_kernel_cross_section_draws_the_same_samples(p6):
     rng, reference = random.Random(3), random.Random(3)
     assert check_kernel_cross_section(p6, Q, rng, 100).status == "pass"
     list(qstar.verify._sampled_closures(Q, reference, 25))
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    "predicate, check, detail",
+    [
+        ("is_right_group", check_kernel_cross_section, "a closed subset is not a right group"),
+        ("is_right_group", check_right_group_battery, "right group != regular + left cancellative"),
+        ("is_regular_semigroup", check_right_group_battery, "right group != regular + left cancellative"),
+        ("is_left_cancellative", check_right_group_battery, "right group != regular + left cancellative"),
+        ("idempotents_right_zero", check_right_group_battery, "right group != regular + right-zero idempotents"),
+    ],
+)
+def test_sampled_checks_fail_when_a_predicate_always_fails(monkeypatch, p6, predicate, check, detail):
+    Q = enumerate_Q(p6)
+    monkeypatch.setattr(qstar.verify, predicate, lambda S: False)
+    result = check(p6, Q, random.Random(0), 100)
+    assert (result.status, result.detail) == ("fail", detail)
+
+
+def test_sampled_closures_restrict_each_distinct_closed_set_once(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    reference = random.Random(7)
+    masks = []
+    for _ in range(125):
+        picks = reference.sample(range(len(Q)), min(reference.randint(1, 3), len(Q)))
+        masks.append(_close_mask(Q.index_table, sum(1 << i for i in picks)))
+    distinct = list(dict.fromkeys(masks))
+    assert len(distinct) < len(masks)
+    restricted = []
+    real = SemigroupSet.restrict
+
+    def counting(S, indices):
+        restricted.append(list(indices))
+        return real(S, indices)
+
+    monkeypatch.setattr(SemigroupSet, "restrict", counting)
+    rng = random.Random(7)
+    assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
+    assert restricted == [_mask_indices(m, len(Q)) for m in distinct]
     assert rng.getstate() == reference.getstate()
