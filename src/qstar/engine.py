@@ -137,6 +137,8 @@ def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE)
     gens = tuple(sorted(set(gens)))
     if not gens:
         raise ContractError("closure of an empty generating set")
+    if len(gens) > max_size:
+        raise ResourceLimitError(f"closure exceeded max_size={max_size}")
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValidationError("generators have mixed degrees")

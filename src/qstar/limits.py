@@ -20,8 +20,8 @@ DEFAULT_MAX_GROUP_ORDER = 120
 # (259 on Q for blocks (4, 4); about 3,200 on a 39-element closure in T(4)).
 DEFAULT_MAX_CLOSED_SETS = 500_000
 
-# Largest |Q| on which an isomorphism is built and checked on the product
-# tables (``build_isomorphism`` raises above it, and the CLI's ``iso``
+# Largest |Q| on which an isomorphism is built and checked on Q(P1)'s
+# generators (``build_isomorphism`` raises above it, and the CLI's ``iso``
 # builds a witness only up to it), on which constructed maximal
 # subsemigroups are checked against the maximality predicate, and on which
 # ``run_verification`` runs its oracle battery (skipped above it; one

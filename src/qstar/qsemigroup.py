@@ -90,11 +90,10 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     The element for a permutation sigma and representatives c (with
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
     result is verified: the count is k!*m, every member passes in_Q, and
-    the closure of the symmetric-part generators and the m idempotents,
-    bounded by |Q|, is the built set, which proves it closed with
-    O(|Q|*|G|) products for those generators G instead of |Q|^2.  Elements
-    are built, sorted and compared as image tuples; each is wrapped by the
-    validating constructor once.
+    the closure of G = :func:`generators_Q`, bounded by |Q|, is the built
+    set, which proves it closed and generated by G with O(|Q|*|G|)
+    products instead of |Q|^2.  Elements are built, sorted and compared as
+    image tuples; each is wrapped by the validating constructor once.
     """
     expected = cardinality_Q(P)
     if expected > max_size:
@@ -113,9 +112,8 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         if not in_Q(P, a):
             raise InternalConsistencyError("constructed element fails the membership predicate")
     built = [a.images for a in elements]  # what is returned is what the proof covers
-    generators = symmetric_part_generators(P) + idempotents_Q(P, max_size)
     try:
-        generated = [a.images for a in closure(generators, max_size=expected)]
+        generated = [a.images for a in closure(generators_Q(P, max_size), max_size=expected)]
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
         generated = None
     if generated != built:
@@ -183,6 +181,11 @@ def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
         return (_pattern_element(P, c, transposition),)
     cycle = tuple(list(range(1, k)) + [0])
     return tuple(sorted((_pattern_element(P, c, transposition), _pattern_element(P, c, cycle))))
+
+
+def generators_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
+    """The symmetric-part generators and the m idempotents, which generate Q."""
+    return symmetric_part_generators(P) + idempotents_Q(P, max_size)
 
 
 def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:

@@ -152,6 +152,18 @@ def test_closure_stops_exactly_at_its_bound(gens):
         closure(gens, max_size=len(S) - 1)
 
 
+def test_closure_bound_counts_generators_that_are_already_closed():
+    # Every product of S is known from the start, so no element is added.
+    S = enumerate_Q(partition_from_sizes((2, 1)))
+    assert len(S) == 4
+    with pytest.raises(ResourceLimitError, match="^closure exceeded max_size=3$"):
+        closure(S.elements, max_size=3)
+    with pytest.raises(ResourceLimitError, match="^closure exceeded max_size=3$"):
+        closure(S.elements + S.elements, max_size=3)
+    assert closure(S.elements + S.elements, max_size=4).elements == S.elements
+    assert closure(S.elements, max_size=4).elements == S.elements
+
+
 def _closure_one_product_at_a_time(gens):
     """Each known element times each generator, one product at a time."""
     gen_images = sorted({g.images for g in gens})

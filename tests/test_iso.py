@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 import qstar.iso
+from qstar.engine import is_homomorphism
+from qstar.limits import DEFAULT_VERIFY_MAX
 from qstar import (
     ContractError,
     InternalConsistencyError,
@@ -15,6 +17,7 @@ from qstar import (
     cardinality_Q,
     classify_partitions,
     compose,
+    decompose,
     enumerate_Q,
     identity_partition,
     idempotents_Q,
@@ -57,7 +60,7 @@ def test_build_isomorphism_verified():
     iso = build_isomorphism(P1, P2)
     assert iso["verified"]
     assert iso["exhaustive"]
-    assert iso["pairs_checked"] == 64
+    assert iso["pairs_checked"] == 40
     mapping = iso["mapping"]
     assert len(mapping) == 8
     assert len(set(mapping.values())) == 8
@@ -79,7 +82,7 @@ def test_isomorphism_between_reordered_size_multisets():
         partition_from_sizes((3, 2, 1)), partition_from_sizes((1, 2, 3))
     )
     assert iso["verified"] and iso["exhaustive"]
-    assert iso["pairs_checked"] == 36 * 36
+    assert iso["pairs_checked"] == 36 * 8
 
 
 def test_isomorphism_between_two_element_right_zeros():
@@ -214,4 +217,81 @@ def test_build_isomorphism_refuses_q_above_the_check_bound(monkeypatch):
         build_isomorphism(P1, P2)
     monkeypatch.undo()
     monkeypatch.setattr(qstar.iso, "DEFAULT_VERIFY_MAX", 36)
-    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 36
+    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 8
+
+
+def _multiplicative_on_tables(P1, P2, mapping):
+    """Reference route: the map checked on all |Q|^2 pairs of both product tables."""
+    Q1, Q2 = enumerate_Q(P1), enumerate_Q(P2)
+    phi = [Q2.index_of(mapping[q]) for q in Q1]
+    return is_homomorphism(phi, Q1.index_table, Q2.index_table)
+
+
+def test_both_routes_accept_the_witness_on_every_isomorphic_pair():
+    shapes = [partition_from_sizes(s) for n in range(1, 7) for s in integer_partitions(n)]
+    pairs = [
+        (P1, P2)
+        for P1 in shapes
+        for P2 in shapes
+        if q_isomorphic(P1, P2) and cardinality_Q(P1) <= DEFAULT_VERIFY_MAX
+    ]
+    assert len(pairs) == 31
+    for P1, P2 in pairs:
+        iso = build_isomorphism(P1, P2)  # the generator route raises on a bad map
+        assert iso["verified"] and iso["exhaustive"]
+        assert _multiplicative_on_tables(P1, P2, iso["mapping"])
+
+
+@pytest.mark.parametrize("sizes1, sizes2", [((2, 2, 1), (4, 1, 1)), ((3, 2, 1), (6, 1, 1))])
+def test_both_routes_agree_on_every_swap_of_two_targets(monkeypatch, sizes1, sizes2):
+    P1, P2 = partition_from_sizes(sizes1), partition_from_sizes(sizes2)
+    witness = build_isomorphism(P1, P2)["mapping"]
+    swap = {}
+    _patch_target_elements(monkeypatch, lambda q: swap.get(q, q))
+    verdicts = []
+    for t1, t2 in itertools.combinations(sorted(witness.values()), 2):
+        swap.clear()
+        swap.update({t1: t2, t2: t1})
+        try:
+            build_isomorphism(P1, P2)
+            accepted = True
+        except InternalConsistencyError as e:
+            assert str(e) == "constructed map is not multiplicative"
+            accepted = False
+        swapped = {q: swap.get(v, v) for q, v in witness.items()}
+        assert accepted == _multiplicative_on_tables(P1, P2, swapped), (t1, t2)
+        verdicts.append(accepted)
+    assert len(verdicts) == len(witness) * (len(witness) - 1) // 2
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("sizes1, sizes2", [((2, 2, 1), (4, 1, 1)), ((3, 2, 1), (6, 1, 1))])
+def test_both_routes_agree_on_every_relabelling_of_the_target_group_part(monkeypatch, sizes1, sizes2):
+    # The witness followed by (i, j) -> (alpha(i), j) on Q(P2), for every
+    # permutation alpha of the 3! group coordinates.  The right-group law
+    # (i, j)(i', j') = (i i', j') makes that a homomorphism exactly when alpha
+    # is an automorphism of S_3, which has 6.  A check that leaves out one
+    # symmetric-part generator accepts more of them.
+    P1, P2 = partition_from_sizes(sizes1), partition_from_sizes(sizes2)
+    witness = build_isomorphism(P1, P2)["mapping"]
+    dec2 = decompose(P2)
+    grid = [[dec2.element(i, j) for j in range(P2.m)] for i in range(6)]
+    alpha = list(range(6))
+
+    def relabel(q):
+        i, j = dec2.coordinates(q)
+        return grid[alpha[i]][j]
+
+    _patch_target_elements(monkeypatch, relabel)
+    accepted = 0
+    for alpha[:] in itertools.permutations(range(6)):
+        try:
+            build_isomorphism(P1, P2)
+            generator_route = True
+        except InternalConsistencyError as e:
+            assert str(e) == "constructed map is not multiplicative"
+            generator_route = False
+        relabelled = {q: relabel(v) for q, v in witness.items()}
+        assert generator_route == _multiplicative_on_tables(P1, P2, relabelled), alpha
+        accepted += generator_route
+    assert accepted == 6
