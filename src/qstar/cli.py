@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from .engine import maximal_subgroups, symmetric_group_table
 from .errors import (
@@ -40,7 +41,7 @@ from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLE
 from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import PartitionedSet, partition_from_spec
-from .qsemigroup import cardinality_Q, is_group_Q
+from .qsemigroup import cardinality_Q, enumerate_Q, is_group_Q
 from .rank import minimal_generating_set, rank_Q
 from .transformation import q_shorthand, transformation_from_json
 from .verify import run_verification
@@ -72,9 +73,33 @@ def json_int(value: int):
     return value if abs(value) <= MAX_SAFE_INT else decimal_string(value)
 
 
+def json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, written directly: with an indent the
+    standard library never uses its C encoder.  Floats, subclasses and non-str keys raise ``TypeError``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is dict:  # the escaper raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + json_text(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + sep.join(items) + newline + "}"
+    if set(map(type, value)) == {int}:
+        return "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
+    return "[" + inner + sep.join([json_text(item, inner) for item in value]) + newline + "]"
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
         return
     rows = payload.get("subsemigroups")
     scalars = {k: v for k, v in payload.items() if k != "subsemigroups"}
@@ -186,6 +211,7 @@ def cmd_maximal(args) -> dict:
     report = maximal_subsemigroups_Q(
         P, max_size=args.max_closure, max_group_order=args.group_order_bound
     )
+    short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P, args.max_closure)}
     families = [(T, "group", None) for T in report.group_type]
     families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
     rows = [
@@ -193,8 +219,8 @@ def cmd_maximal(args) -> dict:
             "label": f"T{label}",
             "type": kind,
             "size": len(T),
-            "omitted_idempotent": None if f is None else list(q_shorthand(P, f)),
-            "elements": [list(q_shorthand(P, a)) for a in T],
+            "omitted_idempotent": None if f is None else short[f],
+            "elements": [short[a] for a in T],
         }
         for label, (T, kind, f) in enumerate(families, start=1)
     ]
@@ -207,7 +233,7 @@ def cmd_maximal(args) -> dict:
         "total": json_int(report.total),
         "group_type_sizes": [len(T) for T in report.group_type],
         "right_zero_type_sizes": [len(T) for T in report.right_zero_type],
-        "omitted_idempotents": [list(q_shorthand(P, f)) for f in report.omitted_idempotents],
+        "omitted_idempotents": [short[f] for f in report.omitted_idempotents],
         "subsemigroups": rows,
         "verified": report.verified,
     }
@@ -239,18 +265,16 @@ def cmd_iso(args) -> dict:
 
 
 def cmd_census(args) -> dict:
-    classes = classify_partitions(args.n)
-    rows = []
-    for key, shapes in classes.items():
-        rows.append(
-            {
-                "k": key.k,
-                "m": json_int(key.m),
-                "cardinality": json_int(key.cardinality),
-                "rank": json_int(key.rank),
-                "block_size_profiles": [list(s) for s in shapes],
-            }
-        )
+    rows = [
+        {
+            "k": key.k,
+            "m": json_int(key.m),
+            "cardinality": json_int(key.cardinality),
+            "rank": json_int(key.rank),
+            "block_size_profiles": [list(s) for s in shapes],
+        }
+        for key, shapes in classify_partitions(args.n).items()
+    ]
     return {
         "command": "census",
         "n": args.n,

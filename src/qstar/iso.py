@@ -10,11 +10,12 @@ certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
 from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
-from .partition import PartitionedSet, partition_from_sizes
+from .partition import PartitionedSet
 from .qsemigroup import cardinality_Q, decompose, enumerate_Q, generators_Q
 from .rank import rank_Q
 from .transformation import product_map
@@ -135,14 +136,13 @@ def integer_partitions(n: int):
 
 
 def classify_partitions(n: int) -> dict:
-    """Group the block-size multisets for ground size n by isomorphism class.
-
-    Returns {IsoClassKey: (size tuples...)} ordered by key.
-    """
+    """Group the block-size multisets for ground size n by isomorphism class,
+    keyed by part count and part product: the k and m that :func:`iso_key`
+    reads off a partitioned set of those block sizes, which is not built.
+    Returns {IsoClassKey: (size tuples...)} ordered by key."""
     if n > DEFAULT_CENSUS_MAX_N:
         raise ValidationError(f"census bound is n <= {DEFAULT_CENSUS_MAX_N}, got {n}")
     buckets: dict[IsoClassKey, list] = {}
     for sizes in integer_partitions(n):
-        P = partition_from_sizes(sizes)
-        buckets.setdefault(iso_key(P), []).append(sizes)
+        buckets.setdefault(IsoClassKey(len(sizes), math.prod(sizes)), []).append(sizes)
     return {key: tuple(buckets[key]) for key in sorted(buckets)}

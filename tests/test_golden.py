@@ -5,11 +5,13 @@ Each case's expected stdout is ``golden/<name>.stdout``; its stderr is
 change that is meant to keep every CLI output passes these unedited.
 """
 
+import json
 import pathlib
 
 import pytest
 
-from qstar.cli import main
+import qstar.cli
+from qstar.cli import json_text, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -26,6 +28,8 @@ CASES = {
     "verify": (["verify", "--partition", "1,2|3,4|5", "--seed", "0"], 0),
     "maximal_past_group_bound": (["maximal", "--partition", "1,7|2|3|4|5|6"], 3),
     "check_map_out_of_range": (["check", "--partition", "1,2,3", "--map", "4,1,1"], 2),
+    "census_12": (["census", "--n", "12"], 0),
+    "analyze_big_counts": (["analyze", "--partition", "|".join(str(i) for i in range(1, 26))], 0),
 }
 
 
@@ -41,3 +45,12 @@ def test_cli_output_matches_golden(name, capsys):
 
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.iterdir()} == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (argv, code) in CASES.items() if code == 0))
+def test_writer_matches_json_dumps_on_golden_payloads(name, monkeypatch):
+    payloads = []
+    monkeypatch.setattr(qstar.cli, "_emit", lambda payload, fmt: payloads.append(payload))
+    assert main(CASES[name][0]) == 0
+    [payload] = payloads
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)

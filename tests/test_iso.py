@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import pytest
 
+import qstar.cli
 import qstar.iso
 from qstar.engine import is_homomorphism
 from qstar.limits import DEFAULT_VERIFY_MAX
@@ -149,6 +151,29 @@ def test_census_keys_are_sorted():
 def test_census_bound():
     with pytest.raises(ValidationError):
         classify_partitions(13)
+
+
+def classify_by_built_partitions(n):
+    """The census route that builds a partitioned set per integer partition."""
+    buckets = {}
+    for sizes in integer_partitions(n):
+        buckets.setdefault(iso_key(partition_from_sizes(sizes)), []).append(sizes)
+    return {key: tuple(buckets[key]) for key in sorted(buckets)}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_classes_match_the_partition_built_route(n):
+    assert list(classify_partitions(n).items()) == list(classify_by_built_partitions(n).items())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_output_matches_the_partition_built_route(n, monkeypatch, capsys):
+    assert qstar.cli.main(["census", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(qstar.cli, "classify_partitions", classify_by_built_partitions)
+    monkeypatch.setattr(qstar.cli, "json_text", lambda payload: json.dumps(payload, sort_keys=True, indent=2))
+    assert qstar.cli.main(["census", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_key_equality_matches_structure_route():

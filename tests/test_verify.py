@@ -8,7 +8,8 @@ import qstar.transformation
 import qstar.verify
 from qstar.engine import _close_mask, _mask_indices
 from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, partition_from_sizes
-from qstar.verify import check_kernel_cross_section, check_maximal, check_right_group_battery
+from qstar.qsemigroup import h_class, idempotents_Q
+from qstar.verify import check_h_class_structure, check_kernel_cross_section, check_maximal, check_right_group_battery
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
@@ -120,3 +121,33 @@ def test_sampled_closures_restrict_each_distinct_closed_set_once(monkeypatch, p6
     assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
     assert restricted == [_mask_indices(m, len(Q)) for m in distinct]
     assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("sizes, classes", [((3, 2, 1), 6), ((2, 2, 2), 8), ((4, 3), 12)])
+def test_h_class_structure_matches_each_class_with_the_first(monkeypatch, sizes, classes):
+    P = partition_from_sizes(sizes)
+    calls = []
+    real = qstar.verify.groups_isomorphic
+
+    def counting(G1, G2):
+        calls.append((G1, G2))
+        return real(G1, G2)
+
+    monkeypatch.setattr(qstar.verify, "groups_isomorphic", counting)
+    check = check_h_class_structure(P, enumerate_Q(P))
+    assert check.status == "pass"
+    assert check.detail == f"{classes} H-classes of order {len(enumerate_Q(P)) // classes}, pairwise isomorphic"
+    assert len(calls) == classes - 1
+
+
+def test_h_class_structure_fails_when_the_last_h_class_is_not_isomorphic(monkeypatch):
+    P = partition_from_sizes((3, 2, 1))
+    last = h_class(idempotents_Q(P)[-1], P).elements.elements
+    real = qstar.verify.groups_isomorphic
+    monkeypatch.setattr(
+        qstar.verify,
+        "groups_isomorphic",
+        lambda G1, G2: real(G1, G2) and last not in (G1.elements.elements, G2.elements.elements),
+    )
+    check = check_h_class_structure(P, enumerate_Q(P))
+    assert (check.status, check.detail) == ("fail", "two H-classes are not isomorphic")
