@@ -296,6 +296,17 @@ def cmd_verify(args) -> dict:
     }
 
 
+def _bound(text: str) -> int:
+    """A size bound option's value: an int of at least 1, since 0 admits nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstar",
@@ -307,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-closure",
-        type=int,
+        type=_bound,
         default=DEFAULT_MAX_CLOSURE,
         help="abort closures beyond this many elements",
     )
     common.add_argument(
         "--group-order-bound",
-        type=int,
+        type=_bound,
         default=DEFAULT_MAX_GROUP_ORDER,
         help="largest order of a group built as a table: the H-class or a symmetric group",
     )

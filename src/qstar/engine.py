@@ -28,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -56,7 +56,7 @@ class SemigroupSet:
 
     @classmethod
     def from_elements(cls, elems: Iterable[Transformation]):
-        elements = tuple(sorted(set(elems)))
+        elements = tuple(sorted(set(elems), key=attrgetter("images")))
         if not elements:
             raise ContractError("a semigroup needs at least one element")
         n = elements[0].n
@@ -113,10 +113,9 @@ class SemigroupSet:
         if not indices:
             raise ContractError("a semigroup needs at least one element")
         table = self.index_table
-        pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
         position = {i: p for p, i in enumerate(indices)}.__getitem__
         try:
-            rows = tuple(tuple(map(position, pick(table[i]))) for i in indices)
+            rows = tuple(tuple(map(position, row)) for row in _rows_at(self, indices)[1])
         except KeyError:
             a, b = next((a, b) for a in indices for b in indices if table[a][b] not in indices)
             a, b = self.elements[a].images, self.elements[b].images
@@ -167,7 +166,7 @@ def green_R_related(a: Transformation, b: Transformation) -> bool:
     """
     if a.n != b.n:
         raise ValidationError(f"degree mismatch: {a.n} vs {b.n}")
-    return kernel_partition(a).as_set_partition() == kernel_partition(b).as_set_partition()
+    return kernel_partition(a).classes == kernel_partition(b).classes
 
 
 def green_R_definitional(a: Transformation, b: Transformation, S: SemigroupSet) -> bool:
@@ -178,35 +177,42 @@ def green_R_definitional(a: Transformation, b: Transformation, S: SemigroupSet) 
     return (ia == ib or ia in t[ib]) and (ib == ia or ib in t[ia])
 
 
-def is_right_group(S: SemigroupSet) -> bool:
-    """True when for every a, b there is exactly one x with a*x == b."""
-    size = len(S)
-    return all(len(set(row)) == size for row in S.index_table)
+def _rows_at(S: SemigroupSet, indices):
+    """The index set (all of S by default) and its rows of S's table read at it."""
+    if indices is None:
+        return range(len(S)), S.index_table
+    pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
+    return indices, map(pick, map(S.index_table.__getitem__, indices))
 
 
-def is_regular_semigroup(S: SemigroupSet) -> bool:
-    """True when every a has some b with a*b*a == a."""
+def is_right_group(S: SemigroupSet, indices=None) -> bool:
+    """True when for every a, b there is exactly one x with a*x == b.
+
+    With ``indices``, decide it for the subsemigroup of S on that index set
+    from S's own table; a set that is not closed is no right group.
+    """
+    indices, rows = _rows_at(S, indices)
+    members = set(indices)
+    return all(set(row) == members for row in rows)
+
+
+def is_regular_semigroup(S: SemigroupSet, indices=None) -> bool:
+    """True when every a has some b with a*b*a == a (on ``indices``, if given)."""
     t = S.index_table
-    size = len(S)
-    return all(any(t[t[ia][ib]][ia] == ia for ib in range(size)) for ia in range(size))
+    indices, rows = _rows_at(S, indices)
+    return all(a in map(itemgetter(a), map(t.__getitem__, row)) for a, row in zip(indices, rows))
 
 
-def idempotents_right_zero(S: SemigroupSet) -> bool:
-    """True when the idempotents of S form a right-zero band: e*f == f."""
+def idempotents_right_zero(S: SemigroupSet, indices=None) -> bool:
+    """True when the idempotents of S (on ``indices``, if given) form a right-zero band: e*f == f."""
     t = S.index_table
-    idems = [i for i, row in enumerate(t) if row[i] == i]
+    idems = [i for i in _rows_at(S, indices)[0] if t[i][i] == i]
     return all(t[e][f] == f for e in idems for f in idems)
 
 
-def is_left_cancellative(S: SemigroupSet) -> bool:
-    """True when a*x == a*y forces x == y, checked row by row."""
-    for row in S.index_table:
-        seen = set()
-        for v in row:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+def is_left_cancellative(S: SemigroupSet, indices=None) -> bool:
+    """True when a*x == a*y forces x == y, checked row by row (on ``indices``, if given)."""
+    return all(len(set(row)) == len(row) for row in _rows_at(S, indices)[1])
 
 
 def is_homomorphism(phi: Sequence[int], t1, t2) -> bool:

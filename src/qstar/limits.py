@@ -38,7 +38,7 @@ ENUM_BOUND = 5000
 EXHAUSTIVE_MAPS_BOUND = 4
 DEFAULT_SAMPLES = 100
 # Largest ``--samples`` the battery accepts: the right-group battery draws
-# that many closures, at about 1 ms each on |Q| = 192.
+# that many closures, at about 0.35 ms each on |Q| = 192 (2-CPU host).
 MAX_SAMPLES = 10_000
 
 # Definitional sweeps: |Q| for the plain rank sweep over subsets, n^n for

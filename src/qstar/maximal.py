@@ -13,6 +13,7 @@ ones, so the construction can be checked set-for-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .engine import (
     SemigroupSet,
@@ -97,11 +98,11 @@ def maximal_subsemigroups_Q(
     group_type = []
     for H in subgroups:
         elems = [dec.element(i, j) for i in H for j in range(m)]
-        group_type.append(SemigroupSet(P.n, tuple(sorted(elems))))
+        group_type.append(SemigroupSet(P.n, tuple(sorted(elems, key=attrgetter("images")))))
     right_zero = []
     for omitted in range(m):
         elems = [dec.element(i, j) for i in range(G.order) for j in range(m) if j != omitted]
-        right_zero.append(SemigroupSet(P.n, tuple(sorted(elems))))
+        right_zero.append(SemigroupSet(P.n, tuple(sorted(elems, key=attrgetter("images")))))
 
     s_k = count_maximal(P, max_group_order)[0]
     if len(group_type) != s_k:

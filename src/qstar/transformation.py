@@ -107,10 +107,9 @@ def kernel_partition(a: Transformation) -> KernelPartition:
     fibers: dict[int, list[int]] = {}
     for x, v in enumerate(a.images):
         fibers.setdefault(v, []).append(x)
-    items = sorted(fibers.items(), key=lambda kv: kv[1][0])
-    classes = tuple(tuple(xs) for _, xs in items)
-    class_image = tuple(v for v, _ in items)
-    return KernelPartition(classes, class_image)
+    # Insertion order meets each fiber at its least element, so lists them by it.
+    classes = tuple(map(tuple, fibers.values()))
+    return KernelPartition(classes, tuple(fibers))
 
 
 def q_shorthand(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:

