@@ -135,17 +135,18 @@ def _parse_map(text: str) -> list[int]:
 
 def cmd_analyze(args) -> dict:
     P = _partition(args)
+    size, m = cardinality_Q(P), json_int(P.m)  # each big number is computed and written once
     return {
         "command": "analyze",
         "partition": P.to_spec(),
         "n": P.n,
         "k": P.k,
-        "m": json_int(P.m),
+        "m": m,
         "block_sizes": [len(b) for b in P.blocks],
-        "cardinality": json_int(cardinality_Q(P)),
-        "idempotents": json_int(P.m),
-        "h_classes": json_int(P.m),
-        "h_class_order": json_int(cardinality_Q(P) // P.m),
+        "cardinality": json_int(size),
+        "idempotents": m,
+        "h_classes": m,
+        "h_class_order": json_int(size // P.m),
         "rank": json_int(rank_Q(P)),
         "is_group": is_group_Q(P),
     }

@@ -4,8 +4,8 @@ Two instances are isomorphic exactly when they share the block count k and
 the block-size product m.  ``build_isomorphism`` realizes the bijection
 explicitly in the right-group coordinates of ``decompose``, sending (i, j)
 to (psi(i), j) where psi conjugates block patterns by a block bijection,
-and checks it on Q(P1)'s generators, so a positive answer is always
-certified.
+and checks it on the rank-size generating set R of Q(P1), so a positive
+answer is always certified.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def build_isomorphism(
     sorted by size then index; idempotent parts are matched in canonical
     order.  The map phi is checked to be a bijection and, on image tuples,
     to satisfy phi(s*g) == phi(s)*phi(g) for every s in Q(P1) and g in the
-    set G that :func:`enumerate_Q` proved generates Q(P1).  By induction on
-    b = b'*g, phi(s*b) = phi(s*b')*phi(g) = phi(s)*phi(b')*phi(g) = phi(s)*phi(b),
-    so phi is a homomorphism on all |Q|^2 pairs.  Raises
+    set R = :func:`generators_Q` that :func:`enumerate_Q` proved generates
+    Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
+    phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
+    |Q|^2 pairs.  Raises
     :class:`ContractError` when the instances are not isomorphic, and
     :class:`ResourceLimitError` when |Q| exceeds ``DEFAULT_VERIFY_MAX``.
     """
@@ -104,7 +105,7 @@ def build_isomorphism(
     if values != set(Q2.elements):
         raise InternalConsistencyError("constructed map is not onto Q(P2)")
     phi = {q.images: v.images for q, v in mapping.items()}
-    gens = sorted({g.images for g in generators_Q(P1, max_size)})
+    gens = [g.images for g in generators_Q(P1, max_size)]
     phi_gens = [phi[g] for g in gens]
     for s, t in phi.items():
         products = zip(map(product_map(s), gens), map(product_map(t), phi_gens))

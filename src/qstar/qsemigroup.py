@@ -89,9 +89,10 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
 
     The element for a permutation sigma and representatives c (with
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
-    result is verified: the count is k!*m, every member passes in_Q, and
-    the closure of G = :func:`generators_Q`, bounded by |Q|, is the built
-    set, which proves it closed and generated by G with O(|Q|*|G|)
+    result is verified: the count is k!*m, every member passes in_Q, the
+    closure of R = :func:`generators_Q`, bounded by |Q|, is the built set,
+    and R's factors (symmetric part and idempotents) lie in it.  That proves
+    it closed and generated by R, so by R's factors, with O(|Q|*|R|)
     products instead of |Q|^2.  Elements are built, sorted and compared as
     image tuples; each is wrapped by the validating constructor once.
     """
@@ -112,13 +113,15 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         if not in_Q(P, a):
             raise InternalConsistencyError("constructed element fails the membership predicate")
     built = [a.images for a in elements]  # what is returned is what the proof covers
+    generators, paired, leftover = rank_pairing(P, max_size)
     try:
-        generated = [a.images for a in closure(generators_Q(P, max_size), max_size=expected)]
+        generated = [a.images for a in closure(generators, max_size=expected)]
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
         generated = None
+    factors = (a.images for row in paired + leftover for a in row[:-1])
+    if generated is None or not set(built).issuperset(itertools.chain(generated, factors)):
+        raise InternalConsistencyError("constructed Q is not closed under composition")
     if generated != built:
-        if generated is None or not set(built).issuperset(generated):
-            raise InternalConsistencyError("constructed Q is not closed under composition")
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
     return SemigroupSet(P.n, elements)
 
@@ -161,18 +164,13 @@ def _pattern_element(P: PartitionedSet, cross_section: tuple[int, ...], sigma) -
     return Transformation(tuple(cross_section[sigma[P.block_of[x]]] for x in range(P.n)))
 
 
-def _base_cross_section(P: PartitionedSet) -> tuple[int, ...]:
-    # least idempotent in canonical order = least representative per block
-    return tuple(min(b) for b in P.blocks)
-
-
 def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
     """Generators of the base H-class fixing its cross-section setwise.
 
     k >= 3: a transposition pattern and a k-cycle pattern; k == 2: the
     transposition; k == 1: the least constant map.
     """
-    c = _base_cross_section(P)
+    c = tuple(min(b) for b in P.blocks)  # the least idempotent's image, block by block
     k = P.k
     if k == 1:
         return (_pattern_element(P, c, (0,)),)
@@ -183,9 +181,25 @@ def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
     return tuple(sorted((_pattern_element(P, c, transposition), _pattern_element(P, c, cycle))))
 
 
+def rank_pairing(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple:
+    """``(R, paired, leftover)``: Q's generating set of size rank_Q(P) and its trace.
+    (g, f, g*f) pairs each symmetric-part generator g with the next least idempotent f (cycling,
+    for the identity relation), and (f, e*f) == (f, f) adds each other idempotent f, e the least.
+    Products of these valid maps are taken on image tuples, unvalidated."""
+    idems = idempotents_Q(P, max_size)
+    gens_sym = symmetric_part_generators(P)
+
+    def times(a, b):
+        return a._unchecked(product_map(a.images)(b.images))
+
+    paired = tuple((g, f, times(g, f)) for g, f in zip(gens_sym, itertools.cycle(idems)))
+    leftover = tuple((f, times(idems[0], f)) for f in idems[len(gens_sym):])
+    return tuple(sorted({row[-1] for row in paired + leftover})), paired, leftover
+
+
 def generators_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
-    """The symmetric-part generators and the m idempotents, which generate Q."""
-    return symmetric_part_generators(P) + idempotents_Q(P, max_size)
+    """R of :func:`rank_pairing`; :func:`enumerate_Q` proves that it generates Q."""
+    return rank_pairing(P, max_size)[0]
 
 
 def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:

@@ -2,22 +2,21 @@
 
 For a nontrivial relation the rank is max{2, m}: a generating set must meet
 every one of the m H-classes, and the group part needs at most two
-generators.  The construction pairs symmetric-part generators with
-idempotents and fills the remaining H-classes with the leftover idempotents,
-then verifies itself against the closure oracle.
+generators.  The construction (``qsemigroup.rank_pairing``) pairs
+symmetric-part generators with idempotents and fills the remaining H-classes
+with the leftover idempotents; ``enumerate_Q``'s closure proof verifies it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .engine import SemigroupSet, _extend, closure
+from .engine import SemigroupSet, _extend
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
-from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE
+from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import enumerate_Q, idempotents_Q, symmetric_part_generators
-from .transformation import Transformation, compose, image
+from .qsemigroup import cardinality_Q, enumerate_Q, idempotents_Q, rank_pairing
+from .transformation import Transformation, image
 
 
 def rank_Q(P: PartitionedSet) -> int:
@@ -47,32 +46,14 @@ class GeneratingSetReport:
 
 
 def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> GeneratingSetReport:
-    """Construct and oracle-verify a generating set of size rank_Q(P).
-
-    Symmetric-part generators are paired injectively with the least
-    idempotents (products g*f); every idempotent outside the pairing joins
-    as itself (e*f == f).  When the generators outnumber the idempotents,
-    which only happens for the identity relation, the pairing cycles
-    through them.  The closure oracle must reproduce Q exactly and
-    the size must equal rank_Q, otherwise an internal error is raised.
-    """
-    Q = enumerate_Q(P, max_size)
-    idems = idempotents_Q(P, max_size)
-    gens_sym = symmetric_part_generators(P)
-    paired = [(g, f, compose(g, f)) for g, f in zip(gens_sym, itertools.cycle(idems))]
-    leftover = [(f, compose(idems[0], f)) for f in idems[len(gens_sym):]]
-    generators = tuple(sorted({p[2] for p in paired} | {l[1] for l in leftover}))
+    """R = ``generators_Q(P)`` with its ``rank_pairing`` trace, verified by ``enumerate_Q``'s
+    closure proof; its size must equal rank_Q, else an internal error is raised."""
+    enumerate_Q(P, max_size)
+    generators, paired, leftover = rank_pairing(P, max_size)
     claimed = rank_Q(P)
     if len(generators) != claimed:
-        raise InternalConsistencyError(
-            f"construction produced {len(generators)} generators, rank is {claimed}"
-        )
-    closed = closure(generators, max_size=max_size)
-    if [a.images for a in closed] != [a.images for a in Q]:
-        raise InternalConsistencyError("constructed generating set does not generate Q")
-    return GeneratingSetReport(
-        P, generators, claimed, tuple(paired), tuple(leftover), True
-    )
+        raise InternalConsistencyError(f"construction produced {len(generators)} generators, rank is {claimed}")
+    return GeneratingSetReport(P, generators, claimed, paired, leftover, True)
 
 
 def _hits_every_hclass(gens, P: PartitionedSet) -> bool:
@@ -104,10 +85,13 @@ def minimality_certificate(P: PartitionedSet) -> dict:
     Steps: (1) exhaustively verify image right-invariance on Q; (2) note that
     rank - 1 = max{2, m} - 1 < m, so any smaller candidate set touches at
     most m - 1 of the m image classes and its closure misses a whole
-    H-class.  Returns the audit numbers; raises on any failed check.
+    H-class.  Returns the audit numbers; raises on any failed check, and
+    ResourceLimitError before step (1) builds a |Q|^2 table past DEFAULT_VERIFY_MAX.
     """
     if P.is_identity_relation:
         raise ContractError("certificate covers nontrivial relations only")
+    if cardinality_Q(P) > DEFAULT_VERIFY_MAX:
+        raise ResourceLimitError(f"|Q| = {cardinality_Q(P)} exceeds minimality certificate bound {DEFAULT_VERIFY_MAX}")
     Q = enumerate_Q(P)
     pairs = verify_image_right_invariance(Q)
     r = rank_Q(P)

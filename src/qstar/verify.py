@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .engine import (
     SemigroupSet,
-    _close_mask,
-    _mask_indices,
+    _extend,
     closure,
     green_R_definitional,
     green_R_related,
@@ -90,16 +89,18 @@ def _all_maps(n: int):
 
 
 def _sampled_closures(Q, rng, count: int):
-    """Closures of ``count`` random 1-3 element subsets of Q, as index lists into Q.
-    All are drawn and closed, but each distinct closed set is yielded once."""
+    """Closures of ``count`` random 1-3 element subsets of Q, as sorted index lists into Q.
+    All are drawn and closed, a pick at a time with ``_extend``, but each distinct closed set is yielded once."""
     table = Q.index_table
     seen = set()
     for _ in range(count):
         picks = rng.sample(range(len(Q)), min(rng.randint(1, 3), len(Q)))
-        mask = _close_mask(table, sum(1 << i for i in picks))
+        mask, members = 0, []
+        for i, x in enumerate(picks):
+            mask, members = _extend(table, mask, members, picks[:i], x)
         if mask not in seen:
             seen.add(mask)
-            yield _mask_indices(mask, len(Q))
+            yield sorted(members)
 
 
 def check_partition_invariants(P: PartitionedSet, rng) -> Check:
@@ -278,10 +279,9 @@ def check_rank_and_generators(P: PartitionedSet, Q, report: GeneratingSetReport)
     r = rank_Q(P)
     if len(report.generators) != r or not report.verified:
         return Check("rank-and-generators", "fail", f"construction gave {len(report.generators)}, rank {r}")
-    # minimal_generating_set has closed these generators and compared the result with Q.
+    # enumerate_Q has closed these generators onto Q and found their factors, symmetric part + idempotents, in Q.
     if not _hits_every_hclass(report.generators, P):
         return Check("rank-and-generators", "fail", "verified generating set misses an H-class")
-    # enumerate_Q has already proved that symmetric part + idempotents generate Q.
     detail = f"rank {r} achieved and verified; symmetric part + idempotents generate"
     if not P.is_identity_relation and len(Q) <= DEFAULT_ORACLE_MAX:
         minimality_certificate(P)

@@ -20,6 +20,7 @@ CASES = {
     "check_q": (["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"], 0),
     "census_6": (["census", "--n", "6"], 0),
     "generate": (["generate", "--partition", "1,2|3,4|5"], 0),
+    "generate_leftover": (["generate", "--partition", "1,2|3,4|5|6|7"], 0),
     "maximal_right_group": (["maximal", "--partition", "1,2|3|4"], 0),
     "maximal_group": (["maximal", "--partition", "1|2|3"], 0),
     "iso": (["iso", "--left", "1,2|3,4", "--right", "1|2,3|4"], 0),

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import qstar.engine
 import qstar.qsemigroup
 import qstar.transformation
 from qstar import (
@@ -25,12 +26,15 @@ from qstar import (
     is_group_Q,
     maximal_subsemigroups_Q,
     partition_from_sizes,
+    partition_from_spec,
     q_shorthand,
     symmetric_group_table,
     symmetric_part_generators,
     universal_partition,
 )
+from qstar.cli import main
 from qstar.engine import groups_isomorphic
+from qstar.qsemigroup import generators_Q
 
 from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS
 
@@ -355,3 +359,60 @@ def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch
 def test_shorthand_table_is_the_canonical_presentation(p6, alpha):
     for i, sh in enumerate(Q36_SHORTHANDS, start=1):
         assert q_shorthand(p6, alpha(i)) == sh
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        (lambda P: Transformation(tuple(range(P.n))), "not closed"),  # the identity map is not in Q
+        (lambda P: idempotents_Q(P)[1], "do not generate the constructed Q"),
+    ],
+    ids=["outside", "short"],
+)
+def test_closure_proof_catches_a_wrong_pairing_product(monkeypatch, wrong, message):
+    # R for (2,1,1) is two products g*f; one product replaced either leaves
+    # the built set or, as an idempotent, leaves one block-pattern generator.
+    P = partition_from_sizes((2, 1, 1))
+    real = qstar.qsemigroup.rank_pairing
+
+    def patched(P, max_size):
+        generators, paired, leftover = real(P, max_size)
+        return (wrong(P),) + generators[1:], paired, leftover
+
+    monkeypatch.setattr(qstar.qsemigroup, "rank_pairing", patched)
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=message):
+        enumerate_Q(P)
+
+
+def test_closure_proof_catches_an_idempotent_outside_the_built_set(monkeypatch):
+    # x sends the block {1, 2} to two points, so it is not in Q, but e*x is the
+    # least idempotent e: R still closes onto Q, and only the check that R's
+    # factors lie in the built set sees x.
+    P = partition_from_sizes((2, 1, 1))
+    x = Transformation((0, 3, 2, 3))
+    real = qstar.qsemigroup.idempotents_Q
+    monkeypatch.setattr(qstar.qsemigroup, "idempotents_Q", lambda *args: real(*args) + (x,))
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        enumerate_Q(P)
+
+
+def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys):
+    calls = []
+    real = qstar.engine.closure
+
+    def counting(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return real(gens, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("qstar") and getattr(module, "closure", None) is real:
+            monkeypatch.setattr(module, "closure", counting)
+    enumerate_Q.cache_clear()
+    assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
+    assert calls == [generators_Q(partition_from_spec("1,2|3,4|5|6|7"))]
+    calls.clear()
+    assert main(["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6"]) == 0
+    assert len(calls) == 2
+    assert '"witness_verified": true' in capsys.readouterr().out

@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
+import qstar.qsemigroup
 import qstar.rank
 from qstar.engine import _close_mask
+from qstar.qsemigroup import generators_Q
 from qstar.rank import _no_generating_set_by_levels
 from qstar.verify import run_verification
 from qstar import (
     ContractError,
     InternalConsistencyError,
+    ResourceLimitError,
     Transformation,
     block_permutation,
     closure,
@@ -249,16 +252,43 @@ def test_brute_force_rejects_a_negative_size():
 
 def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     calls = []
-    real = qstar.rank.closure
+    real = qstar.qsemigroup.closure
 
     def counting(gens, *args, **kwargs):
         calls.append(tuple(gens))
         return real(gens, *args, **kwargs)
 
-    monkeypatch.setattr(qstar.rank, "closure", counting)
-    assert run_verification(partition_from_spec("1,2|3,4|5")).all_passed
-    # minimal_generating_set's own check; the H-class check reuses its result.
-    assert len(calls) == 1
+    monkeypatch.setattr(qstar.qsemigroup, "closure", counting)
+    P = partition_from_spec("1,2|3,4|5")
+    enumerate_Q.cache_clear()
+    assert run_verification(P).all_passed
+    # enumerate_Q's closure proof; minimal_generating_set and the H-class check stand on it.
+    assert calls == [generators_Q(P)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rank_generators_are_the_reported_set_and_their_factors_lie_in_q(n):
+    for sizes in integer_partitions(n):
+        P = partition_from_sizes(sizes)
+        R = generators_Q(P)
+        assert R == minimal_generating_set(P).generators
+        assert len(R) == rank_Q(P)
+        Q = enumerate_Q(P)
+        assert all(g in Q for g in symmetric_part_generators(P) + idempotents_Q(P))
+
+
+def test_minimality_certificate_refuses_q_above_the_verify_bound(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated Q past the bound")
+
+    P = partition_from_sizes((2, 1, 1))  # |Q| = 12
+    monkeypatch.setattr(qstar.rank, "DEFAULT_VERIFY_MAX", 11)
+    monkeypatch.setattr(qstar.rank, "enumerate_Q", no_enumeration)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 12 exceeds minimality certificate bound 11$"):
+        minimality_certificate(P)
+    monkeypatch.undo()
+    monkeypatch.setattr(qstar.rank, "DEFAULT_VERIFY_MAX", 12)
+    assert minimality_certificate(P)["pairs_checked"] == 12 * 12
 
 
 def test_idempotents_alone_never_generate(p6):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 import qstar.transformation
 import qstar.verify
 from qstar.engine import _close_mask, _mask_indices
-from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, partition_from_sizes
+from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, make_partitioned_set, partition_from_sizes
 from qstar.qsemigroup import h_class, idempotents_Q
 from qstar.verify import check_h_class_structure, check_kernel_cross_section, check_maximal, check_right_group_battery
 
@@ -182,3 +183,24 @@ def test_h_class_structure_fails_when_the_pattern_gives_another_idempotents_clas
     monkeypatch.setattr(qstar.verify, "h_class", lambda e, P: real(idems[(idems.index(e) + 1) % len(idems)], P))
     check = check_h_class_structure(p6, enumerate_Q(p6))
     assert (check.status, check.detail) == ("fail", "pattern construction differs from searching Q")
+
+
+def test_sampled_closures_match_the_from_scratch_kernel_on_every_labelling():
+    # All 60 labellings of block sizes (3, 2, 1): the same draws and the same
+    # index lists, in order, as closing each draw's mask with _close_mask.
+    labellings = [
+        (big, pair, tuple(sorted(set(range(6)) - set(big) - set(pair))))
+        for big in itertools.combinations(range(6), 3)
+        for pair in itertools.combinations(sorted(set(range(6)) - set(big)), 2)
+    ]
+    assert len(labellings) == 60
+    for blocks in labellings:
+        Q = enumerate_Q(make_partitioned_set(6, blocks))
+        rng, reference = random.Random(11), random.Random(11)
+        masks = []
+        for _ in range(100):
+            picks = reference.sample(range(len(Q)), min(reference.randint(1, 3), len(Q)))
+            masks.append(_close_mask(Q.index_table, sum(1 << i for i in picks)))
+        expected = [_mask_indices(m, len(Q)) for m in dict.fromkeys(masks)]
+        assert list(qstar.verify._sampled_closures(Q, rng, 100)) == expected
+        assert rng.getstate() == reference.getstate()
