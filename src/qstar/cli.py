@@ -136,6 +136,7 @@ def _parse_map(text: str) -> list[int]:
 def cmd_analyze(args) -> dict:
     P = _partition(args)
     size, m = cardinality_Q(P), json_int(P.m)  # each big number is computed and written once
+    cardinality = json_int(size)  # |Q| = k! * m is the H-class order k! when m = 1
     return {
         "command": "analyze",
         "partition": P.to_spec(),
@@ -143,10 +144,10 @@ def cmd_analyze(args) -> dict:
         "k": P.k,
         "m": m,
         "block_sizes": [len(b) for b in P.blocks],
-        "cardinality": json_int(size),
+        "cardinality": cardinality,
         "idempotents": m,
         "h_classes": m,
-        "h_class_order": json_int(size // P.m),
+        "h_class_order": cardinality if P.m == 1 else json_int(size // P.m),
         "rank": json_int(rank_Q(P)),
         "is_group": is_group_Q(P),
     }

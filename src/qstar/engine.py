@@ -125,8 +125,8 @@ class SemigroupSet:
         return sub
 
 
-def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
-    """The semigroup generated by ``gens``.
+def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
+    """The sorted image tuples of the semigroup generated by ``gens``.
 
     Worklist of known-element x generator right-products; this reaches every
     left-to-right product of generators.  A final pass confirms that
@@ -138,8 +138,7 @@ def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE)
         raise ContractError("closure of an empty generating set")
     if len(gens) > max_size:
         raise ResourceLimitError(f"closure exceeded max_size={max_size}")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
+    if len({g.n for g in gens}) > 1:
         raise ValidationError("generators have mixed degrees")
     gen_images = [g.images for g in gens]
     known = set(gen_images)
@@ -155,7 +154,13 @@ def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE)
     for g in gen_images:
         if not known.issuperset(map(product_map(g), images)):
             raise InternalConsistencyError("left product escaped a right-product closure")
-    return SemigroupSet(n, tuple(map(Transformation._unchecked, images)))
+    return images
+
+
+def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
+    """The semigroup generated by ``gens``: :func:`closure_images`, wrapped."""
+    images = closure_images(gens, max_size)
+    return SemigroupSet(len(images[0]), tuple(map(Transformation._unchecked, images)))
 
 
 def green_R_related(a: Transformation, b: Transformation) -> bool:
@@ -248,11 +253,7 @@ class GroupTable:
     def from_semigroup(cls, S: SemigroupSet):
         t = S.index_table
         size = len(S)
-        identity = None
-        for e in range(size):
-            if all(t[e][x] == x and t[x][e] == x for x in range(size)):
-                identity = e
-                break
+        identity = next((e for e in range(size) if all(t[e][x] == x == t[x][e] for x in range(size))), None)
         if identity is None:
             raise ContractError("not a group: no two-sided identity")
         inverse = []
@@ -284,13 +285,8 @@ class GroupTable:
 
     @cached_property
     def conjugacy_class_sizes(self) -> tuple[int, ...]:
-        t = self.table
-        inv = self.inverse
-        sizes = []
-        for i in range(self.order):
-            cls_ = {t[t[g][i]][inv[g]] for g in range(self.order)}
-            sizes.append(len(cls_))
-        return tuple(sizes)
+        t, inv, indices = self.table, self.inverse, range(self.order)
+        return tuple(len({t[t[g][i]][inv[g]] for g in indices}) for i in indices)
 
 
 def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
@@ -362,7 +358,13 @@ def _extend(table, closed: int, members: list[int], gens: list[int], x: int, sto
 
 
 def _mask_indices(mask: int, size: int) -> list[int]:
-    return [i for i in range(size) if (mask >> i) & 1]
+    """The set bits of ``mask`` below ``size``, ascending: one step per set bit, not per position."""
+    out, mask = [], mask & ((1 << size) - 1)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _maximal_masks(masks: Iterable[int], full: int) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import ContractError, InternalConsistencyError, ValidationError
 from .partition import PartitionedSet, is_cross_section
-from .transformation import Transformation, compose
+from .transformation import Transformation, compose, product_map
 
 
 def _check_degree(P: PartitionedSet, a: Transformation) -> None:
@@ -70,12 +70,9 @@ def in_Q(P: PartitionedSet, a: Transformation) -> bool:
     is re-checked defensively.
     """
     _check_degree(P, a)
-    imgs = a.images
+    imgs, block_of = a.images, P.block_of
     points = [imgs[block[0]] for block in P.blocks]
-    if tuple(map(points.__getitem__, P.block_of)) != imgs:
-        return False
-    covered = {P.block_of[v] for v in points}
-    if len(covered) != P.k:
+    if product_map(block_of)(points) != imgs or len(set(map(block_of.__getitem__, points))) != P.k:
         return False
     if not is_cross_section(P, points):
         raise InternalConsistencyError("accepted map whose image is not a cross-section")

@@ -169,9 +169,9 @@ def partition_from_json(obj: dict) -> PartitionedSet:
 
 def is_cross_section(P: PartitionedSet, elems: Iterable[int]) -> bool:
     """True when ``elems`` holds exactly one element of every block of P."""
-    counts = [0] * P.k
+    counts, block_of, n = [0] * P.k, P.block_of, P.n
     for x in elems:
-        if not isinstance(x, int) or not 0 <= x < P.n:
-            raise ValidationError(f"element {x!r} outside 0..{P.n - 1}")
-        counts[P.block_of[x]] += 1
-    return all(c == 1 for c in counts)
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise ValidationError(f"element {x!r} outside 0..{n - 1}")
+        counts[block_of[x]] += 1
+    return counts.count(1) == len(counts)

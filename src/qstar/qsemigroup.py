@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
-from .engine import GroupTable, SemigroupSet, closure
+from .engine import GroupTable, SemigroupSet, closure_images
 from .errors import (
     ContractError,
     InternalConsistencyError,
@@ -89,33 +89,28 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
 
     The element for a permutation sigma and representatives c (with
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
-    result is verified: the count is k!*m, every member passes in_Q, the
-    closure of R = :func:`generators_Q`, bounded by |Q|, is the built set,
-    and R's factors (symmetric part and idempotents) lie in it.  That proves
-    it closed and generated by R, so by R's factors, with O(|Q|*|R|)
-    products instead of |Q|^2.  Elements are built, sorted and compared as
-    image tuples; each is wrapped by the validating constructor once.
+    result is verified: the count is k!*m, the closure of R =
+    :func:`generators_Q`, bounded by |Q|, is the built set, R's factors
+    (symmetric part and idempotents) lie in it, and every member passes
+    in_Q.  That proves it closed and generated by R, so by R's factors, with
+    O(|Q|*|R|) products instead of |Q|^2.  Elements are built, sorted and
+    compared as image tuples; the closure equality proves each built tuple a
+    product of validated maps before it is wrapped, unvalidated, once.
     """
     expected = cardinality_Q(P)
     if expected > max_size:
         raise ResourceLimitError(f"|Q| = {expected} exceeds max_size={max_size}")
-    blocks = P.blocks
     spread = product_map(P.block_of)  # one image per block -> one per point
-    images = sorted({
+    built = sorted({
         spread(choice)
         for sigma in itertools.permutations(range(P.k))
-        for choice in itertools.product(*(blocks[i] for i in sigma))
+        for choice in itertools.product(*(P.blocks[i] for i in sigma))
     })
-    if len(images) != expected:
-        raise InternalConsistencyError(f"built {len(images)} elements of Q, expected {expected}")
-    elements = tuple(map(Transformation, images))
-    for a in elements:
-        if not in_Q(P, a):
-            raise InternalConsistencyError("constructed element fails the membership predicate")
-    built = [a.images for a in elements]  # what is returned is what the proof covers
+    if len(built) != expected:
+        raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
     generators, paired, leftover = rank_pairing(P, max_size)
     try:
-        generated = [a.images for a in closure(generators, max_size=expected)]
+        generated = closure_images(generators, max_size=expected)
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
         generated = None
     factors = (a.images for row in paired + leftover for a in row[:-1])
@@ -123,6 +118,9 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         raise InternalConsistencyError("constructed Q is not closed under composition")
     if generated != built:
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
+    elements = tuple(map(Transformation._unchecked, built))  # keeping the closure's tuples instead raised peak RSS
+    if not all(in_Q(P, a) for a in elements):
+        raise InternalConsistencyError("constructed element fails the membership predicate")
     return SemigroupSet(P.n, elements)
 
 

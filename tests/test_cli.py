@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+import qstar.cli
 from qstar import limits
 from qstar.cli import build_parser, json_int, main
 from qstar.qsemigroup import decompose, enumerate_Q, idempotents_Q
@@ -68,6 +69,16 @@ def test_analyze_counts_past_the_int_to_str_digit_limit(capsys):
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == math.factorial(1600)
     assert payload["h_class_order"] == digits
+
+
+def test_analyze_writes_the_shared_count_once_when_m_is_one(capsys, monkeypatch):
+    # With m = 1, |Q| and the H-class order are the same k!: one conversion.
+    calls = []
+    real = qstar.cli.decimal_string
+    monkeypatch.setattr(qstar.cli, "decimal_string", lambda value: calls.append(value) or real(value))
+    payload = run_json(capsys, "analyze", "--partition", "|".join(map(str, range(1, 1601))))
+    assert calls == [math.factorial(1600)]
+    assert payload["h_class_order"] == payload["cardinality"]
 
 
 def test_json_int_keeps_every_digit():

@@ -233,8 +233,18 @@ def test_closure_equals_a_one_product_at_a_time_worklist(n):
         gens = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(rng.randint(1, 3))]
         expected = _closure_one_product_at_a_time(gens)
         assert [a.images for a in closure(gens)] == expected, [g.images for g in gens]
+        assert qstar.engine.closure_images(gens) == expected
         sizes.add(len(expected))
     assert len(sizes) > 10
+
+
+def test_mask_indices_equals_a_scan_of_every_position():
+    rng = random.Random(7)
+    for size in (1, 2, 63, 64, 65, 200, 5040):
+        full = (1 << size) - 1
+        for mask in (0, 1, full, 1 << (size - 1), rng.getrandbits(size), rng.getrandbits(size) & rng.getrandbits(size)):
+            assert _mask_indices(mask, size) == [i for i in range(size) if (mask >> i) & 1]
+        assert _mask_indices(full << 1 | 1, size) == list(range(size))  # bits from size up are left out
 
 
 def test_green_r_forms_agree_on_full_transformation_semigroup():

@@ -112,6 +112,15 @@ def test_cross_section_predicate(p6):
     assert not is_cross_section(p6, (0, 1, 3, 5))
     # Singleton classes leave exactly one choice: the whole ground set.
     assert is_cross_section(identity_partition(3), (0, 1, 2))
+    # A bool is an int, so True names the point 1.
+    assert is_cross_section(p6, (True, 3, 5))
+    assert not is_cross_section(p6, (True, 0, 5))
+
+
+@pytest.mark.parametrize("x", [-1, 6, 1.0, "1"])
+def test_cross_section_rejects_an_element_outside_the_ground_set(p6, x):
+    with pytest.raises(ValidationError, match=r"^element .* outside 0\.\.5$"):
+        is_cross_section(p6, (0, 3, x))
 
 
 @pytest.mark.parametrize("sizes", [(2, 1), (3, 2), (2, 2, 1), (1, 1, 1)])

@@ -272,24 +272,42 @@ def test_cache_entry_does_not_depend_on_how_the_bound_is_passed():
         assert fn.cache_info().misses == 1
 
 
+def _plant_in_built_set(monkeypatch, P, corrupt):
+    """Make enumerate_Q build ``corrupt(images)`` in place of its first
+    element that is not a factor of R; returns the list that records it."""
+    factors = {a.images for a in symmetric_part_generators(P) + idempotents_Q(P)}
+    real = qstar.qsemigroup.product_map
+    planted = []
+
+    def planting(a_images):
+        spread = real(a_images)
+        if a_images is not P.block_of:
+            return spread
+
+        def faulty(choice):
+            images = spread(choice)
+            if planted or images in factors:
+                return images
+            planted.append(images)
+            return corrupt(images)
+
+        return faulty
+
+    monkeypatch.setattr(qstar.qsemigroup, "product_map", planting)
+    return planted
+
+
 def test_closure_proof_catches_a_corrupted_element(monkeypatch):
     # With the membership filter switched off, a corrupted element keeps the
     # count right, so only the closure proof can notice it: the closure of
     # the symmetric part and the idempotents reaches the element it replaced.
     P = partition_from_sizes((2, 1, 1))
-    built = []
-
-    def corrupting(images):
-        built.append(images)
-        if len(built) == 1:
-            images = tuple(range(P.n))  # the identity map, not a member of Q
-        return Transformation(images)
-
-    monkeypatch.setattr(qstar.qsemigroup, "Transformation", corrupting)
+    planted = _plant_in_built_set(monkeypatch, P, lambda images: tuple(range(P.n)))  # the identity map, not in Q
     monkeypatch.setattr(qstar.qsemigroup, "in_Q", lambda P, a: True)
     enumerate_Q.cache_clear()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
+    assert planted
 
 
 def test_closure_proof_reports_escaping_generators_as_not_closed(monkeypatch):
@@ -399,16 +417,17 @@ def test_closure_proof_catches_an_idempotent_outside_the_built_set(monkeypatch):
 
 
 def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys):
+    # Counts the image-level kernel, which engine.closure wraps too.
     calls = []
-    real = qstar.engine.closure
+    real = qstar.engine.closure_images
 
     def counting(gens, *args, **kwargs):
         calls.append(tuple(gens))
         return real(gens, *args, **kwargs)
 
     for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("qstar") and getattr(module, "closure", None) is real:
-            monkeypatch.setattr(module, "closure", counting)
+        if module is not None and module.__name__.startswith("qstar") and getattr(module, "closure_images", None) is real:
+            monkeypatch.setattr(module, "closure_images", counting)
     enumerate_Q.cache_clear()
     assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
     assert calls == [generators_Q(partition_from_spec("1,2|3,4|5|6|7"))]
@@ -416,3 +435,45 @@ def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys)
     assert main(["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6"]) == 0
     assert len(calls) == 2
     assert '"witness_verified": true' in capsys.readouterr().out
+
+
+def test_enumeration_validates_only_the_generator_factors(monkeypatch):
+    # The closure equality proves every built tuple a product of validated
+    # maps, so only the m idempotents and the (at most two) symmetric-part
+    # generators go through the validating constructor, not the |Q| = 480
+    # elements.
+    P = partition_from_sizes((2, 2, 1, 1, 1))
+    validations = []
+    real = Transformation.__post_init__
+
+    def counting(self):
+        validations.append(self.images)
+        real(self)
+
+    for fn in (enumerate_Q, idempotents_Q, decompose):
+        fn.cache_clear()
+    monkeypatch.setattr(Transformation, "__post_init__", counting)
+    Q = enumerate_Q(P)
+    assert len(Q) == 480
+    assert 0 < len(validations) <= P.m + 2
+
+
+def test_a_built_tuple_outside_the_closure_is_caught_before_any_element_is_wrapped(monkeypatch):
+    # One built tuple that is not a factor of R gets the image n, which no
+    # map of degree n has: the count stays k!*m and the factors stay in the
+    # built set, so only the closure proof can see it, and it must see it
+    # before the unvalidated wrap that would trust it.
+    P = partition_from_sizes((2, 1, 1))
+    planted = _plant_in_built_set(monkeypatch, P, lambda images: (P.n,) + images[1:])
+    wrapped = []
+    real_unchecked = Transformation._unchecked.__func__
+
+    def recording(cls, images):
+        wrapped.append(images)
+        return real_unchecked(cls, images)
+
+    monkeypatch.setattr(Transformation, "_unchecked", classmethod(recording))
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        enumerate_Q(P)
+    assert planted and not any(P.n in images for images in wrapped)

@@ -252,13 +252,13 @@ def test_brute_force_rejects_a_negative_size():
 
 def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     calls = []
-    real = qstar.qsemigroup.closure
+    real = qstar.qsemigroup.closure_images
 
     def counting(gens, *args, **kwargs):
         calls.append(tuple(gens))
         return real(gens, *args, **kwargs)
 
-    monkeypatch.setattr(qstar.qsemigroup, "closure", counting)
+    monkeypatch.setattr(qstar.qsemigroup, "closure_images", counting)
     P = partition_from_spec("1,2|3,4|5")
     enumerate_Q.cache_clear()
     assert run_verification(P).all_passed
