@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS
-from .membership import in_Q
+from .membership import all_in_Q, in_Q
 from .partition import PartitionedSet
 from .transformation import Transformation, compose, image, product_map
 
@@ -91,9 +91,9 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
     result is verified: the count is k!*m, the closure of R =
     :func:`generators_Q`, bounded by |Q|, is the built set, R's factors
-    (symmetric part and idempotents) lie in it, and every member passes
-    in_Q.  That proves it closed and generated by R, so by R's factors, with
-    O(|Q|*|R|) products instead of |Q|^2.  Elements are built, sorted and
+    (symmetric part and idempotents) lie in it, and the whole set passes
+    all_in_Q.  That proves it closed and generated by R, so by R's factors,
+    with O(|Q|*|R|) products instead of |Q|^2.  Elements are built, sorted and
     compared as image tuples; the closure equality proves each built tuple a
     product of validated maps before it is wrapped, unvalidated, once.
     """
@@ -118,10 +118,9 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         raise InternalConsistencyError("constructed Q is not closed under composition")
     if generated != built:
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
-    elements = tuple(map(Transformation._unchecked, built))  # keeping the closure's tuples instead raised peak RSS
-    if not all(in_Q(P, a) for a in elements):
+    if not all_in_Q(P, built):  # after the closure proof, which rejects tuples that are not maps of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
-    return SemigroupSet(P.n, elements)
+    return SemigroupSet(P.n, tuple(map(Transformation._unchecked, built)))  # not the closure's tuples: they raised peak RSS
 
 
 def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
@@ -141,19 +140,17 @@ def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
 def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
     """The m idempotents of Q: one per choice of a representative in each block.
 
-    Each constructed map is verified to satisfy a*a == a.
+    Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
     if P.m > max_size:
         raise ResourceLimitError(f"idempotent count {P.m} exceeds max_size={max_size}")
-    out = []
-    for choice in itertools.product(*P.blocks):
-        a = Transformation(tuple(choice[P.block_of[x]] for x in range(P.n)))
-        if compose(a, a) != a:
-            raise InternalConsistencyError("constructed idempotent fails a*a == a")
-        out.append(a)
-    out = tuple(sorted(out))
+    out = tuple(sorted(map(Transformation, map(product_map(P.block_of), itertools.product(*P.blocks)))))
+    if any(compose(a, a) != a for a in out):
+        raise InternalConsistencyError("constructed idempotent fails a*a == a")
     if len(out) != P.m:
         raise InternalConsistencyError(f"built {len(out)} idempotents, expected {P.m}")
+    if not all_in_Q(P, [a.images for a in out]) or any(product_map(a.images)(P.block_of) != P.block_of for a in out):
+        raise InternalConsistencyError("constructed idempotent does not send each block to one of its own points")
     return out
 
 

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and parses as
+the oldest Python that ``pyproject.toml`` declares.
 
 An import on a line marked ``# noqa: F401`` is kept on purpose.  The
 package's ``__init__`` re-exports what it imports, so there a name counts
@@ -10,7 +11,9 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qstar"
+PYTHON_FLOOR = (3, 10)
 
 
 def imported_names(tree, lines):
@@ -60,3 +63,14 @@ def test_no_unused_imports(path):
     used = exported_names(tree) if path.name == "__init__.py" else used_names(tree)
     unused = [f"{path.name}:{line} {name}" for line, name in imported_names(tree, source.splitlines()) if name not in used]
     assert unused == []
+
+
+def test_python_floor_matches_pyproject():
+    assert f'requires-python = ">={PYTHON_FLOOR[0]}.{PYTHON_FLOOR[1]}"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    # Syntax only: a library call new since the floor, such as
+    # operator.call (3.11), still needs review.
+    ast.parse(path.read_text(), filename=path.name, feature_version=PYTHON_FLOOR)

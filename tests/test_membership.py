@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from qstar import (
     ContractError,
+    InternalConsistencyError,
     SemigroupSet,
     Transformation,
     closure,
+    enumerate_Q,
     identity_partition,
     in_Q,
     in_TE,
@@ -18,6 +21,7 @@ from qstar import (
     partition_from_sizes,
     universal_partition,
 )
+from qstar.membership import all_in_Q
 
 
 def all_maps(n):
@@ -175,3 +179,86 @@ def test_in_Q_equals_its_definition_on_every_map_of_every_partition_up_to_five_p
             pairs += len(maps)
     assert pairs == 166_484
     assert members == 1479  # the sum of k! * m over those 203 partitions
+
+
+def shapes(n, largest=None):
+    """Every block-size shape of n points, as non-increasing size tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in shapes(n - first, first):
+            yield (first,) + rest
+
+
+def shuffled_partition(sizes):
+    """Blocks of the given sizes over a seeded shuffle of the points, so that
+    blocks are not runs of consecutive points."""
+    points = list(range(sum(sizes)))
+    random.Random(repr(sizes)).shuffle(points)
+    starts = list(itertools.accumulate((0,) + sizes))
+    return make_partitioned_set(len(points), [points[a:b] for a, b in zip(starts, starts[1:])])
+
+
+SHAPES_UP_TO_FIVE = [sizes for n in range(1, 6) for sizes in shapes(n)]
+
+
+@pytest.mark.parametrize("sizes", SHAPES_UP_TO_FIVE, ids=str)
+def test_batch_agrees_with_in_Q_on_every_map_of_a_shuffled_partition(sizes):
+    P = shuffled_partition(sizes)
+    members = []
+    for a in all_maps(P.n):
+        member = in_Q(P, a)
+        assert all_in_Q(P, [a.images]) == member, a.images
+        if member:
+            members.append(a.images)
+    assert len(members) == len(enumerate_Q(P))
+    assert all_in_Q(P, members)
+
+
+def _non_members(P, q):
+    """From a member q of Q: a map that breaks collapse only (a point that is
+    not its block's head moves, the heads still meet every block) and, for
+    k >= 2, one that breaks cover only (every block sent to one point)."""
+    out = {}
+    head_of = {x: block[0] for block in P.blocks for x in block}
+    x = next((x for x in range(P.n) if head_of[x] != x), None)
+    if x is not None:
+        out["collapse"] = q[:x] + ((q[x] + 1) % P.n,) + q[x + 1:]
+    if P.k >= 2:
+        out["cover"] = (q[0],) * P.n
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1), (3, 1, 1), (2, 1), (1, 1, 1), (3,)], ids=str)
+def test_batch_rejects_one_non_member_wherever_it_stands(sizes):
+    P = shuffled_partition(sizes)
+    Q = [a.images for a in enumerate_Q(P)]
+    cases = _non_members(P, Q[len(Q) // 2])
+    assert cases
+    for broken, bad in cases.items():
+        assert not in_Q(P, Transformation(bad)), broken
+        for position in (0, len(Q) // 2, len(Q)):
+            assert not all_in_Q(P, Q[:position] + [bad] + Q[position:]), (broken, position)
+
+
+@pytest.mark.parametrize("sizes", [sizes for n in range(1, 7) for sizes in shapes(n)], ids=str)
+def test_batch_accepts_every_enumerated_Q(sizes):
+    P = partition_from_sizes(sizes)
+    assert all_in_Q(P, [a.images for a in enumerate_Q(P)])
+
+
+def test_batch_raises_when_accepted_images_are_not_cross_sections(monkeypatch):
+    # The defensive postcondition: with the cover test made to see k blocks
+    # in every tuple, a collapsed map whose heads all land in one block is
+    # still caught by the count of hits per block.
+    import builtins
+
+    import qstar.membership
+
+    P = partition_from_sizes((2, 1))
+    fooled = lambda items: builtins.set(range(P.k)) if isinstance(items, tuple) else builtins.set(items)
+    monkeypatch.setattr(qstar.membership, "set", fooled, raising=False)
+    assert all_in_Q(P, [(0, 0, 2), (2, 2, 0)])
+    with pytest.raises(InternalConsistencyError, match="^accepted map whose image is not a cross-section$"):
+        all_in_Q(P, [(0, 0, 0)])

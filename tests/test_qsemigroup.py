@@ -303,11 +303,86 @@ def test_closure_proof_catches_a_corrupted_element(monkeypatch):
     # the symmetric part and the idempotents reaches the element it replaced.
     P = partition_from_sizes((2, 1, 1))
     planted = _plant_in_built_set(monkeypatch, P, lambda images: tuple(range(P.n)))  # the identity map, not in Q
-    monkeypatch.setattr(qstar.qsemigroup, "in_Q", lambda P, a: True)
+    monkeypatch.setattr(qstar.qsemigroup, "all_in_Q", lambda P, images: True)
     enumerate_Q.cache_clear()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
     assert planted
+
+
+def test_membership_is_checked_in_one_batch_not_per_element(monkeypatch):
+    P = partition_from_sizes((2, 2, 1, 1, 1))
+    per_element, batches = [], []
+    real_in_Q, real_all_in_Q = qstar.qsemigroup.in_Q, qstar.qsemigroup.all_in_Q
+    monkeypatch.setattr(qstar.qsemigroup, "in_Q", lambda P, a: per_element.append(a) or real_in_Q(P, a))
+    monkeypatch.setattr(qstar.qsemigroup, "all_in_Q", lambda P, images: batches.append(len(images)) or real_all_in_Q(P, images))
+    enumerate_Q.cache_clear()
+    idempotents_Q.cache_clear()
+    assert len(enumerate_Q(P)) == 480
+    assert per_element == []
+    assert batches == [P.m, 480]  # the idempotents, then the built set
+
+
+def test_membership_batch_catches_a_non_member_that_passes_the_closure_proof(monkeypatch):
+    # The closure is made to report the planted identity map in place of the
+    # element it replaced, so the count, the factors and the closure
+    # equality all pass, and only the membership batch is left to see it.
+    P = partition_from_sizes((2, 1, 1))
+    identity = tuple(range(P.n))
+    planted = _plant_in_built_set(monkeypatch, P, lambda images: identity)
+    real = qstar.qsemigroup.closure_images
+
+    def passing(generators, max_size):
+        return sorted(identity if images == planted[0] else images for images in real(generators, max_size=max_size))
+
+    monkeypatch.setattr(qstar.qsemigroup, "closure_images", passing)
+    enumerate_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="^constructed element fails the membership predicate$"):
+        enumerate_Q(P)
+    assert planted
+
+
+@pytest.mark.parametrize(
+    "wrong, member",
+    [
+        # The identity map is idempotent and sends each block into itself,
+        # but not to one point, so it is not in Q.
+        (lambda P: tuple(range(P.n)), False),
+        # A member of Q that sends block {0, 1} to 2: with a*a == a switched
+        # off, only the blockwise test sees it.
+        (lambda P: (2, 2, 3, 0), True),
+    ],
+    ids=["identity", "moves-a-block"],
+)
+def test_idempotents_reject_a_wrong_build_before_it_is_cached(monkeypatch, wrong, member):
+    P = partition_from_sizes((2, 1, 1))
+    real = qstar.qsemigroup.product_map
+    planted = []
+
+    def planting(a_images):
+        spread = real(a_images)
+        if a_images is not P.block_of:
+            return spread
+
+        def faulty(choice):
+            if planted:
+                return spread(choice)
+            planted.append(wrong(P))
+            return planted[0]
+
+        return faulty
+
+    monkeypatch.setattr(qstar.qsemigroup, "product_map", planting)
+    if member:
+        monkeypatch.setattr(qstar.qsemigroup, "compose", lambda a, b: a)
+    idempotents_Q.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="^constructed idempotent does not send each block to one of its own points$"):
+        idempotents_Q(P)
+    assert in_Q(P, Transformation(planted[0])) == member
+    monkeypatch.undo()
+    idems = idempotents_Q(P)
+    assert len(idems) == P.m
+    assert all(in_Q(P, e) and e * e == e and e.images != planted[0] for e in idems)
 
 
 def test_closure_proof_reports_escaping_generators_as_not_closed(monkeypatch):
