@@ -237,11 +237,12 @@ def is_homomorphism(phi: Sequence[int], t1, t2) -> bool:
 class GroupTable:
     """A finite group presented by its full multiplication table.
 
-    ``identity`` and ``inverse`` are found by exhaustive search of the table
-    at construction time.  Associativity is inherited from map composition.
-    The order is bounded where the elements are built (``h_class``,
-    ``symmetric_group_table``), and nothing that takes a built group checks
-    it again.
+    ``identity`` is found by exhaustive search of the table at construction
+    time.  Each ``inverse`` is the first right inverse, checked two-sided: in
+    an associative table it is the two-sided inverse if there is one.
+    Associativity is inherited from map composition.  The order is bounded
+    where the elements are built (``h_class``, ``symmetric_group_table``),
+    and nothing that takes a built group checks it again.
     """
 
     elements: SemigroupSet
@@ -257,9 +258,9 @@ class GroupTable:
         if identity is None:
             raise ContractError("not a group: no two-sided identity")
         inverse = []
-        for x in range(size):
-            inv = next((y for y in range(size) if t[x][y] == identity and t[y][x] == identity), None)
-            if inv is None:
+        for x, row in enumerate(t):
+            inv = row.index(identity) if identity in row else None
+            if inv is None or t[inv][x] != identity:
                 raise ContractError(f"not a group: element {x} has no inverse")
             inverse.append(inv)
         return cls(S, identity, tuple(inverse), t)
@@ -387,9 +388,9 @@ def subgroup_lattice(G: GroupTable) -> tuple[tuple[int, ...], ...]:
 
 
 def maximal_subgroups(G: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """Proper subgroups not contained in any larger proper subgroup."""
-    masks = [sum(1 << i for i in s) for s in subgroup_lattice(G)]
-    out = [tuple(_mask_indices(mask, G.order)) for mask in _maximal_masks(masks, (1 << G.order) - 1)]
+    """Proper subgroups not contained in any larger proper subgroup, by :func:`subgroup_lattice`'s argument."""
+    masks = _maximal_masks(all_closed_subsets(G.elements), (1 << G.order) - 1)
+    out = [tuple(_mask_indices(mask, G.order)) for mask in masks]
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 

@@ -10,10 +10,11 @@ values here.
 
 # Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
 DEFAULT_MAX_CLOSURE = 100_000
-# Order of a group built as a table (``--group-order-bound``).  The subgroup
+# Order of a group built as a table (``--group-order-bound``): one per
+# ``maximal`` run, the H-class or (m = 1) the symmetric group.  The subgroup
 # lattice has no work budget of its own; on S_6 (order 720) Close-by-One
-# lists its 1,455 subgroups in about 0.5 s, and S_7 (order 5040) would need
-# a 25-million-entry table.
+# lists its 1,455 subgroups in about 0.5 s, and S_7 (order 5040) needs a
+# 25-million-entry table.
 DEFAULT_MAX_GROUP_ORDER = 120
 # Work of a closed-subset search: the closed sets ``all_closed_subsets``
 # lists, or the states of the maximal-subsemigroup oracle's branch and cut

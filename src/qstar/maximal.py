@@ -5,35 +5,28 @@ right-group coordinates (group part) x (idempotents) of ``decompose``:
 H x E(Q) for a maximal subgroup H of the group part, or
 (group part) x (E(Q) minus one idempotent).
 That yields s_k + m of them, where s_k counts the maximal subgroups of the
-symmetric group on k points.  The exhaustive oracle instead searches the
-closed subsets of Q by branch and cut, with no theory, for the maximal
-ones, so the construction can be checked set-for-set.
+symmetric group S_k; the construction proves its group part isomorphic to
+S_k on the block patterns and counts there, and :func:`count_maximal`
+counts again on an S_k built from scratch, for the oracle battery.  The
+exhaustive oracle instead searches the closed subsets of Q by branch and
+cut, with no theory, for the maximal ones, so the construction can be
+checked set-for-set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .engine import (
-    SemigroupSet,
-    _extend,
-    _mask_indices,
-    _maximal_masks,
-    is_maximal_subsemigroup,
-    maximal_subgroups,
-    symmetric_group_table,
-)
-from .errors import (
-    InternalConsistencyError,
-    ResourceLimitError,
-    UnsupportedCaseError,
-)
+from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks, closure_images
+from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
+from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
 from .limits import DEFAULT_MAX_CLOSED_SETS
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import decompose, enumerate_Q
-from .transformation import Transformation
+from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, symmetric_part_generators
+from .transformation import Transformation, product_map
 
 
 @dataclass(frozen=True)
@@ -57,16 +50,40 @@ class MaximalSubsemigroupReport:
         return self.group_type + self.right_zero_type
 
 
-def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[int, int, int]:
-    """(s_k, m, s_k + m) for m >= 2; s_k is computed from a freshly built
-    symmetric group table, never read from a stored list."""
+def _require_right_group(P: PartitionedSet) -> None:
     if P.m < 2:
         raise UnsupportedCaseError(
             "E is the identity relation, Q is a group; ask for maximal subgroups "
             "of the symmetric group on k points instead"
         )
+
+
+def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[int, int, int]:
+    """(s_k, m, s_k + m) for m >= 2; s_k is computed from a freshly built symmetric
+    group table, never read from a stored list: the oracle battery's count."""
+    _require_right_group(P)
     s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_group_order)))
     return (s_k, P.m, s_k + P.m)
+
+
+def _check_symmetric(dec: RightGroupDecomposition) -> None:
+    """Prove the group part G isomorphic to S_k: the block patterns are the k!
+    permutations, each once; the symmetric-part generators generate G; and
+    pattern(a*g) == pattern(a)*pattern(g) for every a in G and generator g, so by
+    induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
+    P, G, patterns = dec.partition, dec.group_part, dec.patterns
+    if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
+        raise InternalConsistencyError("block patterns are not the symmetric group, each once")
+    gens = symmetric_part_generators(P)
+    try:
+        generated = closure_images(gens, max_size=G.order)
+    except ResourceLimitError:  # the closure grew past |G|, so it left G
+        generated = None
+    if generated != [a.images for a in G.elements]:
+        raise InternalConsistencyError("symmetric part does not generate the group part")
+    for g in map(G.elements.index_of, gens):
+        if any(patterns[row[g]] != product_map(p)(patterns[g]) for row, p in zip(G.table, patterns)):
+            raise InternalConsistencyError("block pattern map is not multiplicative")
 
 
 def maximal_subsemigroups_Q(
@@ -78,50 +95,36 @@ def maximal_subsemigroups_Q(
 
     Group type: (maximal subgroup of the base H-class) paired with all
     idempotents.  Right-zero type: the whole group part paired with all but
-    one idempotent.  Each set is checked for maximality against the
-    definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``, and the
-    group-type count is cross-checked against the fresh symmetric group.
+    one idempotent.  The group part is proved isomorphic to S_k on its block
+    patterns, so s_k is the number of its maximal subgroups.  Each set is
+    checked for maximality against the definitional engine predicate when
+    |Q| <= ``DEFAULT_VERIFY_MAX``.
     """
-    if P.m < 2:
-        raise UnsupportedCaseError(
-            "E is the identity relation, Q is a group; ask for maximal subgroups "
-            "of the symmetric group on k points instead"
-        )
+    _require_right_group(P)
     dec = decompose(P, max_size, max_group_order)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part
     m = P.m
+    _check_symmetric(dec)
 
     # decompose certified that its grid holds every element of Q once, so
     # these families have |H|*m and k!*(m-1) distinct members.
-    subgroups = sorted(maximal_subgroups(G))
-    group_type = []
-    for H in subgroups:
-        elems = [dec.element(i, j) for i in H for j in range(m)]
-        group_type.append(SemigroupSet(P.n, tuple(sorted(elems, key=attrgetter("images")))))
-    right_zero = []
-    for omitted in range(m):
-        elems = [dec.element(i, j) for i in range(G.order) for j in range(m) if j != omitted]
-        right_zero.append(SemigroupSet(P.n, tuple(sorted(elems, key=attrgetter("images")))))
+    def family(cells) -> SemigroupSet:
+        return SemigroupSet(P.n, tuple(sorted((dec.element(i, j) for i, j in cells), key=attrgetter("images"))))
 
-    s_k = count_maximal(P, max_group_order)[0]
-    if len(group_type) != s_k:
-        raise InternalConsistencyError(
-            f"H-class has {len(group_type)} maximal subgroups, fresh symmetric group has {s_k}"
-        )
-    verified = False
-    if len(Q) <= DEFAULT_VERIFY_MAX:
-        for T in group_type + right_zero:
-            if not is_maximal_subsemigroup(T, Q):
-                raise InternalConsistencyError("constructed set fails the maximality oracle")
-        verified = True
+    subgroups = sorted(maximal_subgroups(G))
+    group_type = [family((i, j) for i in H for j in range(m)) for H in subgroups]
+    right_zero = [family((i, j) for i in range(G.order) for j in range(m) if j != omitted) for omitted in range(m)]
+    verified = len(Q) <= DEFAULT_VERIFY_MAX
+    if verified and not all(is_maximal_subsemigroup(T, Q) for T in group_type + right_zero):
+        raise InternalConsistencyError("constructed set fails the maximality oracle")
     return MaximalSubsemigroupReport(
         P,
         tuple(group_type),
         tuple(G.elements.subset(H) for H in subgroups),
         tuple(right_zero),
         dec.idempotent_part,
-        s_k,
+        len(group_type),
         m,
         verified,
     )

@@ -17,19 +17,14 @@ from collections import Counter
 from itertools import chain
 from operator import eq
 
-from .errors import ContractError, InternalConsistencyError, ValidationError
-from .partition import PartitionedSet, is_cross_section
+from .errors import ContractError, InternalConsistencyError
+from .partition import PartitionedSet, check_degree, is_cross_section
 from .transformation import Transformation, compose, product_map
-
-
-def _check_degree(P: PartitionedSet, a: Transformation) -> None:
-    if a.n != P.n:
-        raise ValidationError(f"degree mismatch: map on {a.n} points, partition of {P.n}")
 
 
 def in_TE(P: PartitionedSet, a: Transformation) -> bool:
     """True when each block of P maps into a single block."""
-    _check_degree(P, a)
+    check_degree(P, a)
     block_of = P.block_of
     imgs = a.images
     for block in P.blocks:
@@ -54,7 +49,7 @@ def in_TEstar(P: PartitionedSet, a: Transformation) -> bool:
 
 def in_TEstar_pairwise(P: PartitionedSet, a: Transformation) -> bool:
     """Quantified O(n^2) oracle: for all x, y, (x,y) in E iff (xa, ya) in E."""
-    _check_degree(P, a)
+    check_degree(P, a)
     block_of = P.block_of
     imgs = a.images
     for x in range(P.n):
@@ -74,7 +69,7 @@ def in_Q(P: PartitionedSet, a: Transformation) -> bool:
     members automatically lie in T_{E*}(X); the cross-section postcondition
     is re-checked defensively.
     """
-    _check_degree(P, a)
+    check_degree(P, a)
     imgs, block_of = a.images, P.block_of
     points = [imgs[block[0]] for block in P.blocks]
     if product_map(block_of)(points) != imgs or len(set(map(block_of.__getitem__, points))) != P.k:

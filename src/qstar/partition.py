@@ -167,6 +167,12 @@ def partition_from_json(obj: dict) -> PartitionedSet:
     return _partition(obj["n"], blocks, 1)
 
 
+def check_degree(P: PartitionedSet, a) -> None:
+    """Raise :class:`ValidationError` unless the map ``a`` acts on P's n points."""
+    if a.n != P.n:
+        raise ValidationError(f"degree mismatch: map on {a.n} points, partition of {P.n}")
+
+
 def is_cross_section(P: PartitionedSet, elems: Iterable[int]) -> bool:
     """True when ``elems`` holds exactly one element of every block of P."""
     counts, block_of, n = [0] * P.k, P.block_of, P.n

@@ -17,15 +17,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
 from .engine import GroupTable, SemigroupSet, closure_images
-from .errors import (
-    ContractError,
-    InternalConsistencyError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS
 from .membership import all_in_Q, in_Q
-from .partition import PartitionedSet
+from .partition import PartitionedSet, check_degree
 from .transformation import Transformation, compose, image, product_map
 
 
@@ -45,8 +40,7 @@ def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     sigma[i] is the index of the block receiving block i.  Raises
     :class:`ContractError` when the map does not induce a block bijection.
     """
-    if a.n != P.n:
-        raise ValidationError(f"degree mismatch: map on {a.n} points, partition of {P.n}")
+    check_degree(P, a)
     sigma = []
     for bi, block in enumerate(P.blocks):
         targets = {P.block_of[a.images[x]] for x in block}

@@ -110,7 +110,7 @@ def minimality_certificate(P: PartitionedSet) -> dict:
     }
 
 
-def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int, max_q: int = DEFAULT_BRUTE_FORCE_MAX_Q) -> bool:
+def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int) -> bool:
     """True when no ``size``-subset of Q generates Q, by a search over closed sets.
 
     Uses Q's product table and nothing else, as an independent cross-check
@@ -118,10 +118,9 @@ def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int, max_q: i
     """
     if size < 0:
         raise ContractError(f"size must be >= 0, got {size}")
-    Q = enumerate_Q(P)
-    if len(Q) > max_q:
-        raise ResourceLimitError(f"|Q| = {len(Q)} exceeds brute-force bound {max_q}")
-    return _no_generating_set_by_levels(Q.index_table, size)
+    if cardinality_Q(P) > DEFAULT_BRUTE_FORCE_MAX_Q:
+        raise ResourceLimitError(f"|Q| = {cardinality_Q(P)} exceeds brute-force bound {DEFAULT_BRUTE_FORCE_MAX_Q}")
+    return _no_generating_set_by_levels(enumerate_Q(P).index_table, size)
 
 
 def _no_generating_set_by_levels(table, size: int) -> bool:

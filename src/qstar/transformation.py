@@ -11,7 +11,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import ContractError, ValidationError
-from .partition import PartitionedSet
+from .partition import PartitionedSet, check_degree
 
 
 @dataclass(frozen=True, order=True)
@@ -117,8 +117,7 @@ def q_shorthand(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
 
     Raises :class:`ContractError` when ``a`` is not constant on some block.
     """
-    if a.n != P.n:
-        raise ValidationError(f"degree mismatch: map on {a.n} points, partition of {P.n}")
+    check_degree(P, a)
     out = []
     for bi, block in enumerate(P.blocks):
         vals = {a.images[x] for x in block}

@@ -36,7 +36,7 @@ from .engine import (
 from .errors import QstarError, ResourceLimitError, ValidationError
 from .iso import build_isomorphism, q_isomorphic
 from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, MAX_SAMPLES
-from .maximal import _maximal_closed_masks, maximal_subsemigroups_Q
+from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import (
     in_Q,
     in_TE,
@@ -293,7 +293,7 @@ def check_maximal(P: PartitionedSet, Q) -> Check:
     if P.m < 2:
         return Check("maximal-subsemigroups", "skipped", "m = 1: Q is a group, case not covered")
     report = maximal_subsemigroups_Q(P)
-    expected = report.s_k + report.m
+    expected = count_maximal(P)[2]  # a second S_k, built apart from the construction's group part
     got = len(report.all_subsemigroups())
     if got != expected:
         return Check("maximal-subsemigroups", "fail", f"{got} constructed, count formula says {expected}")

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import qstar.rank
 from qstar import (
     SemigroupSet,
     Transformation,
@@ -116,7 +117,8 @@ def test_acceptance_3_counting_formulas_small_census(criterion):
         assert covered >= 28
 
 
-def test_acceptance_4_rank_achieved_and_minimal(criterion):
+def test_acceptance_4_rank_achieved_and_minimal(criterion, monkeypatch):
+    monkeypatch.setattr(qstar.rank, "DEFAULT_BRUTE_FORCE_MAX_Q", 40)  # the sweep below covers |Q| <= 40
     with criterion(4, "rank max(2, m) achieved, smaller sets ruled out", 300.0):
         for P in all_partitions_up_to(7):
             if P.is_identity_relation:
@@ -128,7 +130,7 @@ def test_acceptance_4_rank_achieved_and_minimal(criterion):
             if cardinality_Q(P) <= 40:
                 cert = minimality_certificate(P)
                 assert cert["smaller_subsets_possible"] is False
-                assert brute_force_no_generating_set_of_size(P, rank_Q(P) - 1, max_q=40)
+                assert brute_force_no_generating_set_of_size(P, rank_Q(P) - 1)
 
 
 def test_acceptance_5_maximal_construction_vs_exhaustive_oracle(criterion):

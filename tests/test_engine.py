@@ -354,6 +354,15 @@ def test_group_table_rejects_a_right_zero_band_for_lacking_an_identity():
         GroupTable.from_semigroup(band)
 
 
+def test_group_table_checks_a_right_inverse_from_the_left():
+    # A forged, non-associative table: 1 * 2 is the identity 0, but 2 * 1 is not.
+    # In an associative table a right inverse is always two-sided.
+    S = SemigroupSet(2, (identity_map(2), constant_map(2, 0), constant_map(2, 1)))
+    S.__dict__["index_table"] = ((0, 1, 2), (1, 2, 0), (2, 2, 1))
+    with pytest.raises(ContractError, match="^not a group: element 1 has no inverse$"):
+        GroupTable.from_semigroup(S)
+
+
 def test_group_table_rejects_an_element_without_an_inverse():
     monoid = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
     with pytest.raises(ContractError, match="^not a group: element 0 has no inverse$"):

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+import qstar.engine
 import qstar.maximal
 from qstar import (
     ResourceLimitError,
@@ -11,6 +13,7 @@ from qstar import (
     UnsupportedCaseError,
     closure,
     count_maximal,
+    decompose,
     enumerate_Q,
     exhaustive_maximal_oracle,
     identity_partition,
@@ -24,6 +27,8 @@ from qstar import (
 )
 from qstar.cli import main
 from qstar.engine import _maximal_masks, all_closed_subsets
+from qstar.errors import InternalConsistencyError
+from qstar.iso import integer_partitions
 from qstar.limits import DEFAULT_ORACLE_MAX
 from qstar.maximal import _maximal_closed_masks
 
@@ -45,6 +50,87 @@ def test_count_maximal_passes_the_group_order_bound_to_the_lattice():
 def test_s_k_under_the_order_bound_720():
     counts = [count_maximal(partition_from_sizes((2,) + (1,) * (k - 1)), 720)[0] for k in range(1, 7)]
     assert counts == [0, 1, 4, 8, 22, 53]
+
+
+def _cold_caches():
+    for fn in (enumerate_Q, idempotents_Q, decompose):
+        fn.cache_clear()
+
+
+def test_construction_counts_s_k_as_the_fresh_symmetric_group_does():
+    # Every block-size shape with n <= 7, k <= 5 and m >= 2, then k = 6 under the order bound 720.
+    shapes = [s for n in range(2, 8) for s in integer_partitions(n) if len(s) <= 5 and max(s) > 1]
+    assert len(shapes) == 36
+    for sizes in shapes:
+        P = partition_from_sizes(sizes)
+        assert maximal_subsemigroups_Q(P).s_k == count_maximal(P)[0], sizes
+    P = partition_from_sizes((2, 1, 1, 1, 1, 1))
+    assert maximal_subsemigroups_Q(P, max_group_order=720).s_k == count_maximal(P, 720)[0] == 53
+
+
+@pytest.mark.parametrize(
+    "sizes, swap",
+    [((2, 1), (0, 1)), ((2, 1, 1), (0, 1)), ((2, 1, 1), (2, 5)), ((3, 2, 1, 1), (0, 23)), ((3, 2, 1, 1), (5, 17))],
+)
+def test_swapped_block_patterns_are_caught(monkeypatch, sizes, swap):
+    P = partition_from_sizes(sizes)
+    _cold_caches()
+    real = qstar.maximal.decompose
+
+    def swapped(*args):
+        dec = real(*args)
+        patterns = list(dec.patterns)
+        a, b = swap
+        patterns[a], patterns[b] = patterns[b], patterns[a]
+        return dataclasses.replace(dec, patterns=tuple(patterns))
+
+    monkeypatch.setattr(qstar.maximal, "decompose", swapped)
+    with pytest.raises(InternalConsistencyError, match="^block pattern map is not multiplicative$"):
+        maximal_subsemigroups_Q(P)
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 1), (3, 2, 1, 1), (2, 1, 1, 1, 1)])
+def test_a_symmetric_part_cut_to_one_generator_is_caught(monkeypatch, sizes):
+    P = partition_from_sizes(sizes)
+    _cold_caches()
+    real = qstar.maximal.symmetric_part_generators
+    monkeypatch.setattr(qstar.maximal, "symmetric_part_generators", lambda P: real(P)[:1])
+    with pytest.raises(InternalConsistencyError, match="^symmetric part does not generate the group part$"):
+        maximal_subsemigroups_Q(P)
+
+
+def test_block_patterns_must_be_the_symmetric_group(monkeypatch):
+    P = partition_from_sizes((3, 2, 1, 1))
+    real = qstar.maximal.decompose
+
+    def one_pattern(*args):
+        dec = real(*args)
+        return dataclasses.replace(dec, patterns=dec.patterns[:1] * len(dec.patterns))
+
+    monkeypatch.setattr(qstar.maximal, "decompose", one_pattern)
+    with pytest.raises(InternalConsistencyError, match="^block patterns are not the symmetric group, each once$"):
+        maximal_subsemigroups_Q(P)
+
+
+def test_construction_lists_subgroups_once_and_builds_no_second_symmetric_group(monkeypatch):
+    _cold_caches()
+    calls = []
+    real = qstar.engine.all_closed_subsets
+
+    def counting(S):
+        calls.append(len(S))
+        return real(S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second symmetric group was built")
+
+    monkeypatch.setattr(qstar.engine, "all_closed_subsets", counting)
+    for module in (qstar.engine, qstar.maximal):
+        monkeypatch.setattr(module, "symmetric_group_table", refuse)
+    monkeypatch.setattr(qstar.maximal, "count_maximal", refuse)
+    report = maximal_subsemigroups_Q(partition_from_sizes((3, 2, 1, 1)))
+    assert (report.s_k, report.total) == (8, 14)
+    assert calls == [24]
 
 
 def test_right_zero_case_drops_one_constant_each():

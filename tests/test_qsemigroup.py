@@ -221,6 +221,7 @@ def test_decomposition_product_law():
 )
 def test_decompose_reports_a_pairing_that_is_not_a_bijection(monkeypatch, corrupt):
     P = partition_from_sizes((2, 1, 1))
+    enumerate_Q(P)  # built from the true idempotents: on a cold cache it would be built from the corrupted ones
     real = qstar.qsemigroup.idempotents_Q
     monkeypatch.setattr(qstar.qsemigroup, "idempotents_Q", lambda *args: corrupt(real(*args)))
     decompose.cache_clear()

@@ -250,6 +250,18 @@ def test_brute_force_rejects_a_negative_size():
         brute_force_no_generating_set_of_size(partition_from_sizes((2, 1)), -1)
 
 
+def test_brute_force_refuses_q_above_its_bound_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q was built")
+
+    monkeypatch.setattr(qstar.rank, "enumerate_Q", refuse)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds brute-force bound 24$"):
+        brute_force_no_generating_set_of_size(partition_from_sizes((3, 2, 1)), 5)
+    monkeypatch.undo()
+    monkeypatch.setattr(qstar.rank, "DEFAULT_BRUTE_FORCE_MAX_Q", 36)  # the bound admits |Q| equal to it
+    assert brute_force_no_generating_set_of_size(partition_from_sizes((3, 2, 1)), 5)
+
+
 def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     calls = []
     real = qstar.qsemigroup.closure_images

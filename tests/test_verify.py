@@ -43,6 +43,14 @@ def test_check_maximal_fails_when_the_oracle_misses_a_maximal_set(monkeypatch, p
     assert (check.status, check.detail) == ("fail", "construction differs from the exhaustive oracle")
 
 
+def test_check_maximal_counts_s_k_apart_from_the_construction(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    real = qstar.verify.count_maximal
+    monkeypatch.setattr(qstar.verify, "count_maximal", lambda P: tuple(v + 1 for v in real(P)))
+    check = check_maximal(p6, Q)
+    assert (check.status, check.detail) == ("fail", "10 constructed, count formula says 11")
+
+
 def test_check_maximal_fails_on_an_unverified_construction(monkeypatch, p6):
     real = qstar.verify.maximal_subsemigroups_Q
     monkeypatch.setattr(
