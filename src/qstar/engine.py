@@ -87,20 +87,45 @@ class SemigroupSet:
 
     @cached_property
     def index_table(self) -> tuple[tuple[int, ...], ...]:
-        """Full multiplication table over element indices; proves closure."""
+        """Full multiplication table over element indices; proves closure.
+
+        Only generator rows are hashed (after Froidure & Pin).  Walking the
+        elements in order, one not yet reached becomes a generator g with a
+        looked-up row.  Each reached p is multiplied on the left by every
+        generator, and a new q = g*p gets row_g read at row_p, as q*b = g*(p*b).
+        Every element is a word in generators, so their rows prove closure.
+        """
         images = [t.images for t in self.elements]
         if any(len(v) != self.n for v in images):
             raise ValidationError("elements have mixed degrees")
         position = {v: i for i, v in enumerate(images)}
         lookup = position.__getitem__
-        rows = []
-        for a in images:
+        rows: list = [None] * len(images)
+        gens: list = []
+        reached: list[int] = []
+        for g, a in enumerate(images):
+            if rows[g] is not None:
+                continue
             mul = product_map(a)
             try:
-                rows.append(tuple(map(lookup, map(mul, images))))
-            except KeyError:
+                rows[g] = row_g = tuple(map(lookup, map(mul, images)))
+            except KeyError:  # the first row with an escape: every row reached before it is composed inside
                 b = next(b for b in images if mul(b) not in position)
                 raise ValidationError(f"set is not closed: {a} * {b} escapes") from None
+            gens.append(row_g)
+            new = [g]
+            for p in reached:  # the old elements, times the new generator only
+                q = row_g[p]
+                if rows[q] is None:
+                    rows[q] = itemgetter(*rows[p])(row_g)
+                    new.append(q)
+            for p in new:  # grows while it is read
+                for h in gens:
+                    q = h[p]
+                    if rows[q] is None:
+                        rows[q] = itemgetter(*rows[p])(h)
+                        new.append(q)
+            reached += new
         return tuple(rows)
 
     def subset(self, indices: Iterable[int]) -> tuple[Transformation, ...]:

@@ -138,8 +138,12 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
     element whose closure with F meets U is forbidden, and the option with the
     largest closure joins F in one branch and is forbidden in the other.  A
     state with no options records F = S - U; one whose room S - U lies in a
-    record is cut.  So every maximal M is recorded (after Donoven, Mitchell &
-    Wilson's one-generator idea), and :func:`_maximal_masks` keeps those.
+    record is cut.  When F grows, a free c inside a closure <F + c'> already
+    computed is not closed: <F + c'> bounds <F + c>, and c is closed (stop U)
+    only once its bound meets U.  It never wins the choice while open, as c' is
+    open, comes first and is as large.  So every maximal M is recorded (after
+    Donoven, Mitchell & Wilson's one-generator idea), and :func:`_maximal_masks`
+    keeps those.
     """
     t = S.index_table
     size = len(S)
@@ -156,19 +160,30 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
             states += 1
             if states > DEFAULT_MAX_CLOSED_SETS:
                 raise ResourceLimitError(f"more than DEFAULT_MAX_CLOSED_SETS={DEFAULT_MAX_CLOSED_SETS} search states")
-            if options is None:  # F grew: close it with each free element afresh
-                options = {}
+            if options is None:  # F grew: close it with each free element not yet inside a closure
+                options, covered = {}, 0
                 for c in range(size):
-                    if not ((closed | U) >> c) & 1:
+                    if ((closed | U) >> c) & 1:
+                        continue
+                    if (covered >> c) & 1:  # <F + c> lies in that closure: keep it as c's bound
+                        options[c] = (next(m for m, _ in options.values() if (m >> c) & 1), None)
+                        continue
+                    grown = _extend(t, closed, mem, gen, c, U)
+                    if isinstance(grown, int):
+                        U |= 1 << c
+                    else:
+                        options[c] = grown
+                        covered |= grown[0]
+            else:  # one pass: each c forbidden here has a closure that meets the old U
+                for c, (mask, members_c) in list(options.items()):
+                    if mask & U and members_c is None:  # a bound that meets U decides nothing: close c
                         grown = _extend(t, closed, mem, gen, c, U)
-                        if isinstance(grown, int):
-                            U |= 1 << c
-                        else:
+                        if not isinstance(grown, int):
                             options[c] = grown
-            else:  # one pass suffices: a closure that holds a blocked c holds c's closure
-                for c in [c for c, (mask, _) in options.items() if mask & U]:
-                    del options[c]
-                    U |= 1 << c
+                            continue
+                    if mask & U:
+                        del options[c]
+                        U |= 1 << c
             if any((full & ~U) | G == G for G in found):
                 continue
             if not options:

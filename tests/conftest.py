@@ -8,7 +8,7 @@ over the six image choices.  Element i is available as ``alpha(i)``.
 
 import pytest
 
-from qstar import from_q_shorthand, make_partitioned_set
+from qstar import decompose, enumerate_Q, from_q_shorthand, idempotents_Q, make_partitioned_set
 
 # 1-based shorthand (target of block 1, block 2, block 3) for alpha_1..alpha_36.
 Q36_SHORTHANDS = (
@@ -34,6 +34,16 @@ T_SETS = {
 }
 for _i in range(1, 7):
     T_SETS[f"T{4 + _i}"] = tuple(j for j in range(1, 37) if (j - _i) % 6 != 0)
+
+
+def clear_q_caches():
+    """Clear the enumerate_Q, idempotents_Q and decompose caches together.
+
+    A decomposition's grid holds Q's own elements, so clearing one cache
+    alone would leave a later test a grid built on an older Q.
+    """
+    for fn in (enumerate_Q, idempotents_Q, decompose):
+        fn.cache_clear()
 
 
 @pytest.fixture(scope="session")

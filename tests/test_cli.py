@@ -11,7 +11,9 @@ import pytest
 import qstar.cli
 from qstar import limits
 from qstar.cli import build_parser, json_int, main
-from qstar.qsemigroup import decompose, enumerate_Q, idempotents_Q
+from qstar.qsemigroup import enumerate_Q
+
+from conftest import clear_q_caches
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "schemas" / "qstar-output.schema.json").read_text()
@@ -88,8 +90,7 @@ def test_json_int_keeps_every_digit():
 
 
 def test_verify_enumerates_q_once(capsys):
-    for fn in (enumerate_Q, idempotents_Q, decompose):
-        fn.cache_clear()
+    clear_q_caches()
     code, _ = run(capsys, "verify", "--partition", "1,2,3,4|5,6,7")
     assert code == 0
     assert enumerate_Q.cache_info().misses == 1

@@ -136,6 +136,79 @@ def test_index_table_rejects_mixed_degrees():
         S.index_table
 
 
+def _table_row_by_row(S):
+    """Every product a*b looked up, row by row, with the first escape named."""
+    images = [t.images for t in S.elements]
+    position = {v: i for i, v in enumerate(images)}
+    rows = []
+    for a in images:
+        row = []
+        for b in images:
+            p = tuple(b[x] for x in a)
+            if p not in position:
+                raise ValidationError(f"set is not closed: {a} * {b} escapes")
+            row.append(position[p])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _cold(S):
+    """The same elements with no table built yet."""
+    return SemigroupSet(S.n, S.elements)
+
+
+def _table_sets():
+    for n in range(1, 7):
+        for sizes in integer_partitions(n):
+            yield enumerate_Q(partition_from_sizes(sizes))
+    for k in range(1, 6):
+        yield symmetric_group_table(k).elements
+    rng = random.Random(11)
+    for n in (3, 4):
+        for _ in range(60):
+            yield closure([Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(rng.randint(1, 3))])
+    yield SemigroupSet.from_elements([constant_map(3, 1)])
+    # (a*b)(x) = b(a(x)) = a(x): idempotents with one image form a left-zero
+    # band, where g*p == g, so no product reaches a new element.
+    yield SemigroupSet.from_elements([Transformation(v) for v in ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1), (0, 1, 1, 1))])
+
+
+def test_index_table_equals_the_row_by_row_table():
+    checked = 0
+    for S in _table_sets():
+        assert _cold(S).index_table == _table_row_by_row(S), S.elements
+        checked += 1
+    assert checked == 29 + 5 + 120 + 2
+
+
+def test_index_table_names_the_escape_the_row_by_row_table_names():
+    # Q minus one element, a two-element set, and random subsets of T(3), a
+    # sixth of which first escape in a row after their first.
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    cases = [SemigroupSet(Q.n, Q.elements[:i] + Q.elements[i + 1 :]) for i in range(len(Q))]
+    cases.append(SemigroupSet(3, (Transformation((0, 0, 1)), Transformation((1, 2, 0)))))
+    T3 = full_transformation_semigroup(3).elements
+    rng = random.Random(3)
+    cases += [SemigroupSet(3, tuple(sorted(rng.sample(T3, rng.randint(2, 20)), key=lambda t: t.images))) for _ in range(200)]
+    for S in cases:
+        with pytest.raises(ValidationError) as expected:
+            _table_row_by_row(S)
+        with pytest.raises(ValidationError, match="^set is not closed: ") as raised:
+            S.index_table
+        assert str(raised.value) == str(expected.value)
+
+
+def test_a_cold_table_hashes_only_the_generator_rows(monkeypatch):
+    # (3, 2, 1, 1) has |Q| = 144: 9 rows are looked up, the other 135 composed.
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1, 1)))
+    real = qstar.engine.product_map
+    rows = []
+    monkeypatch.setattr(qstar.engine, "product_map", lambda a: rows.append(a) or real(a))
+    table = _cold(Q).index_table
+    assert len(Q) == 144 and len(rows) == 9
+    assert table == _table_row_by_row(Q)
+
+
 def test_closure_left_product_check_fires(monkeypatch, alpha):
     # The worklist only multiplies by generators on the right; corrupt every
     # other product so that only the final left-product pass can see it.

@@ -13,7 +13,6 @@ from qstar import (
     UnsupportedCaseError,
     closure,
     count_maximal,
-    decompose,
     enumerate_Q,
     exhaustive_maximal_oracle,
     identity_partition,
@@ -31,6 +30,8 @@ from qstar.errors import InternalConsistencyError
 from qstar.iso import integer_partitions
 from qstar.limits import DEFAULT_ORACLE_MAX
 from qstar.maximal import _maximal_closed_masks
+
+from conftest import clear_q_caches
 
 
 def test_counts_on_reference_instance(p6):
@@ -52,11 +53,6 @@ def test_s_k_under_the_order_bound_720():
     assert counts == [0, 1, 4, 8, 22, 53]
 
 
-def _cold_caches():
-    for fn in (enumerate_Q, idempotents_Q, decompose):
-        fn.cache_clear()
-
-
 def test_construction_counts_s_k_as_the_fresh_symmetric_group_does():
     # Every block-size shape with n <= 7, k <= 5 and m >= 2, then k = 6 under the order bound 720.
     shapes = [s for n in range(2, 8) for s in integer_partitions(n) if len(s) <= 5 and max(s) > 1]
@@ -74,7 +70,7 @@ def test_construction_counts_s_k_as_the_fresh_symmetric_group_does():
 )
 def test_swapped_block_patterns_are_caught(monkeypatch, sizes, swap):
     P = partition_from_sizes(sizes)
-    _cold_caches()
+    clear_q_caches()
     real = qstar.maximal.decompose
 
     def swapped(*args):
@@ -92,7 +88,7 @@ def test_swapped_block_patterns_are_caught(monkeypatch, sizes, swap):
 @pytest.mark.parametrize("sizes", [(2, 1, 1), (3, 2, 1, 1), (2, 1, 1, 1, 1)])
 def test_a_symmetric_part_cut_to_one_generator_is_caught(monkeypatch, sizes):
     P = partition_from_sizes(sizes)
-    _cold_caches()
+    clear_q_caches()
     real = qstar.maximal.symmetric_part_generators
     monkeypatch.setattr(qstar.maximal, "symmetric_part_generators", lambda P: real(P)[:1])
     with pytest.raises(InternalConsistencyError, match="^symmetric part does not generate the group part$"):
@@ -113,7 +109,7 @@ def test_block_patterns_must_be_the_symmetric_group(monkeypatch):
 
 
 def test_construction_lists_subgroups_once_and_builds_no_second_symmetric_group(monkeypatch):
-    _cold_caches()
+    clear_q_caches()
     calls = []
     real = qstar.engine.all_closed_subsets
 
@@ -318,7 +314,7 @@ def test_search_matches_close_by_one_on_random_closures():
     assert checked >= 100
 
 
-@pytest.mark.parametrize("sizes, total", [((5, 3), 16), ((4, 4), 17)])
+@pytest.mark.parametrize("sizes, total", [((5, 3), 16), ((4, 4), 17), ((2, 2, 2), 12), ((3, 3, 1), 13), ((2, 2, 2, 1), 16)])
 def test_search_finds_the_constructed_sets_past_close_by_one(sizes, total):
     P = partition_from_sizes(sizes)
     Q = enumerate_Q(P)
@@ -326,6 +322,18 @@ def test_search_finds_the_constructed_sets_past_close_by_one(sizes, total):
     constructed = {sum(1 << Q.index_of(a) for a in T) for T in report.all_subsemigroups()}
     assert len(constructed) == total
     assert set(_maximal_closed_masks(Q)) == constructed
+
+
+def test_search_closes_an_option_only_when_its_bound_cannot_decide_it(monkeypatch):
+    # A free element inside a closure already computed for the same F is kept
+    # bounded by it: 428 closures on (3, 2, 1), against 563 with one per
+    # free element at every join.
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    real = qstar.maximal._extend
+    calls = []
+    monkeypatch.setattr(qstar.maximal, "_extend", lambda *args: calls.append(args) or real(*args))
+    assert _maximal_closed_masks(Q) == _close_by_one_reference(Q)
+    assert len(calls) <= 428
 
 
 def test_search_stops_at_the_state_bound(monkeypatch, capsys):

@@ -36,7 +36,7 @@ from qstar.cli import main
 from qstar.engine import groups_isomorphic
 from qstar.qsemigroup import generators_Q
 
-from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS
+from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches
 
 SMALL_PARTITIONS = [
     (1,),
@@ -221,10 +221,10 @@ def test_decomposition_product_law():
 )
 def test_decompose_reports_a_pairing_that_is_not_a_bijection(monkeypatch, corrupt):
     P = partition_from_sizes((2, 1, 1))
+    clear_q_caches()
     enumerate_Q(P)  # built from the true idempotents: on a cold cache it would be built from the corrupted ones
     real = qstar.qsemigroup.idempotents_Q
     monkeypatch.setattr(qstar.qsemigroup, "idempotents_Q", lambda *args: corrupt(real(*args)))
-    decompose.cache_clear()
     with pytest.raises(InternalConsistencyError, match=r"^pairing \(a, f\) -> a\*f is not a bijection onto Q$"):
         decompose(P)
 
@@ -232,9 +232,9 @@ def test_decompose_reports_a_pairing_that_is_not_a_bijection(monkeypatch, corrup
 @pytest.mark.parametrize("sizes", [(2, 2, 1, 1), (3, 2, 1, 1)])
 def test_constructions_on_coordinates_make_no_compose_calls(monkeypatch, sizes):
     P = partition_from_sizes(sizes)
+    clear_q_caches()
     idempotents_Q(P)
     enumerate_Q(P)
-    decompose.cache_clear()
     real = qstar.transformation.compose
     calls = []
 
@@ -305,7 +305,7 @@ def test_closure_proof_catches_a_corrupted_element(monkeypatch):
     P = partition_from_sizes((2, 1, 1))
     planted = _plant_in_built_set(monkeypatch, P, lambda images: tuple(range(P.n)))  # the identity map, not in Q
     monkeypatch.setattr(qstar.qsemigroup, "all_in_Q", lambda P, images: True)
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
     assert planted
@@ -317,8 +317,7 @@ def test_membership_is_checked_in_one_batch_not_per_element(monkeypatch):
     real_in_Q, real_all_in_Q = qstar.qsemigroup.in_Q, qstar.qsemigroup.all_in_Q
     monkeypatch.setattr(qstar.qsemigroup, "in_Q", lambda P, a: per_element.append(a) or real_in_Q(P, a))
     monkeypatch.setattr(qstar.qsemigroup, "all_in_Q", lambda P, images: batches.append(len(images)) or real_all_in_Q(P, images))
-    enumerate_Q.cache_clear()
-    idempotents_Q.cache_clear()
+    clear_q_caches()
     assert len(enumerate_Q(P)) == 480
     assert per_element == []
     assert batches == [P.m, 480]  # the idempotents, then the built set
@@ -337,7 +336,7 @@ def test_membership_batch_catches_a_non_member_that_passes_the_closure_proof(mon
         return sorted(identity if images == planted[0] else images for images in real(generators, max_size=max_size))
 
     monkeypatch.setattr(qstar.qsemigroup, "closure_images", passing)
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="^constructed element fails the membership predicate$"):
         enumerate_Q(P)
     assert planted
@@ -376,7 +375,7 @@ def test_idempotents_reject_a_wrong_build_before_it_is_cached(monkeypatch, wrong
     monkeypatch.setattr(qstar.qsemigroup, "product_map", planting)
     if member:
         monkeypatch.setattr(qstar.qsemigroup, "compose", lambda a, b: a)
-    idempotents_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="^constructed idempotent does not send each block to one of its own points$"):
         idempotents_Q(P)
     assert in_Q(P, Transformation(planted[0])) == member
@@ -393,7 +392,7 @@ def test_closure_proof_reports_escaping_generators_as_not_closed(monkeypatch):
     P = partition_from_sizes((2, 1, 1))
     escaping = (Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3)))
     monkeypatch.setattr(qstar.qsemigroup, "symmetric_part_generators", lambda P: escaping)
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
 
@@ -403,7 +402,7 @@ def test_closure_proof_reports_generators_that_fall_short(monkeypatch):
     # subset of the built set.
     P = partition_from_sizes((2, 1, 1))
     monkeypatch.setattr(qstar.qsemigroup, "symmetric_part_generators", lambda P: ())
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="do not generate the constructed Q"):
         enumerate_Q(P)
 
@@ -427,8 +426,7 @@ def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
     for module in list(sys.modules.values()):
         if module is not None and module.__name__.startswith("qstar") and hasattr(module, "product_map"):
             monkeypatch.setattr(module, "product_map", counting)
-    enumerate_Q.cache_clear()
-    idempotents_Q.cache_clear()
+    clear_q_caches()
     Q = enumerate_Q(P)
     generators = len(symmetric_part_generators(P)) + P.m
     assert 0 < len(products) <= 2 * len(Q) * (generators + 1)
@@ -474,7 +472,7 @@ def test_closure_proof_catches_a_wrong_pairing_product(monkeypatch, wrong, messa
         return (wrong(P),) + generators[1:], paired, leftover
 
     monkeypatch.setattr(qstar.qsemigroup, "rank_pairing", patched)
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match=message):
         enumerate_Q(P)
 
@@ -487,7 +485,7 @@ def test_closure_proof_catches_an_idempotent_outside_the_built_set(monkeypatch):
     x = Transformation((0, 3, 2, 3))
     real = qstar.qsemigroup.idempotents_Q
     monkeypatch.setattr(qstar.qsemigroup, "idempotents_Q", lambda *args: real(*args) + (x,))
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
 
@@ -504,7 +502,7 @@ def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys)
     for module in list(sys.modules.values()):
         if module is not None and module.__name__.startswith("qstar") and getattr(module, "closure_images", None) is real:
             monkeypatch.setattr(module, "closure_images", counting)
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
     assert calls == [generators_Q(partition_from_spec("1,2|3,4|5|6|7"))]
     calls.clear()
@@ -526,8 +524,7 @@ def test_enumeration_validates_only_the_generator_factors(monkeypatch):
         validations.append(self.images)
         real(self)
 
-    for fn in (enumerate_Q, idempotents_Q, decompose):
-        fn.cache_clear()
+    clear_q_caches()
     monkeypatch.setattr(Transformation, "__post_init__", counting)
     Q = enumerate_Q(P)
     assert len(Q) == 480
@@ -549,7 +546,7 @@ def test_a_built_tuple_outside_the_closure_is_caught_before_any_element_is_wrapp
         return real_unchecked(cls, images)
 
     monkeypatch.setattr(Transformation, "_unchecked", classmethod(recording))
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
     assert planted and not any(P.n in images for images in wrapped)

@@ -8,6 +8,8 @@ from qstar.engine import _close_mask
 from qstar.qsemigroup import generators_Q
 from qstar.rank import _no_generating_set_by_levels
 from qstar.verify import run_verification
+
+from conftest import clear_q_caches
 from qstar import (
     ContractError,
     InternalConsistencyError,
@@ -272,7 +274,7 @@ def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
 
     monkeypatch.setattr(qstar.qsemigroup, "closure_images", counting)
     P = partition_from_spec("1,2|3,4|5")
-    enumerate_Q.cache_clear()
+    clear_q_caches()
     assert run_verification(P).all_passed
     # enumerate_Q's closure proof; minimal_generating_set and the H-class check stand on it.
     assert calls == [generators_Q(P)]
