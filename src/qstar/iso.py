@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
 from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import cardinality_Q, decompose, enumerate_Q, generators_Q
+from .qsemigroup import cardinality_Q, decompose, enumerate_Q, instance
 from .rank import rank_Q
 from .transformation import product_map
 
@@ -58,8 +58,8 @@ def build_isomorphism(
     sorted by size then index; idempotent parts are matched in canonical
     order.  The map phi is checked to be a bijection and, on image tuples,
     to satisfy phi(s*g) == phi(s)*phi(g) for every s in Q(P1) and g in the
-    set R = :func:`generators_Q` that :func:`enumerate_Q` proved generates
-    Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
+    set R of P1's ``instance`` record, which :func:`enumerate_Q` proved
+    generates Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
     phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
     |Q|^2 pairs.  Raises
     :class:`ContractError` when the instances are not isomorphic, and
@@ -105,7 +105,7 @@ def build_isomorphism(
     if values != set(Q2.elements):
         raise InternalConsistencyError("constructed map is not onto Q(P2)")
     phi = {q.images: v.images for q, v in mapping.items()}
-    gens = [g.images for g in generators_Q(P1, max_size)]
+    gens = [g.images for g in instance(P1).pairing[0]]
     phi_gens = [phi[g] for g in gens]
     for s, t in phi.items():
         products = zip(map(product_map(s), gens), map(product_map(t), phi_gens))

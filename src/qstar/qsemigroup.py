@@ -6,15 +6,16 @@ right group: the disjoint union of its H-classes, each a group of order k!,
 indexed by the m image cross-sections.  :func:`decompose` names every
 element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
+Each partition's Q, R, idempotents and decomposition are kept in its record,
+in the one cache :func:`instance`.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .engine import GroupTable, SemigroupSet, closure_images
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
@@ -52,48 +53,30 @@ def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _cached(maxsize: int):
-    """``lru_cache`` keyed on the arguments with their defaults filled in.
-
-    A plain ``lru_cache`` keys f(P), f(P, DEFAULT) and f(P, max_size=DEFAULT)
-    apart, so callers that pass a bound differently would each build the
-    instance again.
-    """
-
-    def decorate(fn):
-        signature = inspect.signature(fn)
-        cached = lru_cache(maxsize=maxsize)(fn)
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            return cached(*bound.args)
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        return wrapper
-
-    return decorate
+def _check_size(what: str, size: int, bound: int, exceeds: str = "max_size=") -> None:
+    if size > bound:
+        raise ResourceLimitError(f"{what} {size} exceeds {exceeds}{bound}")
 
 
-@_cached(maxsize=128)
 def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
     """All of Q, built directly as (block permutation) x (representative choice).
 
     The element for a permutation sigma and representatives c (with
     c_i in the block sigma(i)) sends every point of block i to c_i.  The
-    result is verified: the count is k!*m, the closure of R =
-    :func:`generators_Q`, bounded by |Q|, is the built set, R's factors
+    result is verified: the count is k!*m, the closure of R of
+    :func:`rank_pairing`, bounded by |Q|, is the built set, R's factors
     (symmetric part and idempotents) lie in it, and the whole set passes
     all_in_Q.  That proves it closed and generated by R, so by R's factors,
     with O(|Q|*|R|) products instead of |Q|^2.  Elements are built, sorted and
     compared as image tuples; the closure equality proves each built tuple a
     product of validated maps before it is wrapped, unvalidated, once.
+    Q and R are kept in P's record only once proved.
     """
     expected = cardinality_Q(P)
-    if expected > max_size:
-        raise ResourceLimitError(f"|Q| = {expected} exceeds max_size={max_size}")
+    _check_size("|Q| =", expected, max_size)
+    record = instance(P)
+    if record.Q is not None:
+        return record.Q
     spread = product_map(P.block_of)  # one image per block -> one per point
     built = sorted({
         spread(choice)
@@ -102,7 +85,7 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     })
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
-    generators, paired, leftover = rank_pairing(P, max_size)
+    generators, paired, leftover = rank_pairing(P, expected)
     try:
         generated = closure_images(generators, max_size=expected)
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
@@ -114,7 +97,9 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
     if not all_in_Q(P, built):  # after the closure proof, which rejects tuples that are not maps of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
-    return SemigroupSet(P.n, tuple(map(Transformation._unchecked, built)))  # not the closure's tuples: they raised peak RSS
+    record.pairing = generators, paired, leftover
+    record.Q = SemigroupSet(P.n, tuple(map(Transformation._unchecked, built)))  # not the closure's tuples: they raised peak RSS
+    return record.Q
 
 
 def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
@@ -130,14 +115,15 @@ def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
     return SemigroupSet(P.n, tuple(sorted(elems)))
 
 
-@_cached(maxsize=128)
 def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
     """The m idempotents of Q: one per choice of a representative in each block.
 
     Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
-    if P.m > max_size:
-        raise ResourceLimitError(f"idempotent count {P.m} exceeds max_size={max_size}")
+    _check_size("idempotent count", P.m, max_size)
+    record = instance(P)
+    if record.idempotents is not None:
+        return record.idempotents
     out = tuple(sorted(map(Transformation, map(product_map(P.block_of), itertools.product(*P.blocks)))))
     if any(compose(a, a) != a for a in out):
         raise InternalConsistencyError("constructed idempotent fails a*a == a")
@@ -145,6 +131,7 @@ def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tup
         raise InternalConsistencyError(f"built {len(out)} idempotents, expected {P.m}")
     if not all_in_Q(P, [a.images for a in out]) or any(product_map(a.images)(P.block_of) != P.block_of for a in out):
         raise InternalConsistencyError("constructed idempotent does not send each block to one of its own points")
+    record.idempotents = out
     return out
 
 
@@ -156,18 +143,13 @@ def _pattern_element(P: PartitionedSet, cross_section: tuple[int, ...], sigma) -
 def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
     """Generators of the base H-class fixing its cross-section setwise.
 
-    k >= 3: a transposition pattern and a k-cycle pattern; k == 2: the
-    transposition; k == 1: the least constant map.
+    A k-cycle pattern and, for k >= 3, a transposition pattern (for k <= 2
+    the k-cycle is the transposition or the least constant map).
     """
     c = tuple(min(b) for b in P.blocks)  # the least idempotent's image, block by block
-    k = P.k
-    if k == 1:
-        return (_pattern_element(P, c, (0,)),)
-    transposition = tuple([1, 0] + list(range(2, k)))
-    if k == 2:
-        return (_pattern_element(P, c, transposition),)
-    cycle = tuple(list(range(1, k)) + [0])
-    return tuple(sorted((_pattern_element(P, c, transposition), _pattern_element(P, c, cycle))))
+    cycle = (*range(1, P.k), 0)
+    patterns = {cycle, (1, 0, *range(2, P.k))} if P.k >= 3 else {cycle}
+    return tuple(sorted(_pattern_element(P, c, p) for p in patterns))
 
 
 def rank_pairing(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple:
@@ -186,11 +168,6 @@ def rank_pairing(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tupl
     return tuple(sorted({row[-1] for row in paired + leftover})), paired, leftover
 
 
-def generators_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
-    """R of :func:`rank_pairing`; :func:`enumerate_Q` proves that it generates Q."""
-    return rank_pairing(P, max_size)[0]
-
-
 def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
     """The H-class of ``a`` inside Q: all members sharing its image, as a group.
 
@@ -201,9 +178,7 @@ def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_G
     """
     if not in_Q(P, a):
         raise ContractError("h_class needs a member of Q")
-    order = math.factorial(P.k)
-    if order > max_order:
-        raise ResourceLimitError(f"H-class order {order} exceeds bound {max_order}")
+    _check_size("H-class order", math.factorial(P.k), max_order, "bound ")
     cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
     members = [_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))]
     return GroupTable.from_semigroup(SemigroupSet.from_elements(members))
@@ -240,7 +215,6 @@ class RightGroupDecomposition:
             raise ContractError(f"{q!r} is not an element of Q") from None
 
 
-@_cached(maxsize=64)
 def decompose(
     P: PartitionedSet,
     max_size: int = DEFAULT_MAX_CLOSURE,
@@ -252,12 +226,18 @@ def decompose(
     to hit every element of Q exactly once; the coordinate lookups are built
     from the same products.  ``max_group_order`` bounds the H-class build.
     """
-    idems = idempotents_Q(P, max_size)
+    _check_size("idempotent count", P.m, max_size)
+    _check_size("H-class order", math.factorial(P.k), max_group_order, "bound ")
+    Q = enumerate_Q(P, max_size)  # checks |Q|; makes the record as enumerate_Q's build
+    record = instance(P)
+    if record.decomposition is not None:
+        return record.decomposition
+    idems = idempotents_Q(P, P.m)
     e = idems[0]
-    G = h_class(e, P, max_group_order)
+    G = h_class(e, P, math.factorial(P.k))
     if G.elements.elements[G.identity] != e:
         raise InternalConsistencyError("base idempotent is not the identity of its H-class")
-    unpaired = {q.images: q for q in enumerate_Q(P, max_size)}
+    unpaired = {q.images: q for q in Q}
     index = {}
     grid = []
     for i, a in enumerate(G.elements):
@@ -273,4 +253,20 @@ def decompose(
     if unpaired:
         raise InternalConsistencyError("pairing (a, f) -> a*f is not a bijection onto Q")
     patterns = tuple(block_permutation(P, a) for a in G.elements)
-    return RightGroupDecomposition(P, e, G, idems, patterns, tuple(grid), index)
+    record.decomposition = RightGroupDecomposition(P, e, G, idems, patterns, tuple(grid), index)
+    return record.decomposition
+
+
+class _Record:
+    idempotents = Q = pairing = decomposition = None
+
+
+@lru_cache(maxsize=64)
+def instance(P: PartitionedSet) -> _Record:
+    """``P``'s record; ``pairing`` holds R and the trace that proved Q."""
+    return _Record()
+
+
+for _fn in (enumerate_Q, idempotents_Q, decompose):
+    _fn.cache_info, _fn.cache_clear = instance.cache_info, instance.cache_clear
+del _fn

@@ -15,7 +15,7 @@ from .engine import SemigroupSet, _extend
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import cardinality_Q, enumerate_Q, idempotents_Q, rank_pairing
+from .qsemigroup import cardinality_Q, enumerate_Q, idempotents_Q, instance
 from .transformation import Transformation, image
 
 
@@ -46,10 +46,10 @@ class GeneratingSetReport:
 
 
 def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> GeneratingSetReport:
-    """R = ``generators_Q(P)`` with its ``rank_pairing`` trace, verified by ``enumerate_Q``'s
-    closure proof; its size must equal rank_Q, else an internal error is raised."""
+    """R with its ``rank_pairing`` trace, as ``enumerate_Q``'s closure proof kept them in
+    P's record; its size must equal rank_Q, else an internal error is raised."""
     enumerate_Q(P, max_size)
-    generators, paired, leftover = rank_pairing(P, max_size)
+    generators, paired, leftover = instance(P).pairing
     claimed = rank_Q(P)
     if len(generators) != claimed:
         raise InternalConsistencyError(f"construction produced {len(generators)} generators, rank is {claimed}")

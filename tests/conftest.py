@@ -8,7 +8,7 @@ over the six image choices.  Element i is available as ``alpha(i)``.
 
 import pytest
 
-from qstar import decompose, enumerate_Q, from_q_shorthand, idempotents_Q, make_partitioned_set
+from qstar import enumerate_Q, from_q_shorthand, make_partitioned_set
 
 # 1-based shorthand (target of block 1, block 2, block 3) for alpha_1..alpha_36.
 Q36_SHORTHANDS = (
@@ -37,13 +37,12 @@ for _i in range(1, 7):
 
 
 def clear_q_caches():
-    """Clear the enumerate_Q, idempotents_Q and decompose caches together.
+    """Drop every per-partition record behind enumerate_Q, idempotents_Q and decompose.
 
-    A decomposition's grid holds Q's own elements, so clearing one cache
-    alone would leave a later test a grid built on an older Q.
+    A record keeps what it has built, so a test that patches a build must
+    clear first for the build to run again under the patch.
     """
-    for fn in (enumerate_Q, idempotents_Q, decompose):
-        fn.cache_clear()
+    enumerate_Q.cache_clear()
 
 
 @pytest.fixture(scope="session")

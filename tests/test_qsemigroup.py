@@ -25,6 +25,7 @@ from qstar import (
     in_Q,
     is_group_Q,
     maximal_subsemigroups_Q,
+    minimal_generating_set,
     partition_from_sizes,
     partition_from_spec,
     q_shorthand,
@@ -34,7 +35,7 @@ from qstar import (
 )
 from qstar.cli import main
 from qstar.engine import groups_isomorphic
-from qstar.qsemigroup import generators_Q
+from qstar.qsemigroup import rank_pairing
 
 from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches
 
@@ -73,8 +74,8 @@ def test_enumeration_matches_brute_force(sizes):
 def test_enumeration_and_membership_on_one_point():
     # product_map wraps the bare int that itemgetter returns on one point.
     P = partition_from_sizes((1,))
-    build = enumerate_Q.__wrapped__  # uncached, so the build runs here
-    assert build(P).elements == (Transformation((0,)),)
+    clear_q_caches()  # so the build runs here
+    assert enumerate_Q(P).elements == (Transformation((0,)),)
     assert in_Q(P, Transformation((0,)))
 
 
@@ -271,6 +272,83 @@ def test_cache_entry_does_not_depend_on_how_the_bound_is_passed():
         fn.cache_clear()
         assert fn(P) is fn(P, 100_000) is fn(P, max_size=100_000)
         assert fn.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("cleared", [enumerate_Q, idempotents_Q, decompose], ids=lambda fn: fn.__name__)
+def test_clearing_any_one_cache_leaves_no_object_of_an_older_build(monkeypatch, cleared):
+    # The grid, the idempotent part and the reported generators must all be
+    # the objects of the Q that is served now, whichever name was cleared.
+    P = partition_from_sizes((3, 2, 1))
+    closed = []
+    real = qstar.qsemigroup.closure_images
+
+    def recording(generators, max_size):
+        closed.append(tuple(generators))
+        return real(generators, max_size=max_size)
+
+    monkeypatch.setattr(qstar.qsemigroup, "closure_images", recording)
+    clear_q_caches()
+    decompose(P)
+    cleared.cache_clear()
+    dec, Q = decompose(P), enumerate_Q(P)
+    served = {q.images: q for q in Q}
+    cells = [dec.element(i, j) for i in range(dec.group_part.order) for j in range(P.m)]
+    assert len(cells) == len(Q) and all(q is served[q.images] for q in cells)
+    assert dec.idempotent_part is idempotents_Q(P)
+    generators = minimal_generating_set(P).generators
+    assert len(generators) == len(closed[-1]) and all(g is h for g, h in zip(generators, closed[-1]))
+
+
+def test_bounds_refuse_a_smaller_bound_against_a_cached_record():
+    P = partition_from_sizes((3, 2, 1))  # |Q| = 36, m = 6, k! = 6
+    enumerate_Q(P)
+    decompose(P)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
+        enumerate_Q(P, 35)
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
+        idempotents_Q(P, 5)
+    # decompose refuses in build order: m, then k!, then |Q| = k!*m.
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
+        decompose(P, 5, 5)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
+        decompose(P, max_group_order=5)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
+        decompose(P, 35, 5)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
+        decompose(P, 35)
+
+
+@pytest.mark.parametrize(
+    "argv, bounds, message",
+    [
+        (["iso", "--left", "1,2|3", "--right", "1|2,3"], ["--max-closure", "1"], "idempotent count 2 exceeds max_size=1"),
+        (
+            ["iso", "--left", "1,2|3,4|5", "--right", "1|2,3|4,5"],
+            ["--max-closure", "5", "--group-order-bound", "2"],
+            "H-class order 6 exceeds bound 2",
+        ),
+        (["maximal", "--partition", "1,2|3|4"], ["--max-closure", "3"], "|Q| = 12 exceeds max_size=3"),
+    ],
+    ids=["idempotents", "h-class", "q"],
+)
+def test_cli_bounds_hold_after_the_instance_is_cached(capsys, argv, bounds, message):
+    assert main(argv) == 0  # builds and keeps the records under the default bounds
+    capsys.readouterr()
+    assert main(argv + bounds) == 3
+    assert capsys.readouterr() == ("", f"resource limit: {message}\n")
+
+
+def test_a_failed_closure_proof_keeps_nothing(monkeypatch):
+    P = partition_from_sizes((2, 1, 1))
+    escaping = (Transformation((1, 2, 3, 0)), Transformation((1, 0, 2, 3)))  # generate all 24 permutations
+    monkeypatch.setattr(qstar.qsemigroup, "symmetric_part_generators", lambda P: escaping)
+    clear_q_caches()
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        enumerate_Q(P)
+    monkeypatch.undo()
+    assert tuple(enumerate_Q(P)) == tuple(enumerate_Q_bruteforce(P))  # no clear in between
+    assert minimal_generating_set(P).generators == rank_pairing(P)[0]
+    assert all(g in enumerate_Q(P) for g in symmetric_part_generators(P))
 
 
 def _plant_in_built_set(monkeypatch, P, corrupt):
@@ -504,7 +582,7 @@ def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys)
             monkeypatch.setattr(module, "closure_images", counting)
     clear_q_caches()
     assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
-    assert calls == [generators_Q(partition_from_spec("1,2|3,4|5|6|7"))]
+    assert calls == [rank_pairing(partition_from_spec("1,2|3,4|5|6|7"))[0]]
     calls.clear()
     assert main(["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6"]) == 0
     assert len(calls) == 2

@@ -5,7 +5,7 @@ import pytest
 import qstar.qsemigroup
 import qstar.rank
 from qstar.engine import _close_mask
-from qstar.qsemigroup import generators_Q
+from qstar.qsemigroup import rank_pairing
 from qstar.rank import _no_generating_set_by_levels
 from qstar.verify import run_verification
 
@@ -277,14 +277,14 @@ def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     clear_q_caches()
     assert run_verification(P).all_passed
     # enumerate_Q's closure proof; minimal_generating_set and the H-class check stand on it.
-    assert calls == [generators_Q(P)]
+    assert calls == [rank_pairing(P)[0]]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rank_generators_are_the_reported_set_and_their_factors_lie_in_q(n):
     for sizes in integer_partitions(n):
         P = partition_from_sizes(sizes)
-        R = generators_Q(P)
+        R = rank_pairing(P)[0]
         assert R == minimal_generating_set(P).generators
         assert len(R) == rank_Q(P)
         Q = enumerate_Q(P)
