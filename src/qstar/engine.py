@@ -131,24 +131,6 @@ class SemigroupSet:
     def subset(self, indices: Iterable[int]) -> tuple[Transformation, ...]:
         return tuple(self.elements[i] for i in sorted(set(indices)))
 
-    def restrict(self, indices: Iterable[int]) -> SemigroupSet:
-        """The subsemigroup on the closed index set ``indices``; its table is
-        this one's rows and columns there, renumbered, with no new product."""
-        indices = sorted(set(indices))
-        if not indices:
-            raise ContractError("a semigroup needs at least one element")
-        table = self.index_table
-        position = {i: p for p, i in enumerate(indices)}.__getitem__
-        try:
-            rows = tuple(tuple(map(position, row)) for row in _rows_at(self, indices)[1])
-        except KeyError:
-            a, b = next((a, b) for a in indices for b in indices if table[a][b] not in indices)
-            a, b = self.elements[a].images, self.elements[b].images
-            raise ValidationError(f"set is not closed: {a} * {b} escapes") from None
-        sub = SemigroupSet(self.n, tuple(self.elements[i] for i in indices))
-        sub.__dict__["index_table"] = rows
-        return sub
-
 
 def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
     """The sorted image tuples of the semigroup generated by ``gens``.

@@ -25,7 +25,7 @@ from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCas
 from .limits import DEFAULT_MAX_CLOSED_SETS
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, symmetric_part_generators
+from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, instance
 from .transformation import Transformation, product_map
 
 
@@ -35,7 +35,6 @@ class MaximalSubsemigroupReport:
 
     partition: PartitionedSet
     group_type: tuple[SemigroupSet, ...]
-    group_type_subgroups: tuple[tuple[Transformation, ...], ...]
     right_zero_type: tuple[SemigroupSet, ...]
     omitted_idempotents: tuple[Transformation, ...]
     s_k: int
@@ -68,13 +67,14 @@ def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_OR
 
 def _check_symmetric(dec: RightGroupDecomposition) -> None:
     """Prove the group part G isomorphic to S_k: the block patterns are the k!
-    permutations, each once; the symmetric-part generators generate G; and
+    permutations, each once; the symmetric-part generators, read from the first
+    column of the ``rank_pairing`` trace in P's record, generate G; and
     pattern(a*g) == pattern(a)*pattern(g) for every a in G and generator g, so by
     induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
     P, G, patterns = dec.partition, dec.group_part, dec.patterns
     if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
         raise InternalConsistencyError("block patterns are not the symmetric group, each once")
-    gens = symmetric_part_generators(P)
+    gens = [g for g, *_ in instance(P).pairing[1]]  # enumerate_Q has filled the record
     try:
         generated = closure_images(gens, max_size=G.order)
     except ResourceLimitError:  # the closure grew past |G|, so it left G
@@ -121,7 +121,6 @@ def maximal_subsemigroups_Q(
     return MaximalSubsemigroupReport(
         P,
         tuple(group_type),
-        tuple(G.elements.subset(H) for H in subgroups),
         tuple(right_zero),
         dec.idempotent_part,
         len(group_type),

@@ -33,9 +33,11 @@ from .engine import (
     is_regular_semigroup,
     is_right_group,
 )
-from .errors import QstarError, ResourceLimitError, ValidationError
+from .errors import InternalConsistencyError, ResourceLimitError, ValidationError
 from .iso import build_isomorphism, q_isomorphic
-from .limits import DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, MAX_SAMPLES
+from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
+from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
+from .limits import H_CLASS_ISO_MAX_K, KERNEL_CLOSURE_SAMPLES, MAX_SAMPLES
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import (
     in_Q,
@@ -52,8 +54,8 @@ from .qsemigroup import (
     enumerate_Q,
     h_class,
     idempotents_Q,
+    instance,
     is_group_Q,
-    symmetric_part_generators,
 )
 from .rank import (
     GeneratingSetReport,
@@ -107,7 +109,7 @@ def check_partition_invariants(P: PartitionedSet, rng) -> Check:
     for x in range(P.n):
         if x not in P.blocks[P.block_of[x]]:
             return Check("partition-invariants", "fail", f"block_of[{x}] points at the wrong block")
-    if P.n <= 12:
+    if P.n <= CROSS_SECTION_SWEEP_MAX_N:
         count = sum(
             1
             for r in range(P.n + 1)
@@ -117,7 +119,7 @@ def check_partition_invariants(P: PartitionedSet, rng) -> Check:
         if count != P.m:
             return Check("partition-invariants", "fail", f"{count} cross-sections, expected m={P.m}")
         return Check("partition-invariants", "pass", f"{count} cross-sections == m, block_of consistent")
-    return Check("partition-invariants", "pass", "block_of consistent (cross-section sweep skipped for n > 12)")
+    return Check("partition-invariants", "pass", f"block_of consistent (cross-section sweep skipped for n > {CROSS_SECTION_SWEEP_MAX_N})")
 
 
 def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check:
@@ -192,7 +194,7 @@ def check_kernel_cross_section(P: PartitionedSet, Q, rng, samples: int) -> Check
             return Check("kernel-cross-section", "fail", f"kernel of {a.images} is not X/E")
         if not is_cross_section(P, image(a)):
             return Check("kernel-cross-section", "fail", f"image of {a.images} is not a cross-section")
-    for indices in _sampled_closures(Q, rng, min(samples, 25)):
+    for indices in _sampled_closures(Q, rng, min(samples, KERNEL_CLOSURE_SAMPLES)):
         if not is_right_group(Q, indices):
             return Check("kernel-cross-section", "fail", "a closed subset is not a right group")
     return Check("kernel-cross-section", "pass", "same kernel X/E, cross-section images, closed subsets right groups")
@@ -215,7 +217,7 @@ def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
 
 
 def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
-    if P.n <= 3:
+    if P.n <= GREEN_R_SWEEP_MAX_N:
         TX = SemigroupSet.from_elements(_all_maps(P.n))
         for a in TX:
             for b in TX:
@@ -223,9 +225,9 @@ def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
                     return Check("green-r", "fail", f"forms disagree on {a.images}, {b.images} in T(X)")
         extra = f"all {len(TX) ** 2} pairs of T({P.n}) agree; "
     else:
-        extra = "T(X) sweep skipped for n > 3; "
+        extra = f"T(X) sweep skipped for n > {GREEN_R_SWEEP_MAX_N}; "
     elems = list(Q)
-    for _ in range(min(samples, 50)):
+    for _ in range(min(samples, GREEN_R_SAMPLES)):
         a = rng.choice(elems)
         b = rng.choice(elems)
         if not green_R_related(a, b) or not green_R_definitional(a, b, Q):
@@ -235,7 +237,7 @@ def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
 
 def check_closure_idempotence(P: PartitionedSet, Q, rng, samples: int) -> Check:
     elems = list(Q)
-    for _ in range(min(samples, 10)):
+    for _ in range(min(samples, CLOSURE_IDEMPOTENCE_SAMPLES)):
         gens = rng.sample(elems, min(rng.randint(1, 3), len(elems)))
         once = closure(gens)
         twice = closure(once.elements)
@@ -258,7 +260,7 @@ def check_h_class_structure(P: PartitionedSet, Q) -> Check:
         if tuple(searched.get(image(e), ())) != G.elements.elements:
             return Check("h-class-structure", "fail", "pattern construction differs from searching Q")
         tables.append(G)
-    if P.k <= 4:
+    if P.k <= H_CLASS_ISO_MAX_K:
         # Isomorphism is an equivalence relation, so matching each H-class with the first suffices.
         for G in tables[1:]:
             if not groups_isomorphic(tables[0], G):
@@ -323,7 +325,8 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     audit lists beside the candidate.
 
     Candidate: every idempotent except the base one, plus the
-    transposition-patterned element of the base H-class.  The closure is
+    transposition-patterned element of the base H-class, read from the
+    ``rank_pairing`` trace in P's record.  The closure is
     computed honestly; the induced block permutations give an independent
     certificate, since patterns multiply homomorphically and a closure can
     only realize patterns from the subgroup its generators' patterns
@@ -332,11 +335,11 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     if P.k < 2 or P.m < 2:
         return {"applicable": False, "reason": "needs k >= 2 and m >= 2"}
     idems = idempotents_Q(P)
-    transposition = symmetric_part_generators(P)[0]
+    Q = enumerate_Q(P)  # fills P's record
+    transposition = instance(P).pairing[1][0][0]
     if block_permutation(P, transposition) == tuple(range(P.k)):
-        raise QstarError("expected a transposition-patterned generator first")
+        raise InternalConsistencyError("expected a transposition-patterned generator first")
     candidate = tuple(sorted(set(idems[1:]) | {transposition}))
-    Q = enumerate_Q(P)
     closed = closure(candidate)
     generates = closed.elements == Q.elements
 
@@ -345,7 +348,7 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     full_order = math.factorial(P.k)
     proper_patterns = len(pattern_group) < full_order
     if proper_patterns and generates:
-        raise QstarError("closure reached Q although its block patterns cannot")
+        raise InternalConsistencyError("closure reached Q although its block patterns cannot")
     missing = None
     if proper_patterns:
         reached = {a.images for a in pattern_group}

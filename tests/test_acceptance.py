@@ -166,7 +166,7 @@ def test_acceptance_6_right_group_battery(criterion):
                 mask |= 1 << i
             closed = _close_mask(table, mask)
             indices = [i for i in range(len(Q)) if (closed >> i) & 1]
-            sub = Q.restrict(indices)
+            sub = SemigroupSet.from_elements(Q.subset(indices))
             rg = is_right_group(sub)
             regular = is_regular_semigroup(sub)
             triangle = regular and is_left_cancellative(sub)

@@ -4,14 +4,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import jsonschema
 import pytest
 
 import qstar.cli
-from qstar import limits
+import qstar.qsemigroup
+import qstar.verify
+from qstar import limits, partition_from_spec
 from qstar.cli import build_parser, json_int, main
-from qstar.qsemigroup import enumerate_Q
+from qstar.qsemigroup import enumerate_Q, idempotents_Q, instance
 
 from conftest import clear_q_caches
 
@@ -471,3 +474,46 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     for argv in REUSE_ARGV:
         outcome(capsys, argv)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--partition", "1,2,3|4,5|6"], ["maximal", "--partition", "1,2,3|4,5|6|7"]]
+)
+def test_the_symmetric_part_is_built_once_per_cold_instance(capsys, monkeypatch, argv):
+    calls = []
+    real = qstar.qsemigroup.symmetric_part_generators
+
+    def counting(P):
+        calls.append(P)
+        return real(P)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("qstar") and hasattr(module, "symmetric_part_generators"):
+            monkeypatch.setattr(module, "symmetric_part_generators", counting)
+    clear_q_caches()
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [partition_from_spec(argv[-1])]
+
+
+def test_verify_exits_4_when_the_audit_finds_no_transposition_first(capsys, monkeypatch):
+    P = partition_from_spec("1,2|3|4")
+    clear_q_caches()
+    enumerate_Q(P)
+    generators, paired, leftover = instance(P).pairing
+    e = idempotents_Q(P)[0]
+    planted = types.SimpleNamespace(pairing=(generators, ((e, e, e),) + paired[1:], leftover))
+    monkeypatch.setattr(qstar.verify, "instance", lambda P: planted)  # only build_audit reads it there
+    assert main(["verify", "--partition", "1,2|3|4"]) == 4
+    assert capsys.readouterr() == ("", "internal consistency: expected a transposition-patterned generator first\n")
+
+
+def test_verify_exits_4_when_the_audit_closure_outruns_its_block_patterns(capsys, monkeypatch):
+    P = partition_from_spec("1,2|3|4")
+    clear_q_caches()
+    Q = enumerate_Q(P)
+    transposition = instance(P).pairing[1][0][0]
+    candidate = tuple(sorted({*idempotents_Q(P)[1:], transposition}))
+    real = qstar.verify.closure
+    monkeypatch.setattr(qstar.verify, "closure", lambda gens: Q if tuple(gens) == candidate else real(gens))
+    assert main(["verify", "--partition", "1,2|3|4"]) == 4
+    assert capsys.readouterr() == ("", "internal consistency: closure reached Q although its block patterns cannot\n")

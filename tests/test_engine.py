@@ -55,35 +55,6 @@ def test_semigroup_set_rejects_unclosed():
         half.index_table
 
 
-@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 1)])
-def test_restrict_reads_the_table_of_every_closed_subset(sizes):
-    Q = enumerate_Q(partition_from_sizes(sizes))
-    for mask in all_closed_subsets(Q):
-        if mask:
-            ix = _mask_indices(mask, len(Q))
-            sub = Q.restrict(ix)
-            assert sub.elements == Q.subset(ix)
-            assert sub.index_table == SemigroupSet.from_elements(Q.subset(ix)).index_table
-
-
-def test_restrict_to_one_index():
-    P = partition_from_sizes((2, 1))
-    Q = enumerate_Q(P)
-    e = Q.index_of(idempotents_Q(P)[0])
-    sub = Q.restrict([e])
-    assert sub.elements == (Q.elements[e],)
-    assert sub.index_table == ((0,),)
-
-
-def test_restrict_rejects_a_set_that_is_not_closed():
-    S = full_transformation_semigroup(2)
-    swap = S.index_of(Transformation((1, 0)))
-    with pytest.raises(ValidationError, match=r"not closed: \(1, 0\) \* \(1, 0\) escapes"):
-        S.restrict([swap])
-    with pytest.raises(ContractError):
-        S.restrict([])
-
-
 INDEX_SET_PREDICATES = (is_right_group, is_regular_semigroup, is_left_cancellative, idempotents_right_zero)
 
 
@@ -104,7 +75,7 @@ def test_predicates_on_an_index_set_equal_them_on_the_restriction():
         for mask in all_closed_subsets(S):
             if mask:
                 ix = _mask_indices(mask, len(S))
-                sub = S.restrict(ix)
+                sub = SemigroupSet.from_elements(S.subset(ix))
                 for predicate in INDEX_SET_PREDICATES:
                     assert predicate(S, ix) == predicate(sub), (predicate.__name__, S.elements, ix)
                     answers[predicate].add(predicate(sub))
@@ -399,7 +370,7 @@ def test_right_group_iff_regular_and_left_cancellative_exhaustive(sizes, q_size)
     for mask in all_closed_subsets(Q):
         if mask == 0:
             continue
-        sub = Q.restrict(_mask_indices(mask, len(Q)))
+        sub = SemigroupSet.from_elements(Q.subset(_mask_indices(mask, len(Q))))
         regular = is_regular_semigroup(sub)
         assert is_right_group(sub) == (regular and is_left_cancellative(sub))
         # The leg above holds on every finite table; this one does not.

@@ -30,6 +30,7 @@ from qstar.errors import InternalConsistencyError
 from qstar.iso import integer_partitions
 from qstar.limits import DEFAULT_ORACLE_MAX
 from qstar.maximal import _maximal_closed_masks
+from qstar.qsemigroup import instance
 
 from conftest import clear_q_caches
 
@@ -89,8 +90,10 @@ def test_swapped_block_patterns_are_caught(monkeypatch, sizes, swap):
 def test_a_symmetric_part_cut_to_one_generator_is_caught(monkeypatch, sizes):
     P = partition_from_sizes(sizes)
     clear_q_caches()
-    real = qstar.maximal.symmetric_part_generators
-    monkeypatch.setattr(qstar.maximal, "symmetric_part_generators", lambda P: real(P)[:1])
+    enumerate_Q(P)
+    record = instance(P)  # _check_symmetric reads the generators from the first column of paired
+    generators, paired, leftover = record.pairing
+    monkeypatch.setattr(record, "pairing", (generators, paired[:1], leftover))
     with pytest.raises(InternalConsistencyError, match="^symmetric part does not generate the group part$"):
         maximal_subsemigroups_Q(P)
 
