@@ -40,7 +40,7 @@ from .iso import build_isomorphism, classify_partitions, q_isomorphic
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX
 from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
-from .partition import PartitionedSet, partition_from_spec
+from .partition import PartitionedSet, partition_from_spec, too_large
 from .qsemigroup import cardinality_Q, enumerate_Q, is_group_Q
 from .rank import minimal_generating_set, rank_Q
 from .transformation import q_shorthand, transformation_from_json
@@ -127,10 +127,13 @@ def _partition(args) -> PartitionedSet:
 
 
 def _parse_map(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError as exc:
+            raise ValidationError(too_large(part.strip()) or f"expected comma-separated integers, got {text!r}") from exc
+    return values
 
 
 def cmd_analyze(args) -> dict:
@@ -331,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest order of a group built as a table: the H-class or a symmetric group",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # main runs these directly
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text, parents=[common])
@@ -377,7 +381,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand's parser alone; the top-level one runs for help and usage errors.
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0])) if sub else (None, None)
+    if sub is None or extras:
+        args = parser.parse_args(argv)
     # argparse drops a "--" given as "--option=--" and stores [] as the value.
     for name, value in vars(args).items():
         if isinstance(value, list):

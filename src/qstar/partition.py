@@ -134,6 +134,11 @@ def partition_from_sizes(sizes: Sequence[int]) -> PartitionedSet:
     return make_partitioned_set(start, blocks)
 
 
+def too_large(item: str) -> str | None:
+    """The message for decimal digits that ``int`` refused: past the int-from-str limit."""
+    return f"entry of {len(item)} digits is too large" if item.isdecimal() else None
+
+
 def partition_from_spec(text: str) -> PartitionedSet:
     """Parse the 1-based ``"1,2,3|4,5|6"`` form; n is its largest entry."""
     if not text or not text.strip():
@@ -148,7 +153,7 @@ def partition_from_spec(text: str) -> PartitionedSet:
             try:
                 v = int(item)
             except ValueError:
-                raise ValidationError(f"non-integer entry {item!r} in partition text") from None
+                raise ValidationError(too_large(item) or f"non-integer entry {item!r} in partition text") from None
             if v < 1:
                 raise ValidationError(f"entries are 1-based, got {v}")
             block.append(v - 1)

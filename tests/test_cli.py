@@ -1,3 +1,6 @@
+import argparse
+import functools
+import io
 import json
 import math
 import os
@@ -5,9 +8,12 @@ import pathlib
 import subprocess
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qstar.cli
 import qstar.qsemigroup
@@ -314,14 +320,15 @@ def test_argparse_rejects_unknown_subcommand():
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstar.cli", "analyze", "--partition", "1,2|3"],
-        capture_output=True,
-        text=True,
-    )
+    # main(None) reads sys.argv, as the console script calls it.
+    argv = [sys.executable, "-m", "qstar.cli", "analyze", "--partition", "1,2|3"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["cardinality"] == 4
+    proc = subprocess.run(argv + ["extra"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("\nqstar: error: unrecognized arguments: extra\n")
 
 
 FAILING_VERIFY = """
@@ -460,20 +467,117 @@ def test_reused_parser_gives_the_outcome_of_a_fresh_one(capsys):
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     from qstar import cli
 
-    builds = []
-    real = cli.build_parser
+    builds, maps = [], []
+    real, real_add_subparsers = cli.build_parser, argparse.ArgumentParser.add_subparsers
 
     def counting():
         builds.append(1)
         return real()
 
+    def counting_add_subparsers(self, **kwargs):
+        maps.append(1)
+        return real_add_subparsers(self, **kwargs)
+
     monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
     cli._parser.cache_clear()
     outcome(capsys, ["analyze", "--partition", "1,2|3"])
-    assert len(builds) == 1
+    subcommands = cli._parser().subcommands
+    assert len(builds) == len(maps) == 1
     for argv in REUSE_ARGV:
         outcome(capsys, argv)
-    assert len(builds) == 1
+    assert len(builds) == len(maps) == 1
+    assert cli._parser().subcommands is subcommands
+
+
+def test_a_valid_call_is_parsed_once(capsys, monkeypatch):
+    qstar.cli._parser()  # built outside the count
+    parses = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        parses.append(self.prog)
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, "analyze", "--partition", "1,2|3")[0] == 0
+    assert parses == ["qstar analyze"]
+
+
+class Parsed(Exception):
+    """Raised in place of running a command; carries the namespace main would run it on."""
+
+
+def stop(fn, args):
+    args.fn = fn
+    raise Parsed(vars(args))
+
+
+def parse_outcome(argv, dispatch):
+    """main's outcome on argv with every command stopped before it runs: the namespace, or the
+    SystemExit code, with stdout and stderr.  Without ``dispatch`` main finds no subcommand map,
+    so a fresh ``build_parser().parse_args(argv)`` parses all of argv."""
+    parser = build_parser()
+    for sub in parser.subcommands.values():
+        sub.set_defaults(fn=functools.partial(stop, sub.get_default("fn")))
+    if not dispatch:
+        parser.subcommands = {}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(qstar.cli, "_parser", lambda: parser), redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = main(list(argv))
+        except Parsed as exc:
+            result = exc.args[0]
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+PARSE_ARGV = REUSE_ARGV + [
+    ["analyze", "--partition=1,2|3"],
+    ["analyze", "--partition=--"],
+    ["analyze", "--part", "1,2|3"],
+    ["analyze", "--partition", "1", "--partition", "1,2|3"],
+    ["check", "-h"],
+    ["-h"],
+    [],
+    ["frobnicate", "--partition", "1"],
+    ["check", "--partition", "1,2", "--map", "1,1", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV)
+def test_the_subcommand_parse_matches_a_fresh_top_level_parse(argv):
+    fresh = parse_outcome(argv, dispatch=False)
+    assert parse_outcome(argv, dispatch=True) == fresh
+    if isinstance(fresh[0], dict):
+        assert fresh[0]["subcommand"] == argv[0]
+
+
+ARGV_TOKENS = st.sampled_from(
+    ["analyze", "check", "census", "iso", "frobnicate", "--partition", "--part", "--partition=1,2|3",
+     "--partition=--", "--map", "--q", "--map=1,1", "--n", "--n=3", "--left", "--right", "--format",
+     "table", "xml", "--max-closure", "0", "5", "1,2|3", "-h", "--h", "--help", "--", "-", "extra", ""]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ARGV_TOKENS, max_size=6), st.sampled_from(["analyze", "check", "census", "iso", "verify"]))
+def test_the_subcommand_parse_matches_a_fresh_one_on_random_argv(tokens, name):
+    for argv in (tokens, [name, *tokens]):
+        assert parse_outcome(argv, dispatch=True) == parse_outcome(argv, dispatch=False)
+
+
+HUGE = "1" + "0" * 5000  # 5,001 digits, past the default int-from-str limit of 4,300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--partition", HUGE], ["check", "--partition", "1", "--map", HUGE], ["check", "--partition", "1", "--q", HUGE]],
+)
+def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: entry of 5001 digits is too large\n")
 
 
 @pytest.mark.parametrize(
