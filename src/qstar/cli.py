@@ -4,11 +4,14 @@ Subcommands:
 
 * ``analyze``  - closed-form structure numbers for one partitioned set
 * ``check``    - membership predicates for one transformation
-* ``generate`` - a verified minimal generating set
-* ``maximal``  - the maximal subsemigroups
-* ``iso``      - compare two partitioned sets up to isomorphism
+* ``generate`` - a verified minimal generating set (``--max-closure``)
+* ``maximal``  - the maximal subsemigroups (``--max-closure``, ``--group-order-bound``)
+* ``iso``      - compare two partitioned sets up to isomorphism (both bounds)
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
+
+Each subcommand takes only the options it reads; the battery's coverage
+bounds are :mod:`qstar.limits` constants with no flag.
 
 All output is deterministic: JSON with sorted keys, or an aligned text
 table with ``--format table``.  Counts that can exceed 2**53 - 1 are
@@ -40,7 +43,7 @@ from .iso import build_isomorphism, classify_partitions, q_isomorphic
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX
 from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
-from .partition import PartitionedSet, partition_from_spec, too_large
+from .partition import partition_from_spec, too_large
 from .qsemigroup import cardinality_Q, enumerate_Q, is_group_Q
 from .rank import minimal_generating_set, rank_Q
 from .transformation import q_shorthand, transformation_from_json
@@ -122,22 +125,18 @@ def _emit(payload: dict, fmt: str) -> None:
         )
 
 
-def _partition(args) -> PartitionedSet:
-    return partition_from_spec(args.partition)
-
-
 def _parse_map(text: str) -> list[int]:
     values = []
     for part in text.split(","):
         try:
             values.append(int(part))
         except ValueError as exc:
-            raise ValidationError(too_large(part.strip()) or f"expected comma-separated integers, got {text!r}") from exc
+            raise ValidationError(too_large(part) or f"expected comma-separated integers, got {text!r}") from exc
     return values
 
 
 def cmd_analyze(args) -> dict:
-    P = _partition(args)
+    P = partition_from_spec(args.partition)
     size, m = cardinality_Q(P), json_int(P.m)  # each big number is computed and written once
     cardinality = json_int(size)  # |Q| = k! * m is the H-class order k! when m = 1
     return {
@@ -157,7 +156,7 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_check(args) -> dict:
-    P = _partition(args)
+    P = partition_from_spec(args.partition)
     if args.map is not None:
         a = transformation_from_json({"images": _parse_map(args.map)})
     else:
@@ -180,7 +179,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
-    P = _partition(args)
+    P = partition_from_spec(args.partition)
     report = minimal_generating_set(P, max_size=args.max_closure)
     return {
         "command": "generate",
@@ -193,7 +192,7 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_maximal(args) -> dict:
-    P = _partition(args)
+    P = partition_from_spec(args.partition)
     if P.m == 1:
         # Q is the symmetric group on the blocks; the right-group theorem
         # needs at least two idempotents, so report maximal subgroups instead.
@@ -289,7 +288,7 @@ def cmd_census(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    P = _partition(args)
+    P = partition_from_spec(args.partition)
     report = run_verification(P, seed=args.seed, samples=args.samples)
     return {
         "command": "verify",
@@ -301,12 +300,17 @@ def cmd_verify(args) -> dict:
     }
 
 
+def _int(text: str) -> int:
+    """An int option's value; argparse's own message, or a short one past the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(too_large(text) or f"invalid int value: {text!r}") from None
+
+
 def _bound(text: str) -> int:
     """A size bound option's value: an int of at least 1, since 0 admits nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -317,56 +321,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qstar",
         description="Structure of the semigroup of double-class-preserving transformations",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--max-closure",
-        type=_bound,
-        default=DEFAULT_MAX_CLOSURE,
-        help="abort closures beyond this many elements",
-    )
-    common.add_argument(
-        "--group-order-bound",
-        type=_bound,
-        default=DEFAULT_MAX_GROUP_ORDER,
-        help="largest order of a group built as a table: the H-class or a symmetric group",
-    )
+
+    def option(*args, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring one option, for the subcommands that read it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    common = option("--format", choices=("json", "table"), default="json", help="output format")
+    partition = option("--partition", required=True, help='blocks as "1,2,3|4,5|6"')
+    closure = option("--max-closure", type=_bound, default=DEFAULT_MAX_CLOSURE, help="abort closures beyond this many elements")
+    group = option("--group-order-bound", type=_bound, default=DEFAULT_MAX_GROUP_ORDER,
+                   help="largest order of a group built as a table: the H-class or a symmetric group")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parser.subcommands = sub.choices  # main runs these directly
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
         p.set_defaults(fn=fn)
         return p
 
-    p = add("analyze", cmd_analyze, "closed-form structure numbers")
-    p.add_argument("--partition", required=True, help='blocks as "1,2,3|4,5|6"')
+    add("analyze", cmd_analyze, "closed-form structure numbers", partition)
 
-    p = add("check", cmd_check, "membership predicates for one map")
-    p.add_argument("--partition", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--map", help='full image list, one value per point: "4,1,6"')
-    group.add_argument("--q", help='block shorthand, one value per block: "4,1,6"')
+    p = add("check", cmd_check, "membership predicates for one map", partition)
+    maps = p.add_mutually_exclusive_group(required=True)
+    maps.add_argument("--map", help='full image list, one value per point: "4,1,6"')
+    maps.add_argument("--q", help='block shorthand, one value per block: "4,1,6"')
 
-    p = add("generate", cmd_generate, "verified minimal generating set")
-    p.add_argument("--partition", required=True)
+    add("generate", cmd_generate, "verified minimal generating set", partition, closure)
+    add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
 
-    p = add("maximal", cmd_maximal, "maximal subsemigroups")
-    p.add_argument("--partition", required=True)
-
-    p = add("iso", cmd_iso, "compare two partitioned sets")
+    p = add("iso", cmd_iso, "compare two partitioned sets", closure, group)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
     p = add("census", cmd_census, "isomorphism classes for all partitions of n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
 
-    p = add("verify", cmd_verify, "cross-validation battery")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p = add("verify", cmd_verify, "cross-validation battery", partition)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
 
     return parser
 

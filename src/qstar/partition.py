@@ -7,6 +7,7 @@ the compact ``"1,2,3|4,5|6"`` text form) is 1-based.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,8 +136,13 @@ def partition_from_sizes(sizes: Sequence[int]) -> PartitionedSet:
 
 
 def too_large(item: str) -> str | None:
-    """The message for decimal digits that ``int`` refused: past the int-from-str limit."""
-    return f"entry of {len(item)} digits is too large" if item.isdecimal() else None
+    """The message for an entry that ``int`` refused for its length: more digits, after one
+    leading sign and any underscores are dropped, than the int-from-str limit.  Else None."""
+    item = item.strip()
+    digits = (item[1:] if item[:1] in ("+", "-") else item).replace("_", "")
+    if digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits):
+        return f"entry of {len(digits)} digits is too large"
+    return None
 
 
 def partition_from_spec(text: str) -> PartitionedSet:

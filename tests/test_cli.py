@@ -1,5 +1,7 @@
 import argparse
+import ast
 import functools
+import inspect
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -211,6 +214,26 @@ def test_table_format(capsys):
     assert "{" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--partition", "1,2,3|4,5|6", "--map", "4,4,4,1,1,6"],
+        ["generate", "--partition", "1,2|3"],
+        ["iso", "--left", "1,2|3,4", "--right", "1,2,3,4|5"],
+        ["census", "--n", "4"],
+        ["verify", "--partition", "1,2|3"],
+    ],
+)
+def test_table_format_prints_one_aligned_line_per_key(capsys, argv):
+    payload = run_json(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "table")
+    assert code == 0
+    width = max(map(len, payload))
+    text = {key: json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)
+            for key, value in payload.items()}
+    assert out.splitlines() == [f"{key.ljust(width)}  {text[key]}" for key in sorted(payload)]
+
+
 def test_exit_code_on_bad_partition(capsys):
     assert main(["analyze", "--partition", "1,2|2,3"]) == 2
     err = capsys.readouterr().err
@@ -277,19 +300,65 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
 
 def test_argparse_defaults_are_the_library_limits():
     parser = build_parser()
-    for argv in (
-        ["analyze", "--partition", "1"],
-        ["check", "--partition", "1", "--map", "1"],
-        ["generate", "--partition", "1"],
-        ["maximal", "--partition", "1"],
-        ["iso", "--left", "1", "--right", "1"],
-        ["census", "--n", "1"],
-        ["verify", "--partition", "1"],
+    bounds = {"max_closure": limits.DEFAULT_MAX_CLOSURE, "group_order_bound": limits.DEFAULT_MAX_GROUP_ORDER}
+    for argv, names in (
+        (["analyze", "--partition", "1"], ()),
+        (["check", "--partition", "1", "--map", "1"], ()),
+        (["generate", "--partition", "1"], ("max_closure",)),
+        (["maximal", "--partition", "1"], ("max_closure", "group_order_bound")),
+        (["iso", "--left", "1", "--right", "1"], ("max_closure", "group_order_bound")),
+        (["census", "--n", "1"], ()),
+        (["verify", "--partition", "1"], ()),
     ):
-        args = parser.parse_args(argv)
-        assert args.max_closure == limits.DEFAULT_MAX_CLOSURE
-        assert args.group_order_bound == limits.DEFAULT_MAX_GROUP_ORDER
-    assert args.samples == limits.DEFAULT_SAMPLES
+        args = vars(parser.parse_args(argv))
+        assert {name: args[name] for name in bounds if name in args} == {name: bounds[name] for name in names}
+    assert args["samples"] == limits.DEFAULT_SAMPLES
+
+
+def args_read(fn):
+    """The ``args.<name>`` attributes ``fn`` reads, also through the ``qstar.cli`` helpers it hands ``args``."""
+    names = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and "args" in [
+            arg.id for arg in node.args if isinstance(arg, ast.Name)
+        ]:
+            names |= args_read(getattr(qstar.cli, node.func.id))
+    return names
+
+
+def test_each_subcommand_declares_only_the_options_its_command_reads():
+    # main reads --format itself; every other option is read by the subcommand's cmd_* function.
+    mismatched = sorted(
+        (name, dest)
+        for name, sub in build_parser().subcommands.items()
+        for dest in {a.dest for a in sub._actions if a.dest != "help"} ^ ({"format"} | args_read(sub.get_default("fn")))
+    )
+    assert mismatched == []
+
+
+REMOVED_OPTIONS = [
+    (["analyze", "--partition", "1,2|3"], "--max-closure"),
+    (["analyze", "--partition", "1,2|3"], "--group-order-bound"),
+    (["check", "--partition", "1,2|3", "--q", "1,2"], "--max-closure"),
+    (["check", "--partition", "1,2|3", "--q", "1,2"], "--group-order-bound"),
+    (["census", "--n", "3"], "--max-closure"),
+    (["census", "--n", "3"], "--group-order-bound"),
+    (["verify", "--partition", "1,2|3"], "--max-closure"),
+    (["verify", "--partition", "1,2|3"], "--group-order-bound"),
+    (["generate", "--partition", "1,2|3"], "--group-order-bound"),
+]
+
+
+@pytest.mark.parametrize("argv, option", REMOVED_OPTIONS)
+def test_a_bound_the_subcommand_does_not_read_is_an_unrecognized_argument(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"\nqstar: error: unrecognized arguments: {option} 5\n")
 
 
 def test_max_closure_is_not_read_from_the_environment(capsys, monkeypatch):
@@ -400,7 +469,7 @@ def test_every_command_output_validates_against_schema(capsys):
         ["check", "--partition=1", "--map=--"],
         ["check", "--partition=1", "--q=--"],
         ["census", "--n=--"],
-        ["analyze", "--max-closure=--", "--partition=1"],
+        ["generate", "--max-closure=--", "--partition=1"],
         ["verify", "--partition=1", "--seed=--"],
     ],
 )
@@ -573,11 +642,53 @@ HUGE = "1" + "0" * 5000  # 5,001 digits, past the default int-from-str limit of 
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", "--partition", HUGE], ["check", "--partition", "1", "--map", HUGE], ["check", "--partition", "1", "--q", HUGE]],
+    [
+        ["analyze", "--partition", HUGE],
+        ["check", "--partition", "1", "--map", HUGE],
+        ["check", "--partition", "1", "--q", HUGE],
+        ["analyze", "--partition", "+" + HUGE],
+        ["check", "--partition", "1", "--map", "+" + HUGE],
+        ["check", "--partition", "1", "--q", "-" + HUGE],
+    ],
 )
 def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: entry of 5001 digits is too large\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["generate", "--partition", "1"], "--max-closure"),
+        (["maximal", "--partition", "1"], "--group-order-bound"),
+        (["iso", "--left", "1", "--right", "1"], "--group-order-bound"),
+        (["census"], "--n"),
+        (["verify", "--partition", "1"], "--seed"),
+        (["verify", "--partition", "1"], "--samples"),
+    ],
+)
+def test_an_int_option_past_the_digit_limit_is_named_too_large(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, HUGE])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err) < 400
+    assert captured.err.endswith(f": error: argument {option}: entry of 5001 digits is too large\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--n", "1__0"], "argument --n: invalid int value: '1__0'"),
+        (["census", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["analyze", "--partition", "1__0"], "non-integer entry '1__0' in partition text"),
+        (["check", "--partition", "1", "--map", "+_1"], "expected comma-separated integers, got '+_1'"),
+    ],
+)
+def test_a_short_malformed_integer_keeps_its_message(capsys, argv, message):
+    code, out, err = outcome(capsys, argv)
+    assert code in (2, ("SystemExit", 2)) and out == ""
+    assert err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

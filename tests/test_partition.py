@@ -16,6 +16,7 @@ from qstar import (
     partition_from_spec,
     universal_partition,
 )
+from qstar.partition import too_large
 
 
 def test_blocks_are_normalized():
@@ -223,3 +224,14 @@ def test_spec_and_json_forms_agree(blocks):
     spec = "|".join(",".join(map(str, b)) for b in blocks)
     json_form = {"n": max(map(max, blocks)), "blocks": blocks}
     assert _outcome(partition_from_spec, spec) == _outcome(partition_from_json, json_form)
+
+
+def test_too_large_counts_digits_without_sign_or_underscores(monkeypatch):
+    grouped = "1_000" * 1100  # valid int syntax, 4,400 digits: int refuses it only for its length
+    with pytest.raises(ValueError):
+        int(grouped)
+    assert too_large(" -" + grouped + " ") == "entry of 4400 digits is too large"
+    assert too_large("1__0") is too_large("+") is too_large("1" * 100) is None
+    # With the limit switched off (0), int refuses only malformed text, so nothing is too large.
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)
+    assert too_large(grouped) is None

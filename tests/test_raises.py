@@ -2,9 +2,10 @@
 
 ``cli.main`` maps the library's error classes to exits 2, 3 and 4, so a
 raise of any other class would escape it as a traceback.  The allow-list
-names the raises that never cross ``main``'s handlers: argparse turns
-``_bound``'s ``ArgumentTypeError`` into its own exit 2, and ``json_text``
-raises ``TypeError`` only on a value no command puts in its payload.
+names the raises that never cross ``main``'s handlers: argparse turns the
+``ArgumentTypeError`` of the option types ``_int`` and ``_bound`` into its
+own exit 2, and ``json_text`` raises ``TypeError`` only on a value no
+command puts in its payload.
 """
 
 import ast
@@ -13,7 +14,11 @@ import pathlib
 import qstar.errors
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
-ALLOWED = {("cli.py", "_bound", "ArgumentTypeError"), ("cli.py", "json_text", "TypeError")}
+ALLOWED = {
+    ("cli.py", "_int", "ArgumentTypeError"),
+    ("cli.py", "_bound", "ArgumentTypeError"),
+    ("cli.py", "json_text", "TypeError"),
+}
 
 
 def mapped_classes():
