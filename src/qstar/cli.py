@@ -6,12 +6,15 @@ Subcommands:
 * ``check``    - membership predicates for one transformation
 * ``generate`` - a verified minimal generating set (``--max-closure``)
 * ``maximal``  - the maximal subsemigroups (``--max-closure``, ``--group-order-bound``)
-* ``iso``      - compare two partitioned sets up to isomorphism (both bounds)
+* ``iso``      - compare two partitioned sets up to isomorphism (both bounds, on the witness build only)
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
 
 Each subcommand takes only the options it reads; the battery's coverage
-bounds are :mod:`qstar.limits` constants with no flag.
+bounds are :mod:`qstar.limits` constants with no flag.  The commands that
+build Q (``generate``, ``maximal``, ``verify`` and ``iso``'s witness) import
+the modules that build it when they run, so the closed-form commands
+(``analyze``, ``check``, ``census``) load none of them.
 
 All output is deterministic: JSON with sorted keys, or an aligned text
 table with ``--format table``.  Counts that can exceed 2**53 - 1 are
@@ -32,22 +35,17 @@ import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
-from .engine import maximal_subgroups, symmetric_group_table
 from .errors import (
     ContractError,
     InternalConsistencyError,
     ResourceLimitError,
     ValidationError,
 )
-from .iso import build_isomorphism, classify_partitions, q_isomorphic
+from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX
-from .maximal import maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
-from .qsemigroup import cardinality_Q, enumerate_Q, is_group_Q
-from .rank import minimal_generating_set, rank_Q
 from .transformation import q_shorthand, transformation_from_json
-from .verify import run_verification
 
 MAX_SAFE_INT = 2**53 - 1
 
@@ -179,6 +177,8 @@ def cmd_check(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
+    from .rank import minimal_generating_set
+
     P = partition_from_spec(args.partition)
     report = minimal_generating_set(P, max_size=args.max_closure)
     return {
@@ -192,6 +192,10 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_maximal(args) -> dict:
+    from .engine import maximal_subgroups, symmetric_group_table
+    from .maximal import maximal_subsemigroups_Q
+    from .qsemigroup import enumerate_Q
+
     P = partition_from_spec(args.partition)
     if P.m == 1:
         # Q is the symmetric group on the blocks; the right-group theorem
@@ -257,6 +261,8 @@ def cmd_iso(args) -> dict:
         "witness_verified": False,
     }
     if isomorphic and cardinality_Q(P1) <= DEFAULT_VERIFY_MAX:
+        from .iso import build_isomorphism
+
         iso = build_isomorphism(
             P1, P2, max_size=args.max_closure, max_group_order=args.group_order_bound
         )
@@ -288,6 +294,8 @@ def cmd_census(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .verify import run_verification
+
     P = partition_from_spec(args.partition)
     report = run_verification(P, seed=args.seed, samples=args.samples)
     return {
@@ -352,6 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
 
     p = add("iso", cmd_iso, "compare two partitioned sets", closure, group)
+    p.description = (
+        "The bounds act only on the witness build: an isomorphism is built and checked only when "
+        f"the two sides are isomorphic and |Q| <= {DEFAULT_VERIFY_MAX}; otherwise nothing is built "
+        "and neither bound can trip."
+    )
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 

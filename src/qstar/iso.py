@@ -1,49 +1,21 @@
-"""Isomorphism classification of the semigroups Q.
+"""Explicit isomorphisms between the semigroups Q.
 
 Two instances are isomorphic exactly when they share the block count k and
-the block-size product m.  ``build_isomorphism`` realizes the bijection
-explicitly in the right-group coordinates of ``decompose``, sending (i, j)
-to (psi(i), j) where psi conjugates block patterns by a block bijection,
-and checks it on the rank-size generating set R of Q(P1), so a positive
-answer is always certified.
+the block-size product m (:mod:`qstar.formulas`).  ``build_isomorphism``
+realizes the bijection explicitly in the right-group coordinates of
+``decompose``, sending (i, j) to (psi(i), j) where psi conjugates block
+patterns by a block bijection, and checks it on the rank-size generating
+set R of Q(P1), so a positive answer is always certified.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
-from .limits import DEFAULT_CENSUS_MAX_N, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
+from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .formulas import cardinality_Q, q_isomorphic
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import cardinality_Q, decompose, enumerate_Q, instance
-from .rank import rank_Q
+from .qsemigroup import decompose, enumerate_Q, instance
 from .transformation import product_map
-
-
-@dataclass(frozen=True, order=True)
-class IsoClassKey:
-    """Complete isomorphism invariant: block count and block-size product."""
-
-    k: int
-    m: int
-
-    @property
-    def cardinality(self) -> int:
-        return cardinality_Q(self)
-
-    @property
-    def rank(self) -> int:
-        return rank_Q(self)
-
-
-def iso_key(P: PartitionedSet) -> IsoClassKey:
-    return IsoClassKey(P.k, P.m)
-
-
-def q_isomorphic(P1: PartitionedSet, P2: PartitionedSet) -> bool:
-    """True when k and m agree; certified by :func:`build_isomorphism`."""
-    return iso_key(P1) == iso_key(P2)
 
 
 def build_isomorphism(
@@ -118,32 +90,3 @@ def build_isomorphism(
         "pairs_checked": len(phi) * len(gens),
         "exhaustive": True,
     }
-
-
-def integer_partitions(n: int):
-    """All partitions of n as weakly decreasing tuples, descending lex order."""
-    if n < 1:
-        raise ValidationError(f"need a positive integer, got {n!r}")
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
-def classify_partitions(n: int) -> dict:
-    """Group the block-size multisets for ground size n by isomorphism class,
-    keyed by part count and part product: the k and m that :func:`iso_key`
-    reads off a partitioned set of those block sizes, which is not built.
-    Returns {IsoClassKey: (size tuples...)} ordered by key."""
-    if n > DEFAULT_CENSUS_MAX_N:
-        raise ValidationError(f"census bound is n <= {DEFAULT_CENSUS_MAX_N}, got {n}")
-    buckets: dict[IsoClassKey, list] = {}
-    for sizes in integer_partitions(n):
-        buckets.setdefault(IsoClassKey(len(sizes), math.prod(sizes)), []).append(sizes)
-    return {key: tuple(buckets[key]) for key in sorted(buckets)}

@@ -7,7 +7,8 @@ indexed by the m image cross-sections.  :func:`decompose` names every
 element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
 Each partition's Q, R, idempotents and decomposition are kept in its record,
-in the one cache :func:`instance`.
+in the one cache :func:`instance`: :func:`prove_Q` keeps Q as image tuples,
+and :func:`enumerate_Q` wraps them as maps on first use.
 """
 
 from __future__ import annotations
@@ -19,20 +20,11 @@ from functools import lru_cache
 
 from .engine import GroupTable, SemigroupSet, closure_images
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .formulas import cardinality_Q
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS
 from .membership import all_in_Q, in_Q
 from .partition import PartitionedSet, check_degree
 from .transformation import Transformation, compose, image, product_map
-
-
-def cardinality_Q(P: PartitionedSet) -> int:
-    """|Q| = k! * m, exactly; an ``IsoClassKey`` works as ``P`` too."""
-    return math.factorial(P.k) * P.m
-
-
-def is_group_Q(P: PartitionedSet) -> bool:
-    """Q is a group precisely when the relation is the identity (all blocks singletons)."""
-    return P.is_identity_relation
 
 
 def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
@@ -58,31 +50,33 @@ def _check_size(what: str, size: int, bound: int, exceeds: str = "max_size=") ->
         raise ResourceLimitError(f"{what} {size} exceeds {exceeds}{bound}")
 
 
-def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
-    """All of Q, built directly as (block permutation) x (representative choice).
+def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
+    """P's record, holding Q as sorted image tuples (``images``) and R with its trace
+    (``pairing``), both proved; nothing is wrapped as a map.
 
-    The element for a permutation sigma and representatives c (with
-    c_i in the block sigma(i)) sends every point of block i to c_i.  The
-    result is verified: the count is k!*m, the closure of R of
-    :func:`rank_pairing`, bounded by |Q|, is the built set, R's factors
-    (symmetric part and idempotents) lie in it, and the whole set passes
-    all_in_Q.  That proves it closed and generated by R, so by R's factors,
-    with O(|Q|*|R|) products instead of |Q|^2.  Elements are built, sorted and
-    compared as image tuples; the closure equality proves each built tuple a
-    product of validated maps before it is wrapped, unvalidated, once.
-    Q and R are kept in P's record only once proved.
+    Q is built directly as (block permutation) x (representative choice):
+    the element for a permutation sigma and representatives c (with c_i in
+    the block sigma(i)) sends every point of block i to c_i.  The proof: the
+    count is k!*m, the closure of R of :func:`rank_pairing`, bounded by |Q|,
+    is the built set, R's factors (symmetric part and idempotents) lie in
+    it, and the whole set passes all_in_Q.  That proves it closed and
+    generated by R, so by R's factors, with O(|Q|*|R|) products instead of
+    |Q|^2.  The closure equality proves each built tuple a product of
+    validated maps, and the closure's sorted tuples are kept as Q's order.
+    The size bound is checked before the record is read, and nothing is
+    kept unless proved.
     """
     expected = cardinality_Q(P)
     _check_size("|Q| =", expected, max_size)
     record = instance(P)
-    if record.Q is not None:
-        return record.Q
+    if record.images is not None:
+        return record
     spread = product_map(P.block_of)  # one image per block -> one per point
-    built = sorted({
+    built = {
         spread(choice)
         for sigma in itertools.permutations(range(P.k))
         for choice in itertools.product(*(P.blocks[i] for i in sigma))
-    })
+    }
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
     generators, paired, leftover = rank_pairing(P, expected)
@@ -91,14 +85,24 @@ def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> Semig
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
         generated = None
     factors = (a.images for row in paired + leftover for a in row[:-1])
-    if generated is None or not set(built).issuperset(itertools.chain(generated, factors)):
+    if generated is None or not built.issuperset(itertools.chain(generated, factors)):
         raise InternalConsistencyError("constructed Q is not closed under composition")
-    if generated != built:
+    if len(generated) != len(built):  # distinct tuples inside the built set
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
-    if not all_in_Q(P, built):  # after the closure proof, which rejects tuples that are not maps of degree n
+    del built  # equal to the closure's tuples now: freed before the membership batch
+    if not all_in_Q(P, generated):  # after the closure proof, which rejects tuples that are not maps of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
     record.pairing = generators, paired, leftover
-    record.Q = SemigroupSet(P.n, tuple(map(Transformation._unchecked, built)))  # not the closure's tuples: they raised peak RSS
+    record.images = generated
+    return record
+
+
+def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
+    """All of Q in canonical order: :func:`prove_Q`'s image tuples, each wrapped,
+    unvalidated, once per record and kept there."""
+    record = prove_Q(P, max_size)
+    if record.Q is None:
+        record.Q = SemigroupSet(P.n, tuple(map(Transformation._unchecked, record.images)))
     return record.Q
 
 
@@ -258,12 +262,12 @@ def decompose(
 
 
 class _Record:
-    idempotents = Q = pairing = decomposition = None
+    idempotents = images = pairing = Q = decomposition = None
 
 
 @lru_cache(maxsize=64)
 def instance(P: PartitionedSet) -> _Record:
-    """``P``'s record; ``pairing`` holds R and the trace that proved Q."""
+    """``P``'s record; ``images`` and ``pairing`` hold Q's tuples and R with the trace that proved them."""
     return _Record()
 
 

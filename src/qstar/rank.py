@@ -1,10 +1,10 @@
 """Rank and minimal generating sets for Q.
 
-For a nontrivial relation the rank is max{2, m}: a generating set must meet
-every one of the m H-classes, and the group part needs at most two
-generators.  The construction (``qsemigroup.rank_pairing``) pairs
+For a nontrivial relation the rank is max{2, m} (``formulas.rank_Q``): a
+generating set must meet every one of the m H-classes, and the group part
+needs at most two generators.  The construction (``qsemigroup.rank_pairing``) pairs
 symmetric-part generators with idempotents and fills the remaining H-classes
-with the leftover idempotents; ``enumerate_Q``'s closure proof verifies it.
+with the leftover idempotents; ``prove_Q``'s closure proof verifies it.
 """
 
 from __future__ import annotations
@@ -13,24 +13,11 @@ from dataclasses import dataclass
 
 from .engine import SemigroupSet, _extend
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .formulas import cardinality_Q, rank_Q
 from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import cardinality_Q, enumerate_Q, idempotents_Q, instance
+from .qsemigroup import enumerate_Q, idempotents_Q, prove_Q
 from .transformation import Transformation, image
-
-
-def rank_Q(P: PartitionedSet) -> int:
-    """Smallest size of a generating set of Q.
-
-    Nontrivial relation (m >= 2): max{2, m}.  Identity relation (m == 1): Q
-    is the symmetric group on k points, whose rank is 1 for k <= 2 and 2 for
-    k >= 3.  (The k <= 2 value counts the single generator of a cyclic
-    group; tests cover it exhaustively for n = 2.)  Only ``P.k`` and ``P.m``
-    are read, so an ``IsoClassKey`` works too.
-    """
-    if P.m == 1:
-        return 1 if P.k <= 2 else 2
-    return max(2, P.m)
 
 
 @dataclass(frozen=True)
@@ -46,10 +33,10 @@ class GeneratingSetReport:
 
 
 def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> GeneratingSetReport:
-    """R with its ``rank_pairing`` trace, as ``enumerate_Q``'s closure proof kept them in
-    P's record; its size must equal rank_Q, else an internal error is raised."""
-    enumerate_Q(P, max_size)
-    generators, paired, leftover = instance(P).pairing
+    """R with its ``rank_pairing`` trace, as ``prove_Q``'s closure proof kept them in
+    P's record; its size must equal rank_Q, else an internal error is raised.
+    Q's elements are not wrapped as maps for this."""
+    generators, paired, leftover = prove_Q(P, max_size).pairing
     claimed = rank_Q(P)
     if len(generators) != claimed:
         raise InternalConsistencyError(f"construction produced {len(generators)} generators, rank is {claimed}")

@@ -34,7 +34,8 @@ from .engine import (
     is_right_group,
 )
 from .errors import InternalConsistencyError, ResourceLimitError, ValidationError
-from .iso import build_isomorphism, q_isomorphic
+from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
+from .iso import build_isomorphism
 from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
 from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
 from .limits import H_CLASS_ISO_MAX_K, KERNEL_CLOSURE_SAMPLES, MAX_SAMPLES
@@ -47,23 +48,8 @@ from .membership import (
     is_idempotent_Q,
 )
 from .partition import PartitionedSet, is_cross_section
-from .qsemigroup import (
-    block_permutation,
-    cardinality_Q,
-    decompose,
-    enumerate_Q,
-    h_class,
-    idempotents_Q,
-    instance,
-    is_group_Q,
-)
-from .rank import (
-    GeneratingSetReport,
-    _hits_every_hclass,
-    minimal_generating_set,
-    minimality_certificate,
-    rank_Q,
-)
+from .qsemigroup import block_permutation, decompose, enumerate_Q, h_class, idempotents_Q, instance
+from .rank import GeneratingSetReport, _hits_every_hclass, minimal_generating_set, minimality_certificate
 from .transformation import (
     Transformation,
     compose,
@@ -142,22 +128,24 @@ def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check
     return Check("membership-implications", "pass", f"implication chain holds, {label}")
 
 
-def check_idempotent_criterion(P: PartitionedSet, Q) -> Check:
+def check_idempotent_criterion(P: PartitionedSet, Q, flags) -> Check:
+    """``flags`` holds ``is_idempotent_Q`` of each member of Q, in Q's order."""
     hits = 0
-    for a in Q:
+    for a, flag in zip(Q, flags):
         blockwise = all(
             P.block_of[a.images[block[0]]] == bi for bi, block in enumerate(P.blocks)
         )
-        if is_idempotent_Q(P, a) != blockwise:
+        if flag != blockwise:
             return Check("idempotent-criterion", "fail", f"criterion mismatch on {a.images}")
         hits += blockwise
     return Check("idempotent-criterion", "pass", f"{hits} idempotents match the self-map criterion")
 
 
-def check_q_counts(P: PartitionedSet, Q) -> Check:
+def check_q_counts(P: PartitionedSet, Q, flags) -> Check:
+    """``flags`` as for :func:`check_idempotent_criterion`."""
     expected = cardinality_Q(P)
     idems = idempotents_Q(P)
-    filtered = tuple(a for a in Q if is_idempotent_Q(P, a))
+    filtered = tuple(a for a, flag in zip(Q, flags) if flag)
     if len(Q) != expected:
         return Check("q-counts", "fail", f"|Q| = {len(Q)}, formula says {expected}")
     if filtered != idems:
@@ -281,7 +269,7 @@ def check_rank_and_generators(P: PartitionedSet, Q, report: GeneratingSetReport)
     r = rank_Q(P)
     if len(report.generators) != r or not report.verified:
         return Check("rank-and-generators", "fail", f"construction gave {len(report.generators)}, rank {r}")
-    # enumerate_Q has closed these generators onto Q and found their factors, symmetric part + idempotents, in Q.
+    # prove_Q has closed these generators onto Q and found their factors, symmetric part + idempotents, in Q.
     if not _hits_every_hclass(report.generators, P):
         return Check("rank-and-generators", "fail", "verified generating set misses an H-class")
     detail = f"rank {r} achieved and verified; symmetric part + idempotents generate"
@@ -399,8 +387,9 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
     if cardinality_Q(P) <= ENUM_BOUND:
         Q = enumerate_Q(P)
         small = len(Q) <= DEFAULT_VERIFY_MAX
-        checks.append(check_idempotent_criterion(P, Q))
-        checks.append(check_q_counts(P, Q))
+        flags = [is_idempotent_Q(P, a) for a in Q]  # one sweep, read by both checks
+        checks.append(check_idempotent_criterion(P, Q, flags))
+        checks.append(check_q_counts(P, Q, flags))
         checks.append(check_idempotents_right_zero(P))
         if small:
             checks.append(check_group_criterion(P, Q))

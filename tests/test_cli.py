@@ -192,6 +192,30 @@ def test_iso_positive_and_negative(capsys):
     assert no["witness_verified"] is False
 
 
+@pytest.mark.parametrize(
+    "left, right, isomorphic",
+    [("1,2|3|4|5|6", "1|2|3|4,6|5", True), ("1,2|3", "1,2,3|4", False)],
+    ids=["past-the-witness-bound", "not-isomorphic"],
+)
+def test_iso_bounds_act_only_on_the_witness_build(capsys, left, right, isomorphic):
+    # |Q| = 240 is past DEFAULT_VERIFY_MAX, and the second pair has no witness:
+    # nothing is built, so bounds of 1 cannot trip.
+    argv = ["iso", "--left", left, "--right", right, "--max-closure", "1", "--group-order-bound", "1"]
+    payload = run_json(capsys, *argv)
+    assert payload["isomorphic"] is isomorphic
+    assert payload["witness_verified"] is False
+    assert "isomorphism" not in payload
+
+
+def test_iso_bounds_trip_on_the_witness_build(capsys):
+    # Both sides have |Q| = 96, so the witness is built and the bound applies.
+    argv = ["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6", "--max-closure", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "resource limit: idempotent count 4 exceeds max_size=1\n")
+    help_text = " ".join(build_parser().subcommands["iso"].format_help().split())
+    assert "The bounds act only on the witness build" in help_text
+
+
 def test_census(capsys):
     payload = run_json(capsys, "census", "--n", "6")
     assert payload["class_count"] == 11
@@ -292,7 +316,7 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
             audit={"applicable": False},
         )
 
-    monkeypatch.setattr("qstar.cli.run_verification", forced_failure)
+    monkeypatch.setattr("qstar.verify.run_verification", forced_failure)
     assert main(["verify", "--partition", "1,2|3"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is False
@@ -403,12 +427,13 @@ def test_console_script_runs():
 FAILING_VERIFY = """
 import sys
 import qstar.cli
+import qstar.verify
 from qstar.verify import Check, VerificationReport
 
 def forced_failure(P, seed, samples):
     return VerificationReport(P, seed, (Check("q-counts", "fail", "forced"),), {"applicable": False})
 
-qstar.cli.run_verification = forced_failure
+qstar.verify.run_verification = forced_failure
 sys.exit(qstar.cli.main(["verify", "--partition", "1,2|3"]))
 """
 

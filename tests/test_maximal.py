@@ -27,7 +27,7 @@ from qstar import (
 from qstar.cli import main
 from qstar.engine import _maximal_masks, all_closed_subsets
 from qstar.errors import InternalConsistencyError
-from qstar.iso import integer_partitions
+from qstar.formulas import integer_partitions
 from qstar.limits import DEFAULT_ORACLE_MAX
 from qstar.maximal import _maximal_closed_masks
 from qstar.qsemigroup import instance

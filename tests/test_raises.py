@@ -4,8 +4,10 @@
 raise of any other class would escape it as a traceback.  The allow-list
 names the raises that never cross ``main``'s handlers: argparse turns the
 ``ArgumentTypeError`` of the option types ``_int`` and ``_bound`` into its
-own exit 2, and ``json_text`` raises ``TypeError`` only on a value no
-command puts in its payload.
+own exit 2, ``json_text`` raises ``TypeError`` only on a value no
+command puts in its payload, and the package's ``__getattr__`` raises
+``AttributeError`` for an unknown name, as the module attribute protocol
+asks, on attribute access that never reaches ``cli.main``.
 """
 
 import ast
@@ -15,6 +17,7 @@ import qstar.errors
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
 ALLOWED = {
+    ("__init__.py", "__getattr__", "AttributeError"),
     ("cli.py", "_int", "ArgumentTypeError"),
     ("cli.py", "_bound", "ArgumentTypeError"),
     ("cli.py", "json_text", "TypeError"),
