@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ContractError,
@@ -138,16 +138,18 @@ def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_C
     Worklist of known-element x generator right-products; this reaches every
     left-to-right product of generators.  A final pass confirms that
     generator-on-the-left products stay inside, guarding the non-monoid
-    corner cases.  Raises :class:`ResourceLimitError` past ``max_size``.
+    corner cases.  When the worklist adds nothing, the generators are closed
+    and that pass is skipped: the worklist has then formed g*p for every pair
+    of generators, which is every product the pass would form.  Raises
+    :class:`ResourceLimitError` past ``max_size``.
     """
-    gens = tuple(sorted(set(gens)))
-    if not gens:
+    gen_images = sorted({g.images for g in gens})
+    if not gen_images:
         raise ContractError("closure of an empty generating set")
-    if len(gens) > max_size:
+    if len(gen_images) > max_size:
         raise ResourceLimitError(f"closure exceeded max_size={max_size}")
-    if len({g.n for g in gens}) > 1:
+    if len(set(map(len, gen_images))) > 1:
         raise ValidationError("generators have mixed degrees")
-    gen_images = [g.images for g in gens]
     known = set(gen_images)
     work = deque(gen_images)
     while work:
@@ -157,6 +159,8 @@ def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_C
                 if len(known) > max_size:
                     raise ResourceLimitError(f"closure exceeded max_size={max_size}")
                 work.append(p)
+    if len(known) == len(gen_images):
+        return gen_images
     images = sorted(known)
     for g in gen_images:
         if not known.issuperset(map(product_map(g), images)):
@@ -197,34 +201,90 @@ def _rows_at(S: SemigroupSet, indices):
     return indices, map(pick, map(S.index_table.__getitem__, indices))
 
 
+class RightGroupLegs(NamedTuple):
+    """What one pass over an index set I's rows decides, each leg by its own definition."""
+
+    right_group: bool  # each row's set equals the members: a*x == b has exactly one x in I
+    left_cancellative: bool  # each row's set has |I| elements
+    regular: bool  # each a lies in a*I*a
+    right_zero: bool  # the idempotents form a right-zero band: e*f == f
+
+
+def right_group_legs(S: SemigroupSet, indices=None) -> RightGroupLegs:
+    """The four legs on ``indices`` (all of S by default), from S's own table.
+
+    One streaming pass: each row is picked at the index set once, and the
+    set a*I of its entries serves the first three legs, a*I*a being the x*a
+    over x in a*I.  The search for such an x with x*a == a tries the last
+    row's x first; in a right group that x is an idempotent, a left
+    identity, so the search ends there on every later row.  No row is kept
+    past its step, so the pass holds O(|I|) entries, not |I|^2.
+    """
+    t = S.index_table
+    indices, rows = _rows_at(S, indices)
+    members = set(indices)
+    size = len(indices)
+    right_group = cancellative = regular = True
+    witness = None
+    idems = []
+    for a, found in zip(indices, map(set, rows)):
+        if found != members:
+            right_group = False
+        if len(found) != size:
+            cancellative = False
+        if regular and not (witness in found and t[witness][a] == a):
+            for witness in found:
+                if t[witness][a] == a:
+                    break
+            else:
+                regular = False
+        if t[a][a] == a:
+            idems.append(a)
+    right_zero = all(t[e][f] == f for e in idems for f in idems)
+    return RightGroupLegs(right_group, cancellative, regular, right_zero)
+
+
+class IndexSet(list):
+    """An index list that keeps the :func:`right_group_legs` of its last pass.
+
+    Given an IndexSet, the four right-group predicates read the legs from it,
+    so a set that all four check has its rows read once.  It must not be
+    changed after a predicate has read it.
+    """
+
+    kept = None  # (S, its legs on this set), once a predicate has asked
+
+
+def _legs(S: SemigroupSet, indices) -> RightGroupLegs:
+    if not isinstance(indices, IndexSet):
+        return right_group_legs(S, indices)
+    if indices.kept is None or indices.kept[0] is not S:
+        indices.kept = (S, right_group_legs(S, indices))
+    return indices.kept[1]
+
+
 def is_right_group(S: SemigroupSet, indices=None) -> bool:
     """True when for every a, b there is exactly one x with a*x == b.
 
     With ``indices``, decide it for the subsemigroup of S on that index set
     from S's own table; a set that is not closed is no right group.
     """
-    indices, rows = _rows_at(S, indices)
-    members = set(indices)
-    return all(set(row) == members for row in rows)
+    return _legs(S, indices).right_group
 
 
 def is_regular_semigroup(S: SemigroupSet, indices=None) -> bool:
     """True when every a has some b with a*b*a == a (on ``indices``, if given)."""
-    t = S.index_table
-    indices, rows = _rows_at(S, indices)
-    return all(a in map(itemgetter(a), map(t.__getitem__, row)) for a, row in zip(indices, rows))
+    return _legs(S, indices).regular
 
 
 def idempotents_right_zero(S: SemigroupSet, indices=None) -> bool:
     """True when the idempotents of S (on ``indices``, if given) form a right-zero band: e*f == f."""
-    t = S.index_table
-    idems = [i for i in _rows_at(S, indices)[0] if t[i][i] == i]
-    return all(t[e][f] == f for e in idems for f in idems)
+    return _legs(S, indices).right_zero
 
 
 def is_left_cancellative(S: SemigroupSet, indices=None) -> bool:
     """True when a*x == a*y forces x == y, checked row by row (on ``indices``, if given)."""
-    return all(len(set(row)) == len(row) for row in _rows_at(S, indices)[1])
+    return _legs(S, indices).left_cancellative
 
 
 def is_homomorphism(phi: Sequence[int], t1, t2) -> bool:

@@ -48,7 +48,9 @@ KERNEL_CLOSURE_SAMPLES = 25
 GREEN_R_SAMPLES = 50
 CLOSURE_IDEMPOTENCE_SAMPLES = 10
 # Largest ``--samples`` the battery accepts: the right-group battery draws
-# that many closures, at about 0.35 ms each on |Q| = 192 (2-CPU host).
+# that many closures and the membership check (n > 4) that many maps.  On
+# |Q| = 192 (blocks 2,2,2,1) each sample adds about 0.04 ms, so
+# ``verify --samples 10000`` takes about 0.45 s (2-CPU host).
 MAX_SAMPLES = 10_000
 
 # Definitional sweeps: |Q| for the plain rank sweep over subsets, n^n for

@@ -282,6 +282,56 @@ def test_closure_equals_a_one_product_at_a_time_worklist(n):
     assert len(sizes) > 10
 
 
+def _two_sided_fixpoint(gens):
+    """Every product x*y of known elements, repeated until nothing new appears."""
+    known = {g.images for g in gens}
+    while True:
+        products = {tuple(y[v] for v in x) for x in known for y in known}
+        if products <= known:
+            return sorted(known)
+        known |= products
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closure_images_equals_the_two_sided_fixpoint_on_open_and_closed_generators(n):
+    rng = random.Random(30 + n)
+    closed = 0
+    for _ in range(60):
+        gens = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(rng.randint(1, 3))]
+        expected = _two_sided_fixpoint(gens)
+        assert qstar.engine.closure_images(gens) == expected
+        # The closure is closed: fed back, it gives itself.
+        generated = [Transformation(v) for v in expected]
+        assert qstar.engine.closure_images(generated) == expected
+        closed += len(expected) == len({g.images for g in gens})
+    assert closed > 0
+    # Closed subsets of Q for (3, 2, 1), which lie in T(6).
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    for mask in all_closed_subsets(Q)[1::7]:
+        members = [Q.elements[i] for i in _mask_indices(mask, len(Q))]
+        assert qstar.engine.closure_images(members) == [a.images for a in members]
+
+
+def test_closure_of_closed_generators_makes_no_left_product(monkeypatch):
+    calls = []
+    real = qstar.engine.product_map
+
+    def counting(a_images):
+        calls.append(a_images)
+        return real(a_images)
+
+    monkeypatch.setattr(qstar.engine, "product_map", counting)
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    images = [a.images for a in Q]
+    assert qstar.engine.closure_images(reversed(Q.elements)) == images
+    assert calls == images  # one right pass over the worklist, nothing after it
+    calls.clear()
+    gens = [Q.elements[0], Q.elements[7]]
+    generated = qstar.engine.closure_images(gens)
+    assert len(generated) > len(gens)
+    assert calls[len(generated):] == [g.images for g in gens]  # an open set still gets its left pass
+
+
 def test_mask_indices_equals_a_scan_of_every_position():
     rng = random.Random(7)
     for size in (1, 2, 63, 64, 65, 200, 5040):

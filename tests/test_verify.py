@@ -5,12 +5,23 @@ import sys
 
 import pytest
 
+import qstar.engine
 import qstar.transformation
 import qstar.verify
 from qstar.engine import _close_mask, _mask_indices
 from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, make_partitioned_set, partition_from_sizes
 from qstar.qsemigroup import h_class, idempotents_Q
-from qstar.verify import check_h_class_structure, check_kernel_cross_section, check_maximal, check_right_group_battery
+from qstar.verify import (
+    check_closure_idempotence,
+    check_green_r,
+    check_h_class_structure,
+    check_kernel_cross_section,
+    check_maximal,
+    check_membership_implications,
+    check_partition_invariants,
+    check_right_group_battery,
+    run_verification,
+)
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
@@ -208,3 +219,106 @@ def test_sampled_closures_match_the_from_scratch_kernel_on_every_labelling():
         expected = [_mask_indices(m, len(Q)) for m in dict.fromkeys(masks)]
         assert list(qstar.verify._sampled_closures(Q, rng, 100)) == expected
         assert rng.getstate() == reference.getstate()
+
+
+def _counting_rows_at(monkeypatch):
+    calls = []
+    real = qstar.engine._rows_at
+
+    def counting(S, indices):
+        calls.append(list(indices))
+        return real(S, indices)
+
+    monkeypatch.setattr(qstar.engine, "_rows_at", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
+def test_battery_reads_the_rows_of_each_distinct_closed_set_once(monkeypatch, sizes):
+    # All four predicates check every set, and they share one pass over its rows.
+    P = partition_from_sizes(sizes)
+    Q = enumerate_Q(P)
+    distinct = list(qstar.verify._sampled_closures(Q, random.Random(7), 125))
+    calls = _counting_rows_at(monkeypatch)
+    assert check_right_group_battery(P, Q, random.Random(7), 125).status == "pass"
+    assert calls == distinct
+    calls.clear()
+    assert check_kernel_cross_section(P, Q, random.Random(7), 125).status == "pass"
+    assert calls == list(qstar.verify._sampled_closures(Q, random.Random(7), 25))
+
+
+def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    indices = list(range(len(Q)))
+    calls = _counting_rows_at(monkeypatch)
+    assert qstar.verify.is_right_group(Q, indices) and qstar.verify.is_regular_semigroup(Q, indices)
+    assert len(calls) == 2
+    shared = qstar.engine.IndexSet(indices)
+    assert qstar.verify.is_right_group(Q, shared) and qstar.verify.is_regular_semigroup(Q, shared)
+    assert len(calls) == 3
+    other = enumerate_Q(partition_from_sizes((2, 2, 2)))
+    assert qstar.verify.is_right_group(other, shared) == qstar.verify.is_right_group(other, indices)
+    assert len(calls) == 5  # legs kept for Q are not read for another semigroup
+
+
+@pytest.mark.parametrize(
+    "sizes, check, name, detail",
+    [
+        ((3, 2, 1), check_right_group_battery, "right-group-battery", None),
+        ((3, 2, 1), check_closure_idempotence, "closure-idempotence", None),
+        ((3, 2, 1), check_green_r, "green-r", None),
+        ((2, 1), check_green_r, "green-r", "all 729 pairs of T(3) agree"),
+        ((3, 2, 1), check_kernel_cross_section, "kernel-cross-section", "same kernel X/E, cross-section images"),
+    ],
+)
+def test_a_check_that_draws_no_sample_says_so(sizes, check, name, detail):
+    # A check whose legs all sample is skipped; one with an exhaustive leg
+    # passes and names only that leg.
+    P = partition_from_sizes(sizes)
+    rng = random.Random(0)
+    state = rng.getstate()
+    result = check(P, enumerate_Q(P), rng, 0)
+    expected = ("skipped", "samples = 0") if detail is None else ("pass", detail)
+    assert (result.name, result.status, result.detail) == (name, *expected)
+    assert rng.getstate() == state
+
+
+def test_membership_implications_without_samples_skip_past_the_exhaustive_bound():
+    big, small = partition_from_sizes((3, 2)), partition_from_sizes((2, 2))
+    rng = random.Random(0)
+    result = check_membership_implications(big, rng, 0)
+    assert (result.name, result.status, result.detail) == ("membership-implications", "skipped", "samples = 0")
+    result = check_membership_implications(small, rng, 0)
+    assert (result.status, result.detail) == ("pass", "implication chain holds, exhaustive over 256 maps")
+
+
+def test_verify_without_samples_passes_and_skips_only_the_sampled_checks():
+    report = run_verification(partition_from_sizes((3, 2, 1)), samples=0)
+    assert report.all_passed
+    skipped = [c.name for c in report.checks if c.status == "skipped"]
+    assert skipped == ["membership-implications", "right-group-battery", "green-r", "closure-idempotence"]
+
+
+def test_closure_idempotence_fails_when_the_second_closure_drops_an_element(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    calls = []
+    real = qstar.verify.closure
+
+    def dropping(gens):
+        calls.append(gens)
+        S = real(gens)
+        return SemigroupSet(S.n, S.elements[:-1]) if len(calls) == 2 else S
+
+    monkeypatch.setattr(qstar.verify, "closure", dropping)
+    result = check_closure_idempotence(p6, Q, random.Random(0), 100)
+    assert (result.status, result.detail) == ("fail", "closure(closure(G)) != closure(G)")
+    assert len(calls) == 2
+
+
+def test_checks_fail_when_no_image_is_a_cross_section(monkeypatch, p6):
+    Q = enumerate_Q(p6)
+    monkeypatch.setattr(qstar.verify, "is_cross_section", lambda P, subset: False)
+    result = check_kernel_cross_section(p6, Q, random.Random(0), 25)
+    assert (result.status, result.detail) == ("fail", f"image of {Q.elements[0].images} is not a cross-section")
+    result = check_partition_invariants(p6, random.Random(0))
+    assert (result.status, result.detail) == ("fail", "0 cross-sections, expected m=6")
