@@ -244,47 +244,28 @@ def right_group_legs(S: SemigroupSet, indices=None) -> RightGroupLegs:
     return RightGroupLegs(right_group, cancellative, regular, right_zero)
 
 
-class IndexSet(list):
-    """An index list that keeps the :func:`right_group_legs` of its last pass.
-
-    Given an IndexSet, the four right-group predicates read the legs from it,
-    so a set that all four check has its rows read once.  It must not be
-    changed after a predicate has read it.
-    """
-
-    kept = None  # (S, its legs on this set), once a predicate has asked
-
-
-def _legs(S: SemigroupSet, indices) -> RightGroupLegs:
-    if not isinstance(indices, IndexSet):
-        return right_group_legs(S, indices)
-    if indices.kept is None or indices.kept[0] is not S:
-        indices.kept = (S, right_group_legs(S, indices))
-    return indices.kept[1]
-
-
 def is_right_group(S: SemigroupSet, indices=None) -> bool:
     """True when for every a, b there is exactly one x with a*x == b.
 
     With ``indices``, decide it for the subsemigroup of S on that index set
     from S's own table; a set that is not closed is no right group.
     """
-    return _legs(S, indices).right_group
+    return right_group_legs(S, indices).right_group
 
 
 def is_regular_semigroup(S: SemigroupSet, indices=None) -> bool:
     """True when every a has some b with a*b*a == a (on ``indices``, if given)."""
-    return _legs(S, indices).regular
+    return right_group_legs(S, indices).regular
 
 
 def idempotents_right_zero(S: SemigroupSet, indices=None) -> bool:
     """True when the idempotents of S (on ``indices``, if given) form a right-zero band: e*f == f."""
-    return _legs(S, indices).right_zero
+    return right_group_legs(S, indices).right_zero
 
 
 def is_left_cancellative(S: SemigroupSet, indices=None) -> bool:
     """True when a*x == a*y forces x == y, checked row by row (on ``indices``, if given)."""
-    return _legs(S, indices).left_cancellative
+    return right_group_legs(S, indices).left_cancellative
 
 
 def is_homomorphism(phi: Sequence[int], t1, t2) -> bool:

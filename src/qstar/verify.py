@@ -22,17 +22,14 @@ import random
 from dataclasses import dataclass
 
 from .engine import (
-    IndexSet,
     SemigroupSet,
     _extend,
     closure,
     green_R_definitional,
     green_R_related,
     groups_isomorphic,
-    idempotents_right_zero,
-    is_left_cancellative,
-    is_regular_semigroup,
     is_right_group,
+    right_group_legs,
 )
 from .errors import InternalConsistencyError, ResourceLimitError, ValidationError
 from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
@@ -83,8 +80,7 @@ def _all_maps(n: int):
 
 def _sampled_closures(Q, rng, count: int):
     """Closures of ``count`` random 1-3 element subsets of Q, as sorted index lists into Q.
-    All are drawn and closed, a pick at a time with ``_extend``, but each distinct closed set is yielded once,
-    as an :class:`IndexSet`, so the right-group predicates that check it share one pass over its rows."""
+    All are drawn and closed, a pick at a time with ``_extend``, but each distinct closed set is yielded once."""
     table = Q.index_table
     seen = set()
     for _ in range(count):
@@ -94,7 +90,7 @@ def _sampled_closures(Q, rng, count: int):
             mask, members = _extend(table, mask, members, picks[:i], x)
         if mask not in seen:
             seen.add(mask)
-            yield IndexSet(sorted(members))
+            yield sorted(members)
 
 
 def check_partition_invariants(P: PartitionedSet, rng) -> Check:
@@ -201,14 +197,13 @@ def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
     if samples == 0:
         return Check("right-group-battery", "skipped", NO_SAMPLES)
     for indices in _sampled_closures(Q, rng, samples):
-        rg = is_right_group(Q, indices)
-        regular = is_regular_semigroup(Q, indices)
-        if rg != (regular and is_left_cancellative(Q, indices)):
+        rg, cancellative, regular, right_zero = right_group_legs(Q, indices)
+        if rg != (regular and cancellative):
             return Check("right-group-battery", "fail", "right group != regular + left cancellative")
         # A second leg that does not reduce to the row test: a finite
         # semigroup is a right group iff it is regular and its idempotents
         # form a right-zero band (then a(a'b) = b, so it is right simple).
-        if rg != (regular and idempotents_right_zero(Q, indices)):
+        if rg != (regular and right_zero):
             return Check("right-group-battery", "fail", "right group != regular + right-zero idempotents")
         if not rg:
             return Check("right-group-battery", "fail", "a subsemigroup of Q failed the right-group test")

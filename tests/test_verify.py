@@ -11,14 +11,19 @@ import qstar.verify
 from qstar.engine import _close_mask, _mask_indices
 from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, make_partitioned_set, partition_from_sizes
 from qstar.qsemigroup import h_class, idempotents_Q
+from qstar.membership import is_idempotent_Q
 from qstar.verify import (
     check_closure_idempotence,
     check_green_r,
+    check_group_criterion,
     check_h_class_structure,
+    check_idempotent_criterion,
+    check_idempotents_right_zero,
     check_kernel_cross_section,
     check_maximal,
     check_membership_implications,
     check_partition_invariants,
+    check_q_counts,
     check_right_group_battery,
     run_verification,
 )
@@ -75,6 +80,21 @@ def test_check_maximal_fails_on_an_unverified_construction(monkeypatch, p6):
 
 SEMILATTICE = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
 
+# The leg of engine.right_group_legs that each right-group predicate reads.
+LEG = {
+    "is_right_group": "right_group",
+    "is_left_cancellative": "left_cancellative",
+    "is_regular_semigroup": "regular",
+    "idempotents_right_zero": "right_zero",
+}
+
+
+def force_predicates(monkeypatch, value, predicates):
+    """Patch the battery's one right-group pass so the legs of ``predicates`` always read ``value``."""
+    real = qstar.verify.right_group_legs
+    forced = {LEG[name]: value for name in predicates}
+    monkeypatch.setattr(qstar.verify, "right_group_legs", lambda S, indices=None: real(S, indices)._replace(**forced))
+
 
 @pytest.mark.parametrize(
     "patched, detail",
@@ -89,8 +109,7 @@ def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everyth
     P = partition_from_sizes((2,))
     check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
     assert check.detail == "a subsemigroup of Q failed the right-group test"
-    for name in patched:
-        monkeypatch.setattr(qstar.verify, name, lambda S, indices=None: True)
+    force_predicates(monkeypatch, True, patched)
     check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
     assert (check.status, check.detail) == ("fail", detail)
 
@@ -115,7 +134,10 @@ def test_kernel_cross_section_draws_the_same_samples(p6):
 )
 def test_sampled_checks_fail_when_a_predicate_always_fails(monkeypatch, p6, predicate, check, detail):
     Q = enumerate_Q(p6)
-    monkeypatch.setattr(qstar.verify, predicate, lambda S, indices=None: False)
+    if check is check_kernel_cross_section:
+        monkeypatch.setattr(qstar.verify, predicate, lambda S, indices=None: False)
+    else:
+        force_predicates(monkeypatch, False, [predicate])
     result = check(p6, Q, random.Random(0), 100)
     assert (result.status, result.detail) == ("fail", detail)
 
@@ -130,14 +152,14 @@ def test_sampled_closures_check_each_distinct_closed_set_once(monkeypatch, p6):
     distinct = list(dict.fromkeys(masks))
     assert len(distinct) < len(masks)
     checked = []
-    real = qstar.verify.is_right_group
+    real = qstar.verify.right_group_legs
 
     def recording(S, indices=None):
         assert S is Q
         checked.append(list(indices))
         return real(S, indices)
 
-    monkeypatch.setattr(qstar.verify, "is_right_group", recording)
+    monkeypatch.setattr(qstar.verify, "right_group_legs", recording)
     rng = random.Random(7)
     assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
     assert checked == [_mask_indices(m, len(Q)) for m in distinct]
@@ -251,14 +273,8 @@ def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, 
     Q = enumerate_Q(p6)
     indices = list(range(len(Q)))
     calls = _counting_rows_at(monkeypatch)
-    assert qstar.verify.is_right_group(Q, indices) and qstar.verify.is_regular_semigroup(Q, indices)
+    assert qstar.engine.is_right_group(Q, indices) and qstar.engine.is_regular_semigroup(Q, indices)
     assert len(calls) == 2
-    shared = qstar.engine.IndexSet(indices)
-    assert qstar.verify.is_right_group(Q, shared) and qstar.verify.is_regular_semigroup(Q, shared)
-    assert len(calls) == 3
-    other = enumerate_Q(partition_from_sizes((2, 2, 2)))
-    assert qstar.verify.is_right_group(other, shared) == qstar.verify.is_right_group(other, indices)
-    assert len(calls) == 5  # legs kept for Q are not read for another semigroup
 
 
 @pytest.mark.parametrize(
@@ -322,3 +338,51 @@ def test_checks_fail_when_no_image_is_a_cross_section(monkeypatch, p6):
     assert (result.status, result.detail) == ("fail", f"image of {Q.elements[0].images} is not a cross-section")
     result = check_partition_invariants(p6, random.Random(0))
     assert (result.status, result.detail) == ("fail", "0 cross-sections, expected m=6")
+
+
+@pytest.mark.parametrize(
+    "name, fake, detail",
+    [
+        ("is_group_Q", lambda P: True, "is_group_Q = True but right-group test says False"),
+        ("is_right_group", lambda S, indices=None: False, "Q fails the definitional right-group test"),
+    ],
+)
+def test_group_criterion_fails_on_a_planted_fault(monkeypatch, p6, name, fake, detail):
+    Q = enumerate_Q(p6)
+    assert check_group_criterion(p6, Q).status == "pass"
+    monkeypatch.setattr(qstar.verify, name, fake)
+    check = check_group_criterion(p6, Q)
+    assert (check.status, check.detail) == ("fail", detail)
+
+
+def test_idempotent_criterion_fails_on_inverted_flags(p6):
+    Q = enumerate_Q(p6)
+    flags = [is_idempotent_Q(p6, a) for a in Q]
+    assert check_idempotent_criterion(p6, Q, flags).status == "pass"
+    check = check_idempotent_criterion(p6, Q, [not flag for flag in flags])
+    assert (check.status, check.detail) == ("fail", f"criterion mismatch on {Q.elements[0].images}")
+
+
+@pytest.mark.parametrize(
+    "name, fault, keep_flags, detail",
+    [
+        ("cardinality_Q", lambda real: lambda P: real(P) + 1, True, "|Q| = 36, formula says 37"),
+        ("idempotents_Q", lambda real: lambda P: real(P)[:-1], True, "constructed idempotents differ from the filtered ones"),
+        ("idempotents_Q", lambda real: lambda P: (), False, "0 idempotents, expected m = 6"),
+    ],
+)
+def test_q_counts_fails_on_a_planted_fault(monkeypatch, p6, name, fault, keep_flags, detail):
+    Q = enumerate_Q(p6)
+    flags = [is_idempotent_Q(p6, a) for a in Q]
+    assert check_q_counts(p6, Q, flags).status == "pass"
+    monkeypatch.setattr(qstar.verify, name, fault(getattr(qstar.verify, name)))
+    check = check_q_counts(p6, Q, flags if keep_flags else [False] * len(Q))
+    assert (check.status, check.detail) == ("fail", detail)
+
+
+def test_idempotents_right_zero_fails_when_a_product_keeps_its_left_factor(monkeypatch, p6):
+    assert check_idempotents_right_zero(p6).status == "pass"
+    first, second = idempotents_Q(p6)[:2]
+    monkeypatch.setattr(qstar.verify, "compose", lambda f, g: f)
+    check = check_idempotents_right_zero(p6)
+    assert (check.status, check.detail) == ("fail", f"f*g != g for {first.images}, {second.images}")
