@@ -40,11 +40,10 @@ EXHAUSTIVE_MAPS_BOUND = 4
 DEFAULT_SAMPLES = 100
 # Per-check coverage: largest n for the cross-section count and for the
 # Green's R sweep over T(n), largest k for the H-class isomorphism check, and
-# the sample caps of the kernel cross-section, Green's R and closure checks.
+# the sample caps of the Green's R and closure checks.
 CROSS_SECTION_SWEEP_MAX_N = 12
 GREEN_R_SWEEP_MAX_N = 3
 H_CLASS_ISO_MAX_K = 4
-KERNEL_CLOSURE_SAMPLES = 25
 GREEN_R_SAMPLES = 50
 CLOSURE_IDEMPOTENCE_SAMPLES = 10
 # Largest ``--samples`` the battery accepts: the right-group battery draws

@@ -36,7 +36,7 @@ from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
 from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
 from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
-from .limits import H_CLASS_ISO_MAX_K, KERNEL_CLOSURE_SAMPLES, MAX_SAMPLES
+from .limits import H_CLASS_ISO_MAX_K, MAX_SAMPLES
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import (
     in_Q,
@@ -93,7 +93,7 @@ def _sampled_closures(Q, rng, count: int):
             yield sorted(members)
 
 
-def check_partition_invariants(P: PartitionedSet, rng) -> Check:
+def check_partition_invariants(P: PartitionedSet) -> Check:
     for x in range(P.n):
         if x not in P.blocks[P.block_of[x]]:
             return Check("partition-invariants", "fail", f"block_of[{x}] points at the wrong block")
@@ -179,18 +179,14 @@ def check_group_criterion(P: PartitionedSet, Q) -> Check:
     return Check("group-criterion", "pass", f"Q is a right group; group iff single idempotent ({claim})")
 
 
-def check_kernel_cross_section(P: PartitionedSet, Q, rng, samples: int) -> Check:
+def check_kernel_cross_section(P: PartitionedSet, Q) -> Check:
     target = tuple(sorted(tuple(sorted(b)) for b in P.blocks))
     for a in Q:
         if kernel_partition(a).classes != target:
             return Check("kernel-cross-section", "fail", f"kernel of {a.images} is not X/E")
         if not is_cross_section(P, image(a)):
             return Check("kernel-cross-section", "fail", f"image of {a.images} is not a cross-section")
-    for indices in _sampled_closures(Q, rng, min(samples, KERNEL_CLOSURE_SAMPLES)):
-        if not is_right_group(Q, indices):
-            return Check("kernel-cross-section", "fail", "a closed subset is not a right group")
-    detail = "same kernel X/E, cross-section images"
-    return Check("kernel-cross-section", "pass", detail + (", closed subsets right groups" if samples else ""))
+    return Check("kernel-cross-section", "pass", "same kernel X/E, cross-section images")
 
 
 def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
@@ -390,7 +386,7 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
         raise ResourceLimitError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     rng = random.Random(seed)
     checks = [
-        check_partition_invariants(P, rng),
+        check_partition_invariants(P),
         check_membership_implications(P, rng, samples),
     ]
     audit: dict = {"applicable": False, "reason": "enumeration bound exceeded"}
@@ -403,7 +399,7 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
         checks.append(check_idempotents_right_zero(P))
         if small:
             checks.append(check_group_criterion(P, Q))
-            checks.append(check_kernel_cross_section(P, Q, rng, samples))
+            checks.append(check_kernel_cross_section(P, Q))
             checks.append(check_right_group_battery(P, Q, rng, samples))
             checks.append(check_green_r(P, Q, rng, samples))
             checks.append(check_closure_idempotence(P, Q, rng, samples))

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import random
 import sys
+import types
 
 import pytest
 
@@ -45,7 +48,7 @@ def test_sampled_closures_read_q_table_and_compute_no_product(monkeypatch, sizes
         if module is not None and module.__name__.startswith("qstar") and hasattr(module, "product_map"):
             monkeypatch.setattr(module, "product_map", counting)
     rng = random.Random(5)
-    assert check_kernel_cross_section(P, Q, rng, 100).status == "pass"
+    assert check_kernel_cross_section(P, Q).status == "pass"
     assert check_right_group_battery(P, Q, rng, 100).status == "pass"
     assert calls == []
 
@@ -114,18 +117,9 @@ def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everyth
     assert (check.status, check.detail) == ("fail", detail)
 
 
-def test_kernel_cross_section_draws_the_same_samples(p6):
-    Q = enumerate_Q(p6)
-    rng, reference = random.Random(3), random.Random(3)
-    assert check_kernel_cross_section(p6, Q, rng, 100).status == "pass"
-    list(qstar.verify._sampled_closures(Q, reference, 25))
-    assert rng.getstate() == reference.getstate()
-
-
 @pytest.mark.parametrize(
     "predicate, check, detail",
     [
-        ("is_right_group", check_kernel_cross_section, "a closed subset is not a right group"),
         ("is_right_group", check_right_group_battery, "right group != regular + left cancellative"),
         ("is_regular_semigroup", check_right_group_battery, "right group != regular + left cancellative"),
         ("is_left_cancellative", check_right_group_battery, "right group != regular + left cancellative"),
@@ -134,10 +128,7 @@ def test_kernel_cross_section_draws_the_same_samples(p6):
 )
 def test_sampled_checks_fail_when_a_predicate_always_fails(monkeypatch, p6, predicate, check, detail):
     Q = enumerate_Q(p6)
-    if check is check_kernel_cross_section:
-        monkeypatch.setattr(qstar.verify, predicate, lambda S, indices=None: False)
-    else:
-        force_predicates(monkeypatch, False, [predicate])
+    force_predicates(monkeypatch, False, [predicate])
     result = check(p6, Q, random.Random(0), 100)
     assert (result.status, result.detail) == ("fail", detail)
 
@@ -164,6 +155,60 @@ def test_sampled_closures_check_each_distinct_closed_set_once(monkeypatch, p6):
     assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
     assert checked == [_mask_indices(m, len(Q)) for m in distinct]
     assert rng.getstate() == reference.getstate()
+
+
+def test_each_check_reads_the_sampling_arguments_it_takes():
+    unread = []
+    for node in ast.parse(inspect.getsource(qstar.verify)).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            declared = [a.arg for a in node.args.args if a.arg in ("rng", "samples")]
+            unread += [f"{node.name}.{arg}" for arg in declared if arg not in read]
+    assert unread == []
+
+
+def test_only_the_sampled_checks_draw_and_the_battery_checks_its_own_draws(monkeypatch):
+    # The battery is the one check that samples closed subsets: it starts
+    # from the state the checks before it left, and checks each distinct
+    # closure of its draws with one right_group_legs call.
+    P = partition_from_sizes((3, 2, 1))
+    made = []
+
+    def recording_random(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    monkeypatch.setattr(qstar.verify, "random", types.SimpleNamespace(Random=recording_random))
+    drew, battery_start = [], []
+
+    def watched(real):
+        def wrapper(*args, **kwargs):
+            before = made[0].getstate()
+            if real is check_right_group_battery:
+                battery_start.append(before)
+            result = real(*args, **kwargs)
+            if made[0].getstate() != before:
+                drew.append(result.name)
+            return result
+
+        return wrapper
+
+    for name in dir(qstar.verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(qstar.verify, name, watched(getattr(qstar.verify, name)))
+    checked = []
+    real = qstar.verify.right_group_legs
+
+    def recording(S, indices=None):
+        checked.append(list(indices))
+        return real(S, indices)
+
+    monkeypatch.setattr(qstar.verify, "right_group_legs", recording)
+    assert run_verification(P, seed=3).all_passed
+    assert drew == ["membership-implications", "right-group-battery", "green-r", "closure-idempotence"]
+    rng = random.Random()
+    rng.setstate(battery_start[0])
+    assert checked == list(qstar.verify._sampled_closures(enumerate_Q(P), rng, 100))
 
 
 @pytest.mark.parametrize("sizes, classes", [((3, 2, 1), 6), ((2, 2, 2), 8), ((4, 3), 12)])
@@ -209,7 +254,7 @@ def test_kernel_cross_section_fails_when_a_kernel_merges_two_classes(monkeypatch
         return dataclasses.replace(ker, classes=(tuple(sorted(first + second)), *rest))
 
     monkeypatch.setattr(qstar.verify, "kernel_partition", merged)
-    check = check_kernel_cross_section(p6, Q, random.Random(0), 25)
+    check = check_kernel_cross_section(p6, Q)
     assert (check.status, check.detail) == ("fail", f"kernel of {odd.images} is not X/E")
 
 
@@ -257,16 +302,13 @@ def _counting_rows_at(monkeypatch):
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
 def test_battery_reads_the_rows_of_each_distinct_closed_set_once(monkeypatch, sizes):
-    # All four predicates check every set, and they share one pass over its rows.
+    # One right_group_legs call decides all four legs of each distinct set.
     P = partition_from_sizes(sizes)
     Q = enumerate_Q(P)
     distinct = list(qstar.verify._sampled_closures(Q, random.Random(7), 125))
     calls = _counting_rows_at(monkeypatch)
     assert check_right_group_battery(P, Q, random.Random(7), 125).status == "pass"
     assert calls == distinct
-    calls.clear()
-    assert check_kernel_cross_section(P, Q, random.Random(7), 125).status == "pass"
-    assert calls == list(qstar.verify._sampled_closures(Q, random.Random(7), 25))
 
 
 def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, p6):
@@ -284,7 +326,6 @@ def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, 
         ((3, 2, 1), check_closure_idempotence, "closure-idempotence", None),
         ((3, 2, 1), check_green_r, "green-r", None),
         ((2, 1), check_green_r, "green-r", "all 729 pairs of T(3) agree"),
-        ((3, 2, 1), check_kernel_cross_section, "kernel-cross-section", "same kernel X/E, cross-section images"),
     ],
 )
 def test_a_check_that_draws_no_sample_says_so(sizes, check, name, detail):
@@ -334,9 +375,9 @@ def test_closure_idempotence_fails_when_the_second_closure_drops_an_element(monk
 def test_checks_fail_when_no_image_is_a_cross_section(monkeypatch, p6):
     Q = enumerate_Q(p6)
     monkeypatch.setattr(qstar.verify, "is_cross_section", lambda P, subset: False)
-    result = check_kernel_cross_section(p6, Q, random.Random(0), 25)
+    result = check_kernel_cross_section(p6, Q)
     assert (result.status, result.detail) == ("fail", f"image of {Q.elements[0].images} is not a cross-section")
-    result = check_partition_invariants(p6, random.Random(0))
+    result = check_partition_invariants(p6)
     assert (result.status, result.detail) == ("fail", "0 cross-sections, expected m=6")
 
 
