@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -90,8 +89,11 @@ def json_text(value, newline: str = "\n") -> str:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "
     sep = "," + inner
-    if kind is dict:  # the escaper raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(key) + ": " + json_text(item, inner) for key, item in sorted(value.items())]
+    if kind is dict:  # the escaper raises TypeError on a key that is not a str; an int value is written inline
+        items = [
+            encode_basestring_ascii(key) + ": " + (int.__repr__(item) if type(item) is int else json_text(item, inner))
+            for key, item in sorted(value.items())
+        ]
         return "{" + inner + sep.join(items) + newline + "}"
     if set(map(type, value)) == {int}:
         return "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
@@ -294,6 +296,8 @@ def cmd_census(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from dataclasses import asdict
+
     from .verify import run_verification
 
     P = partition_from_spec(args.partition)

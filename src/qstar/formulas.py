@@ -11,7 +11,7 @@ the constructions and the oracles in :mod:`qstar.verify` and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .limits import DEFAULT_CENSUS_MAX_N
@@ -42,8 +42,7 @@ def rank_Q(P: PartitionedSet) -> int:
     return max(2, P.m)
 
 
-@dataclass(frozen=True, order=True)
-class IsoClassKey:
+class IsoClassKey(NamedTuple):
     """Complete isomorphism invariant: block count and block-size product."""
 
     k: int
@@ -68,19 +67,33 @@ def q_isomorphic(P1: PartitionedSet, P2: PartitionedSet) -> bool:
 
 
 def integer_partitions(n: int):
-    """All partitions of n as weakly decreasing tuples, descending lex order."""
+    """All partitions of n as weakly decreasing tuples, descending lex order.
+
+    One loop (Zoghbi and Stojmenovic's ZS1): each step lowers the last part
+    above 1 by one and refills what that frees, with the ones after it, as
+    parts of the lowered size and one remainder part; ones follow.
+    """
     if n < 1:
         raise ValidationError(f"need a positive integer, got {n!r}")
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+    parts = [1] * n
+    parts[0] = n
+    last = high = 0  # the index of the last part, and of the last part above 1
+    yield (n,)
+    while parts[0] > 1:
+        if parts[high] == 2:
+            parts[high] = 1
+            last += 1
+            high -= 1
+        else:
+            size = parts[high] - 1
+            copies, rest = divmod(last - high + 1, size)
+            parts[high:high + copies + 1] = [size] * (copies + 1)
+            high += copies
+            last = high + (rest > 0)
+            if rest > 1:
+                high += 1
+                parts[high] = rest
+        yield tuple(parts[:last + 1])
 
 
 def classify_partitions(n: int) -> dict:

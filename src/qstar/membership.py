@@ -43,7 +43,8 @@ def in_TEstar(P: PartitionedSet, a: Transformation) -> bool:
     """
     if not in_TE(P, a):
         return False
-    targets = {P.block_of[a.images[block[0]]] for block in P.blocks}
+    block_of, imgs = P.block_of, a.images
+    targets = {block_of[imgs[block[0]]] for block in P.blocks}
     return len(targets) == P.k
 
 
@@ -105,7 +106,8 @@ def is_idempotent_Q(P: PartitionedSet, a: Transformation) -> bool:
     """
     if not in_Q(P, a):
         raise ContractError("is_idempotent_Q needs a member of Q")
-    blockwise = all(P.block_of[a.images[block[0]]] == bi for bi, block in enumerate(P.blocks))
+    block_of, imgs = P.block_of, a.images
+    blockwise = all(block_of[imgs[block[0]]] == bi for bi, block in enumerate(P.blocks))
     definitional = compose(a, a) == a
     if blockwise != definitional:
         raise InternalConsistencyError("blockwise idempotence test disagrees with a*a == a")

@@ -9,26 +9,28 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class PartitionedSet:
+class _PartitionedSetFields(NamedTuple):
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
+    block_of: tuple[int, ...]
+
+
+class PartitionedSet(_PartitionedSetFields):
     """A set {0..n-1} partitioned into nonempty, pairwise disjoint blocks.
 
     Block order is significant and caller-controlled; ``block_of[x]`` is the
     index of the block containing x.  Instances are immutable, hashable and
-    safe to share across threads.  Use :func:`make_partitioned_set` instead
-    of the raw constructor, so the partition axioms are actually checked.
+    safe to share across threads: a tuple ``(n, blocks, block_of)`` whose
+    instance dict holds only the cached ``m``.  Use
+    :func:`make_partitioned_set` instead of the raw constructor, so the
+    partition axioms are actually checked.
     """
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
 
     @property
     def k(self) -> int:

@@ -6,28 +6,41 @@ convention x(ab) = (xa)b used throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, ValidationError
 from .partition import PartitionedSet, check_degree
 
 
-@dataclass(frozen=True, order=True)
-class Transformation:
+class _TransformationFields(NamedTuple):
+    images: tuple[int, ...]
+
+
+class Transformation(_TransformationFields):
     """A total map x -> images[x] on {0..n-1}.
 
-    The generated ordering (lexicographic on the image sequence) is the
+    A one-field tuple ``(images,)``, so equality, hashing and ordering run
+    in C.  The tuple ordering (lexicographic on the image sequence) is the
     canonical total order used everywhere for deduplication and for
     deterministic output.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, images: Sequence[int]) -> "Transformation":
+        t = tuple.__new__(cls, (tuple(images),))
+        t.__post_init__()
+        return t
+
+    @classmethod
+    def _make(cls, iterable) -> "Transformation":
+        """``_replace`` builds through here, so it validates as well."""
+        return cls(*iterable)
 
     def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+        """The one validation hook: every validated construction calls it."""
+        images = self.images
         n = len(images)
         if n == 0:
             raise ValidationError("a transformation needs degree at least 1")
@@ -42,9 +55,7 @@ class Transformation:
         Only for products of valid maps of one degree, which cannot leave
         the range; every other map goes through the validating constructor.
         """
-        t = object.__new__(cls)
-        object.__setattr__(t, "images", images)
-        return t
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:
@@ -91,8 +102,7 @@ def image(a: Transformation) -> frozenset:
     return frozenset(a.images)
 
 
-@dataclass(frozen=True)
-class KernelPartition:
+class KernelPartition(NamedTuple):
     """The fibers of a map: classes ordered by least element, with their images."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -118,9 +128,10 @@ def q_shorthand(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     Raises :class:`ContractError` when ``a`` is not constant on some block.
     """
     check_degree(P, a)
+    imgs = a.images
     out = []
     for bi, block in enumerate(P.blocks):
-        vals = {a.images[x] for x in block}
+        vals = {imgs[x] for x in block}
         if len(vals) != 1:
             raise ContractError(f"map is not constant on block {bi + 1}")
         out.append(next(iter(vals)) + 1)
@@ -132,10 +143,11 @@ def from_q_shorthand(P: PartitionedSet, vals: Sequence[int]) -> Transformation:
     vals = tuple(vals)
     if len(vals) != P.k:
         raise ValidationError(f"expected {P.k} entries (one per block), got {len(vals)}")
+    n = P.n
     for v in vals:
-        if not isinstance(v, int) or not 1 <= v <= P.n:
-            raise ValidationError(f"entry {v!r} outside 1..{P.n}")
-    return Transformation(tuple(vals[P.block_of[x]] - 1 for x in range(P.n)))
+        if not isinstance(v, int) or not 1 <= v <= n:
+            raise ValidationError(f"entry {v!r} outside 1..{n}")
+    return Transformation(tuple(vals[b] - 1 for b in P.block_of))
 
 
 def transformation_to_json(a: Transformation) -> dict:

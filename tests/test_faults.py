@@ -1,0 +1,111 @@
+"""Planted faults reach the ``InternalConsistencyError`` raises that guard the constructions.
+
+Each fault is a ``monkeypatch`` of one ``qstar`` name, never a source edit.
+The function that raises is called directly, and the traceback must end in
+it.  Where a command reaches the raise, ``cli.main`` must also exit 4 with
+the message on stderr and nothing on stdout.
+"""
+
+import math
+import re
+
+import pytest
+
+import qstar.maximal
+import qstar.qsemigroup
+import qstar.rank
+from qstar.cli import main
+from qstar.errors import InternalConsistencyError
+from qstar.partition import PartitionedSet, partition_from_spec
+from qstar.transformation import identity_map
+
+from conftest import clear_q_caches
+
+# k = 2 and m = 2, so |Q| = 4: every check of ``verify`` runs, the rank certificate included.
+SPEC = "1,2|3"
+
+
+@pytest.fixture(autouse=True)
+def fresh_records():
+    # A record keeps what it built: clear before, so the build runs under the
+    # fault, and after, so nothing built under it outlives the test.
+    clear_q_caches()
+    yield
+    clear_q_caches()
+
+
+def count_off_by_one(monkeypatch):
+    real = qstar.qsemigroup.cardinality_Q
+    monkeypatch.setattr(qstar.qsemigroup, "cardinality_Q", lambda P: real(P) + 1)
+
+
+def compose_to_identity(monkeypatch):
+    monkeypatch.setattr(qstar.qsemigroup, "compose", lambda a, b: identity_map(a.n))
+
+
+def m_off_by_one(monkeypatch):
+    # No command reaches this raise: each proves Q, of k! * m elements, first.
+    monkeypatch.setattr(PartitionedSet, "m", property(lambda P: math.prod(map(len, P.blocks)) + 1))
+
+
+def h_class_of_the_last_idempotent(monkeypatch):
+    real = qstar.qsemigroup.h_class
+    monkeypatch.setattr(
+        qstar.qsemigroup, "h_class", lambda e, P, *bound: real(qstar.qsemigroup.idempotents_Q(P)[-1], P, *bound)
+    )
+
+
+def rank_above_m(monkeypatch):
+    # No command reaches this raise: minimal_generating_set, which reads the
+    # same rank_Q, finds too few generators first.
+    monkeypatch.setattr(qstar.rank, "rank_Q", lambda P: P.m + 1)
+
+
+def one_image_class(monkeypatch):
+    monkeypatch.setattr(qstar.rank, "image", lambda a: frozenset())
+
+
+def maximality_oracle_refuses(monkeypatch):
+    monkeypatch.setattr(qstar.maximal, "is_maximal_subsemigroup", lambda T, Q: False)
+
+
+# (fault, the function that raises, its message, a command that reaches the raise or None)
+FAULTS = [
+    (count_off_by_one, qstar.qsemigroup.prove_Q, "built 4 elements of Q, expected 5", "generate"),
+    (compose_to_identity, qstar.qsemigroup.idempotents_Q, "constructed idempotent fails a*a == a", "generate"),
+    (m_off_by_one, qstar.qsemigroup.idempotents_Q, "built 2 idempotents, expected 3", None),
+    (
+        h_class_of_the_last_idempotent,
+        qstar.qsemigroup.decompose,
+        "base idempotent is not the identity of its H-class",
+        "maximal",
+    ),
+    (rank_above_m, qstar.rank.minimality_certificate, "pigeonhole premise r - 1 < m failed", None),
+    (one_image_class, qstar.rank.minimality_certificate, "Q carries 1 image classes, expected 2", "verify"),
+    (
+        maximality_oracle_refuses,
+        qstar.maximal.maximal_subsemigroups_Q,
+        "constructed set fails the maximality oracle",
+        "maximal",
+    ),
+]
+IDS = [fault.__name__ for fault, *_ in FAULTS]
+
+
+@pytest.mark.parametrize("fault, function, message, command", FAULTS, ids=IDS)
+def test_a_planted_fault_trips_its_consistency_check(monkeypatch, fault, function, message, command):
+    fault(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$") as caught:
+        function(partition_from_spec(SPEC))
+    assert caught.traceback[-1].name == function.__name__
+
+
+@pytest.mark.parametrize(
+    "fault, message, command",
+    [(fault, message, command) for fault, _, message, command in FAULTS if command],
+    ids=[name for name, (*_, command) in zip(IDS, FAULTS) if command],
+)
+def test_a_command_that_reaches_the_raise_exits_4(monkeypatch, capsys, fault, message, command):
+    fault(monkeypatch)
+    assert main([command, "--partition", SPEC]) == 4
+    assert capsys.readouterr() == ("", f"internal consistency: {message}\n")

@@ -78,12 +78,16 @@ LIGHT = ("cli", "errors", "limits", "partition", "transformation", "membership",
 LIGHT_MODULES = {"qstar", *(f"qstar.{name}" for name in LIGHT)}
 
 # Prints, as JSON, the qstar modules loaded after ``import qstar``, after
-# ``import qstar.cli`` and after each command of argv lists given as JSON.
+# ``import qstar.cli`` and after each command of argv lists given as JSON,
+# with ``dataclasses`` and ``inspect`` when they are loaded: ``dataclasses``
+# builds each class's methods from generated source, and imports ``inspect``.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(name for name in sys.modules if name == "qstar" or name.startswith("qstar."))
+    return sorted(
+        name for name in sys.modules if name == "qstar" or name.startswith("qstar.") or name in ("dataclasses", "inspect")
+    )
 
 import qstar
 seen = {"import qstar": [0, loaded()]}
@@ -115,6 +119,16 @@ def test_the_cli_and_its_closed_form_commands_load_only_the_light_modules():
     assert {step: (code, set(modules)) for step, (code, modules) in seen.items()} == {
         step: (0, LIGHT_MODULES) for step in ["import qstar.cli", *map(" ".join, CLOSED_FORM_ARGV)]
     }
+
+
+def test_the_cli_and_its_closed_form_commands_load_neither_dataclasses_nor_inspect():
+    argv = [sys.executable, "-c", LOADED_MODULES, json.dumps(CLOSED_FORM_ARGV)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert list(seen) == ["import qstar", "import qstar.cli", *map(" ".join, CLOSED_FORM_ARGV)]
+    heavy = {step: sorted({"dataclasses", "inspect"}.intersection(modules)) for step, (_, modules) in seen.items()}
+    assert heavy == {step: [] for step in seen}
 
 
 def test_every_public_name_is_the_object_its_home_module_defines():

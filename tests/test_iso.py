@@ -116,6 +116,21 @@ def test_integer_partitions():
         list(integer_partitions(0))
 
 
+def recursive_integer_partitions(remaining, cap):
+    """The nested-generator reference: a first part, then the partitions of the rest capped by it."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in recursive_integer_partitions(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_integer_partitions_match_the_recursive_reference_up_to_24():
+    for n in range(1, 25):
+        assert list(integer_partitions(n)) == list(recursive_integer_partitions(n, n)), n
+
+
 def test_census_n6():
     classes = classify_partitions(6)
     assert len(classes) == 11

@@ -251,7 +251,7 @@ def test_kernel_cross_section_fails_when_a_kernel_merges_two_classes(monkeypatch
         if a != odd:
             return ker
         first, second, *rest = ker.classes
-        return dataclasses.replace(ker, classes=(tuple(sorted(first + second)), *rest))
+        return ker._replace(classes=(tuple(sorted(first + second)), *rest))
 
     monkeypatch.setattr(qstar.verify, "kernel_partition", merged)
     check = check_kernel_cross_section(p6, Q)
