@@ -6,15 +6,16 @@ Subcommands:
 * ``check``    - membership predicates for one transformation
 * ``generate`` - a verified minimal generating set (``--max-closure``)
 * ``maximal``  - the maximal subsemigroups (``--max-closure``, ``--group-order-bound``)
-* ``iso``      - compare two partitioned sets up to isomorphism (both bounds, on the witness build only)
+* ``iso``      - compare two partitioned sets up to isomorphism
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
 
 Each subcommand takes only the options it reads; the battery's coverage
-bounds are :mod:`qstar.limits` constants with no flag.  The commands that
-build Q (``generate``, ``maximal``, ``verify`` and ``iso``'s witness) import
-the modules that build it when they run, so the closed-form commands
-(``analyze``, ``check``, ``census``) load none of them.
+bounds and the bounds of ``iso``'s witness build are :mod:`qstar.limits`
+constants with no flag.  The commands that build Q (``generate``,
+``maximal``, ``verify`` and ``iso``'s witness) import the modules that
+build it when they run, so the closed-form commands (``analyze``,
+``check``, ``census``) load none of them.
 
 All output is deterministic: JSON with sorted keys, or an aligned text
 table with ``--format table``.  Counts that can exceed 2**53 - 1 are
@@ -265,9 +266,7 @@ def cmd_iso(args) -> dict:
     if isomorphic and cardinality_Q(P1) <= DEFAULT_VERIFY_MAX:
         from .iso import build_isomorphism
 
-        iso = build_isomorphism(
-            P1, P2, max_size=args.max_closure, max_group_order=args.group_order_bound
-        )
+        iso = build_isomorphism(P1, P2)
         payload["isomorphism"] = {
             "block_bijection": [b + 1 for b in iso["block_bijection"]],
             "verified": iso["verified"],
@@ -363,12 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("generate", cmd_generate, "verified minimal generating set", partition, closure)
     add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
 
-    p = add("iso", cmd_iso, "compare two partitioned sets", closure, group)
-    p.description = (
-        "The bounds act only on the witness build: an isomorphism is built and checked only when "
-        f"the two sides are isomorphic and |Q| <= {DEFAULT_VERIFY_MAX}; otherwise nothing is built "
-        "and neither bound can trip."
-    )
+    p = add("iso", cmd_iso, "compare two partitioned sets")
+    p.description = f"An isomorphism is built and checked when the two sides are isomorphic and |Q| <= {DEFAULT_VERIFY_MAX}."
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 

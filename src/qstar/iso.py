@@ -12,18 +12,13 @@ from __future__ import annotations
 
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .formulas import cardinality_Q, q_isomorphic
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_VERIFY_MAX
+from .limits import DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
 from .qsemigroup import decompose, enumerate_Q, instance
 from .transformation import product_map
 
 
-def build_isomorphism(
-    P1: PartitionedSet,
-    P2: PartitionedSet,
-    max_size: int = DEFAULT_MAX_CLOSURE,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> dict:
+def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     """An explicit isomorphism Q(P1) -> Q(P2) as a mapping of elements.
 
     Group parts are matched through the block bijection that pairs blocks
@@ -33,9 +28,9 @@ def build_isomorphism(
     set R of P1's ``instance`` record, which :func:`enumerate_Q` proved
     generates Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
     phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
-    |Q|^2 pairs.  Raises
-    :class:`ContractError` when the instances are not isomorphic, and
-    :class:`ResourceLimitError` when |Q| exceeds ``DEFAULT_VERIFY_MAX``.
+    |Q|^2 pairs.  Raises :class:`ContractError` when the instances are not
+    isomorphic, and :class:`ResourceLimitError` when |Q| exceeds
+    ``DEFAULT_VERIFY_MAX``; below it k! <= 120 and m <= 200, under ``decompose``'s defaults.
     """
     if not q_isomorphic(P1, P2):
         raise ContractError(
@@ -46,8 +41,8 @@ def build_isomorphism(
         raise ResourceLimitError(
             f"|Q| = {size} exceeds isomorphism check bound {DEFAULT_VERIFY_MAX}"
         )
-    dec1 = decompose(P1, max_size, max_group_order)
-    dec2 = decompose(P2, max_size, max_group_order)
+    dec1 = decompose(P1)
+    dec2 = decompose(P2)
     k = P1.k
 
     order1 = sorted(range(k), key=lambda i: (len(P1.blocks[i]), i))
@@ -64,8 +59,8 @@ def build_isomorphism(
     target = {p: i for i, p in enumerate(dec2.patterns)}
     psi = [target[tuple(beta[sigma[beta_inv[b]]] for b in range(k))] for sigma in dec1.patterns]
 
-    Q1 = enumerate_Q(P1, max_size)
-    Q2 = enumerate_Q(P2, max_size)
+    Q1 = enumerate_Q(P1)
+    Q2 = enumerate_Q(P2)
     mapping = {}
     for q in Q1:
         i, j = dec1.coordinates(q)

@@ -57,11 +57,11 @@ def _require_right_group(P: PartitionedSet) -> None:
         )
 
 
-def count_maximal(P: PartitionedSet, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> tuple[int, int, int]:
-    """(s_k, m, s_k + m) for m >= 2; s_k is computed from a freshly built symmetric
-    group table, never read from a stored list: the oracle battery's count."""
+def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
+    """(s_k, m, s_k + m) for m >= 2; s_k is computed from a freshly built symmetric group table,
+    under ``DEFAULT_MAX_GROUP_ORDER``, never read from a stored list: the oracle battery's count."""
     _require_right_group(P)
-    s_k = len(maximal_subgroups(symmetric_group_table(P.k, max_group_order)))
+    s_k = len(maximal_subgroups(symmetric_group_table(P.k)))
     return (s_k, P.m, s_k + P.m)
 
 

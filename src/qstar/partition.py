@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -37,10 +36,13 @@ class PartitionedSet(_PartitionedSetFields):
         """Number of blocks."""
         return len(self.blocks)
 
-    @cached_property
+    @property
     def m(self) -> int:
-        """Product of the block sizes, computed exactly."""
-        return math.prod(len(b) for b in self.blocks)
+        """Product of the block sizes, computed once into the instance dict; read-only, with no setter."""
+        cache = vars(self)
+        if "m" not in cache:
+            cache["m"] = math.prod(len(b) for b in self.blocks)
+        return cache["m"]
 
     @property
     def is_identity_relation(self) -> bool:

@@ -79,7 +79,7 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     }
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
-    generators, paired, leftover = rank_pairing(P, expected)
+    generators, paired, leftover = rank_pairing(P)
     try:
         generated = closure_images(generators, max_size=expected)
     except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
@@ -156,12 +156,12 @@ def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
     return tuple(sorted(_pattern_element(P, c, p) for p in patterns))
 
 
-def rank_pairing(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple:
+def rank_pairing(P: PartitionedSet) -> tuple:
     """``(R, paired, leftover)``: Q's generating set of size rank_Q(P) and its trace.
     (g, f, g*f) pairs each symmetric-part generator g with the next least idempotent f (cycling,
     for the identity relation), and (f, e*f) == (f, f) adds each other idempotent f, e the least.
     Products of these valid maps are taken on image tuples, unvalidated."""
-    idems = idempotents_Q(P, max_size)
+    idems = idempotents_Q(P, P.m)
     gens_sym = symmetric_part_generators(P)
 
     def times(a, b):

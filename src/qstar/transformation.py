@@ -48,6 +48,10 @@ class Transformation(_TransformationFields):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValidationError(f"image of {x} is {v!r}, outside 0..{n - 1}")
 
+    def __reduce__(self):
+        """Pickle and copy rebuild through the validating constructor, on every protocol."""
+        return type(self), (self.images,)
+
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Transformation":
         """Wrap ``images`` without validation.

@@ -192,30 +192,6 @@ def test_iso_positive_and_negative(capsys):
     assert no["witness_verified"] is False
 
 
-@pytest.mark.parametrize(
-    "left, right, isomorphic",
-    [("1,2|3|4|5|6", "1|2|3|4,6|5", True), ("1,2|3", "1,2,3|4", False)],
-    ids=["past-the-witness-bound", "not-isomorphic"],
-)
-def test_iso_bounds_act_only_on_the_witness_build(capsys, left, right, isomorphic):
-    # |Q| = 240 is past DEFAULT_VERIFY_MAX, and the second pair has no witness:
-    # nothing is built, so bounds of 1 cannot trip.
-    argv = ["iso", "--left", left, "--right", right, "--max-closure", "1", "--group-order-bound", "1"]
-    payload = run_json(capsys, *argv)
-    assert payload["isomorphic"] is isomorphic
-    assert payload["witness_verified"] is False
-    assert "isomorphism" not in payload
-
-
-def test_iso_bounds_trip_on_the_witness_build(capsys):
-    # Both sides have |Q| = 96, so the witness is built and the bound applies.
-    argv = ["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6", "--max-closure", "1"]
-    assert main(argv) == 3
-    assert capsys.readouterr() == ("", "resource limit: idempotent count 4 exceeds max_size=1\n")
-    help_text = " ".join(build_parser().subcommands["iso"].format_help().split())
-    assert "The bounds act only on the witness build" in help_text
-
-
 def test_census(capsys):
     payload = run_json(capsys, "census", "--n", "6")
     assert payload["class_count"] == 11
@@ -330,7 +306,7 @@ def test_argparse_defaults_are_the_library_limits():
         (["check", "--partition", "1", "--map", "1"], ()),
         (["generate", "--partition", "1"], ("max_closure",)),
         (["maximal", "--partition", "1"], ("max_closure", "group_order_bound")),
-        (["iso", "--left", "1", "--right", "1"], ("max_closure", "group_order_bound")),
+        (["iso", "--left", "1", "--right", "1"], ()),
         (["census", "--n", "1"], ()),
         (["verify", "--partition", "1"], ()),
     ):
@@ -372,6 +348,8 @@ REMOVED_OPTIONS = [
     (["verify", "--partition", "1,2|3"], "--max-closure"),
     (["verify", "--partition", "1,2|3"], "--group-order-bound"),
     (["generate", "--partition", "1,2|3"], "--group-order-bound"),
+    (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--max-closure"),
+    (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--group-order-bound"),
 ]
 
 
@@ -686,7 +664,7 @@ def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
     [
         (["generate", "--partition", "1"], "--max-closure"),
         (["maximal", "--partition", "1"], "--group-order-bound"),
-        (["iso", "--left", "1", "--right", "1"], "--group-order-bound"),
+        (["maximal", "--partition", "1"], "--max-closure"),
         (["census"], "--n"),
         (["verify", "--partition", "1"], "--seed"),
         (["verify", "--partition", "1"], "--samples"),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import qstar.membership
 from qstar import (
     ContractError,
     InternalConsistencyError,
@@ -82,6 +83,19 @@ def test_image_must_reach_every_block(p6):
 def test_fast_form_agrees_with_pairwise_form(P):
     for a in all_maps(P.n):
         assert in_TEstar(P, a) == in_TEstar_pairwise(P, a)
+
+
+def test_fast_form_does_not_run_in_TE(monkeypatch):
+    # membership-implications checks that in_TEstar implies in_TE, which is
+    # a tautology if the fast form runs in_TE first.
+    def refuse(*args):
+        raise AssertionError("in_TEstar ran in_TE")
+
+    monkeypatch.setattr(qstar.membership, "in_TE", refuse)
+    for sizes in [(1,), (2, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1)]:
+        P = partition_from_sizes(sizes)
+        for a in all_maps(P.n):
+            assert in_TEstar(P, a) == in_TEstar_pairwise(P, a)
 
 
 def test_identity_relation_reduces_to_injectivity():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from qstar import (
     partition_from_spec,
     universal_partition,
 )
+from qstar.formulas import cardinality_Q
 from qstar.partition import too_large
 
 
@@ -235,3 +237,17 @@ def test_too_large_counts_digits_without_sign_or_underscores(monkeypatch):
     # With the limit switched off (0), int refuses only malformed text, so nothing is too large.
     monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)
     assert too_large(grouped) is None
+
+
+def test_m_is_computed_once_and_cannot_be_assigned(monkeypatch):
+    calls = []
+    real = math.prod
+    monkeypatch.setattr(math, "prod", lambda sizes: calls.append(None) or real(sizes))
+    P = partition_from_sizes((2, 3))
+    assert P.m == 6 and P.m == 6 and len(calls) == 1
+    before = cardinality_Q(P)
+    with pytest.raises(AttributeError):
+        P.m = 7
+    with pytest.raises(AttributeError):
+        del P.m
+    assert P.m == 6 and vars(P) == {"m": 6} and cardinality_Q(P) == before == 12

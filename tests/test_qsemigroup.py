@@ -321,9 +321,9 @@ def test_bounds_refuse_a_smaller_bound_against_a_cached_record():
 @pytest.mark.parametrize(
     "argv, bounds, message",
     [
-        (["iso", "--left", "1,2|3", "--right", "1|2,3"], ["--max-closure", "1"], "idempotent count 2 exceeds max_size=1"),
+        (["maximal", "--partition", "1,2|3"], ["--max-closure", "1"], "idempotent count 2 exceeds max_size=1"),
         (
-            ["iso", "--left", "1,2|3,4|5", "--right", "1|2,3|4,5"],
+            ["maximal", "--partition", "1,2|3,4|5"],
             ["--max-closure", "5", "--group-order-bound", "2"],
             "H-class order 6 exceeds bound 2",
         ),
@@ -545,8 +545,8 @@ def test_closure_proof_catches_a_wrong_pairing_product(monkeypatch, wrong, messa
     P = partition_from_sizes((2, 1, 1))
     real = qstar.qsemigroup.rank_pairing
 
-    def patched(P, max_size):
-        generators, paired, leftover = real(P, max_size)
+    def patched(P):
+        generators, paired, leftover = real(P)
         return (wrong(P),) + generators[1:], paired, leftover
 
     monkeypatch.setattr(qstar.qsemigroup, "rank_pairing", patched)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -154,3 +155,15 @@ def test_total_order_is_images_lex():
     b = Transformation((1, 0))
     assert a < b
     assert sorted([b, a]) == [a, b]
+
+
+def test_every_pickle_protocol_rebuilds_through_validation():
+    # Protocols 0 and 1 would rebuild the tuple subclass without calling
+    # Transformation.__new__ unless __reduce__ routes them through it.
+    bad = Transformation._unchecked((5, 5))
+    good = Transformation((1, 0, 1))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValidationError, match=r"^image of 0 is 5, outside 0\.\.1$"):
+            pickle.loads(pickle.dumps(bad, protocol))
+        back = pickle.loads(pickle.dumps(good, protocol))
+        assert type(back) is Transformation and back == good and back.images == (1, 0, 1)
