@@ -10,6 +10,11 @@ Subcommands:
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
 
+``main`` reads an argv in the plain form, ``<subcommand> --option value ...``,
+from the subcommand parser's own option table; argparse parses every other
+argv (help, usage errors, ``--option=value``, abbreviations, repeats) once,
+with the top-level parser.  Both give the same namespace.
+
 Each subcommand takes only the options it reads; the battery's coverage
 bounds and the bounds of ``iso``'s witness build are :mod:`qstar.limits`
 constants with no flag.  The commands that build Q (``generate``,
@@ -385,18 +390,49 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_plain(sub: argparse.ArgumentParser, argv: list[str]):
+    """The namespace ``parse_args(argv)`` gives when argv is ``<subcommand> --option value ...``
+    in the plain form, read from the subcommand's own option table: exact option names, each
+    given once, no value starting with "-", each value accepted by its type and choices, and each
+    required option or group given.  None for any other argv, which the full parse handles."""
+    if not len(argv) % 2:  # an option without a value, or a word without an option
+        return None
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.nargs is not None or action in given or text[:1] == "-":
+            return None  # -h, an unknown or repeated option, or a value argparse reads as an option
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    args = argparse.Namespace(subcommand=argv[0], **sub._defaults)
+    for action in sub._actions:
+        if action.required and action not in given:
+            return None
+        if action.default is not argparse.SUPPRESS:  # every option but -h
+            setattr(args, action.dest, given.get(action, action.default))
+    for group in sub._mutually_exclusive_groups:  # at most one of each, and one if it is required
+        if not group.required <= len(given.keys() & set(group._group_actions)) <= 1:
+            return None
+    return args
+
+
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The subcommand's parser alone; the top-level one runs for help and usage errors.
+    # The plain form is read from the parser's table; argparse parses every other argv, once.
     sub = parser.subcommands.get(argv[0]) if argv else None
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0])) if sub else (None, None)
-    if sub is None or extras:
+    args = _parse_plain(sub, argv) if sub else None
+    if args is None:
         args = parser.parse_args(argv)
-    # argparse drops a "--" given as "--option=--" and stores [] as the value.
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        # argparse drops a "--" given as "--option=--" and stores [] as the value.
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         payload = args.fn(args)
     except (ValidationError, ContractError) as exc:

@@ -6,11 +6,11 @@ H x E(Q) for a maximal subgroup H of the group part, or
 (group part) x (E(Q) minus one idempotent).
 That yields s_k + m of them, where s_k counts the maximal subgroups of the
 symmetric group S_k; the construction proves its group part isomorphic to
-S_k on the block patterns and counts there, and :func:`count_maximal`
-counts again on an S_k built from scratch, for the oracle battery.  The
-exhaustive oracle instead searches the closed subsets of Q by branch and
-cut, with no theory, for the maximal ones, so the construction can be
-checked set-for-set.
+S_k on the block patterns and counts there with ``maximal_subgroups``, and
+:func:`count_maximal` counts again, for the oracle battery, on an S_k built
+from scratch and by the other search: the exhaustive oracle's.  That oracle
+searches the closed subsets of Q by branch and cut, with no theory, for the
+maximal ones, so the construction can be checked set-for-set.
 """
 
 from __future__ import annotations
@@ -58,10 +58,12 @@ def _require_right_group(P: PartitionedSet) -> None:
 
 
 def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
-    """(s_k, m, s_k + m) for m >= 2; s_k is computed from a freshly built symmetric group table,
-    under ``DEFAULT_MAX_GROUP_ORDER``, never read from a stored list: the oracle battery's count."""
+    """(s_k, m, s_k + m) for m >= 2: the oracle battery's count.  s_k is counted on a freshly built
+    symmetric group table, under ``DEFAULT_MAX_GROUP_ORDER``, by :func:`_maximal_closed_masks`, not by
+    the construction's ``maximal_subgroups``: in a finite group the nonempty closed subsets are the
+    subgroups, so the maximal proper ones are the maximal subgroups."""
     _require_right_group(P)
-    s_k = len(maximal_subgroups(symmetric_group_table(P.k)))
+    s_k = len(_maximal_closed_masks(symmetric_group_table(P.k).elements))
     return (s_k, P.m, s_k + P.m)
 
 

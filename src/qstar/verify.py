@@ -289,7 +289,7 @@ def check_maximal(P: PartitionedSet, Q) -> Check:
     if P.m < 2:
         return Check("maximal-subsemigroups", "skipped", "m = 1: Q is a group, case not covered")
     report = maximal_subsemigroups_Q(P)
-    expected = count_maximal(P)[2]  # a second S_k, built apart from the construction's group part
+    expected = count_maximal(P)[2]  # a second S_k, built from scratch and searched by the oracle's branch and cut
     got = len(report.all_subsemigroups())
     if got != expected:
         return Check("maximal-subsemigroups", "fail", f"{got} constructed, count formula says {expected}")

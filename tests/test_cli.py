@@ -573,7 +573,9 @@ def test_a_valid_call_is_parsed_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     assert run(capsys, "analyze", "--partition", "1,2|3")[0] == 0
-    assert parses == ["qstar analyze"]
+    assert parses == []  # the plain form is read from the parser's table
+    assert run(capsys, "analyze", "--partition=1,2|3")[0] == 0
+    assert parses == ["qstar", "qstar analyze"]  # one top-level parse, which hands argv on to the subcommand's parser
 
 
 class Parsed(Exception):
@@ -615,6 +617,14 @@ PARSE_ARGV = REUSE_ARGV + [
     [],
     ["frobnicate", "--partition", "1"],
     ["check", "--partition", "1,2", "--map", "1,1", "extra"],
+    ["verify", "--partition", "1,2|3", "--samples", "-3"],
+    ["census", "--n", "x"],
+    ["maximal", "--partition", "1,2|3", "--group-order-bound", "0"],
+    ["generate", "--partition", "1,2|3", "--max-closure"],
+    ["iso", "--left", "1,2|3", "--right", "1|2,3", "--format", "table"],
+    ["analyze", "--partition", "-h"],
+    ["analyze", "--partition", "--"],
+    ["analyze", "--partition", "1,2|3", "-h", "x"],
 ]
 
 
@@ -626,18 +636,59 @@ def test_the_subcommand_parse_matches_a_fresh_top_level_parse(argv):
         assert fresh[0]["subcommand"] == argv[0]
 
 
+SUBCOMMANDS = ["analyze", "check", "census", "iso", "generate", "maximal", "verify"]
 ARGV_TOKENS = st.sampled_from(
-    ["analyze", "check", "census", "iso", "frobnicate", "--partition", "--part", "--partition=1,2|3",
-     "--partition=--", "--map", "--q", "--map=1,1", "--n", "--n=3", "--left", "--right", "--format",
-     "table", "xml", "--max-closure", "0", "5", "1,2|3", "-h", "--h", "--help", "--", "-", "extra", ""]
+    [*SUBCOMMANDS, "frobnicate", "--partition", "--part", "--partition=1,2|3", "--partition=--", "--map",
+     "--q", "--map=1,1", "--n", "--n=3", "--left", "--right", "--format", "table", "xml", "--max-closure",
+     "--group-order-bound", "--seed", "--samples", "0", "5", "-3", "1", "1,2|3", "-h", "--h", "--help",
+     "--", "-", "extra", ""]
 )
+# Option and value pairs, so that many argv are in the plain form or one token away from it.
+ARGV_PAIRS = st.sampled_from(
+    [("--partition", "1,2|3"), ("--format", "table"), ("--map", "1,1,3"), ("--q", "1,2"), ("--n", "3"),
+     ("--left", "1|2"), ("--right", "1,2"), ("--seed", "7"), ("--samples", "-3"), ("--max-closure", "5"),
+     ("--group-order-bound", "0"), ("--format", "xml"), ("--partition", "-h"), ("--map", "--"), ("-h", "x")]
+)
+ARGV = st.lists(st.one_of(ARGV_TOKENS.map(lambda token: [token]), ARGV_PAIRS.map(list)), max_size=5).map(
+    lambda items: [token for item in items for token in item]
+)
+# A plain argv for each subcommand, which the random tokens then extend.
+PLAIN_ARGV = {
+    "analyze": ["--partition", "1,2|3"],
+    "check": ["--partition", "1,2|3", "--q", "1,2"],
+    "census": ["--n", "3"],
+    "iso": ["--left", "1|2", "--right", "1,2"],
+    "generate": ["--partition", "1,2|3", "--max-closure", "5"],
+    "maximal": ["--group-order-bound", "2", "--partition", "1,2|3"],
+    "verify": ["--partition", "1,2|3", "--seed", "7"],
+}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ARGV_TOKENS, max_size=6), st.sampled_from(["analyze", "check", "census", "iso", "verify"]))
+@given(ARGV, st.sampled_from(SUBCOMMANDS))
 def test_the_subcommand_parse_matches_a_fresh_one_on_random_argv(tokens, name):
-    for argv in (tokens, [name, *tokens]):
+    for argv in (tokens, [name, *tokens], [name, *PLAIN_ARGV[name], *tokens]):
         assert parse_outcome(argv, dispatch=True) == parse_outcome(argv, dispatch=False)
+
+
+# One argv per subcommand, shaped as the benchmark's operations are.
+BENCHMARK_ARGV = [
+    ["analyze", "--partition", "3,1|2,5,4|6"],
+    ["check", "--partition", "1,2,3|4,5|6", "--map", "4,4,4,1,1,6"],
+    ["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"],
+    ["census", "--n", "7"],
+    ["generate", "--partition", "1,2|3,4|5|6|7"],
+    ["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6"],
+    ["maximal", "--partition", "1,2,3|4,5|6|7"],
+    ["verify", "--partition", "1,2,3|4,5|6", "--seed", "123456"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV)
+def test_the_plain_form_is_read_from_the_table(argv):
+    parsed = qstar.cli._parse_plain(build_parser().subcommands[argv[0]], argv)
+    assert parsed is not None
+    assert vars(parsed) == vars(build_parser().parse_args(argv))
 
 
 HUGE = "1" + "0" * 5000  # 5,001 digits, past the default int-from-str limit of 4,300

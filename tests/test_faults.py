@@ -3,7 +3,8 @@
 Each fault is a ``monkeypatch`` of one ``qstar`` name, never a source edit.
 The function that raises is called directly, and the traceback must end in
 it.  Where a command reaches the raise, ``cli.main`` must also exit 4 with
-the message on stderr and nothing on stdout.
+the message on stderr and nothing on stdout.  A fault that no raise guards
+must fail a check of the ``verify`` battery instead.
 """
 
 import math
@@ -18,6 +19,7 @@ from qstar.cli import main
 from qstar.errors import InternalConsistencyError
 from qstar.partition import PartitionedSet, partition_from_spec
 from qstar.transformation import identity_map
+from qstar.verify import run_verification
 
 from conftest import clear_q_caches
 
@@ -109,3 +111,16 @@ def test_a_command_that_reaches_the_raise_exits_4(monkeypatch, capsys, fault, me
     fault(monkeypatch)
     assert main([command, "--partition", SPEC]) == 4
     assert capsys.readouterr() == ("", f"internal consistency: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["1,2|3|4|5", "1,2,3|4|5|6", "1,2|3,4|5|6"])
+def test_verify_fails_a_maximal_construction_that_drops_a_subgroup(monkeypatch, spec):
+    # The construction drops one maximal subgroup of S_k for k >= 4.  Every set it
+    # keeps is still maximal, so only the count can catch the fault: count_maximal
+    # searches S_4 apart from maximal_subgroups.
+    real = qstar.maximal.maximal_subgroups
+    monkeypatch.setattr(qstar.maximal, "maximal_subgroups", lambda G: real(G)[1:] if G.order >= 24 else real(G))
+    P = partition_from_spec(spec)
+    check = next(check for check in run_verification(P).checks if check.name == "maximal-subsemigroups")
+    total = 8 + P.m  # s_4 + m
+    assert (check.status, check.detail) == ("fail", f"{total - 1} constructed, count formula says {total}")
