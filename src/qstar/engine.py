@@ -31,12 +31,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    ContractError,
-    InternalConsistencyError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
 from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER
 from .transformation import Transformation, kernel_partition, product_map
 # Not used here; bench/test_bench.py checks that tracing restores qstar.engine.compose.
@@ -135,12 +130,11 @@ class SemigroupSet:
 def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
     """The sorted image tuples of the semigroup generated by ``gens``.
 
-    Worklist of known-element x generator right-products; this reaches every
-    left-to-right product of generators.  A final pass confirms that
-    generator-on-the-left products stay inside, guarding the non-monoid
-    corner cases.  When the worklist adds nothing, the generators are closed
-    and that pass is skipped: the worklist has then formed g*p for every pair
-    of generators, which is every product the pass would form.  Raises
+    Worklist of known-element x generator right-products, which reach every
+    word in the generators.  A final pass of generator-on-the-left products
+    guards against a defective worklist.  When the worklist adds nothing, that
+    pass is skipped: the worklist has then formed g*p for every pair of
+    generators, which is every product the pass would form.  Raises
     :class:`ResourceLimitError` past ``max_size``.
     """
     gen_images = sorted({g.images for g in gens})

@@ -10,6 +10,8 @@ values here.
 
 # Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
 DEFAULT_MAX_CLOSURE = 100_000
+# Largest degree n of a built Q: its proof packs each map one byte per point.
+MAX_DEGREE = 256
 # Order of a group built as a table (``--group-order-bound``): one per
 # ``maximal`` run, the H-class or (m = 1) the symmetric group.  The subgroup
 # lattice has no work budget of its own; on S_6 (order 720) Close-by-One

@@ -19,13 +19,13 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks, closure_images
+from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks
 from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
 from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
 from .limits import DEFAULT_MAX_CLOSED_SETS
 from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .partition import PartitionedSet
-from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, instance
+from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, instance, packed_closure
 from .transformation import Transformation, product_map
 
 
@@ -77,11 +77,8 @@ def _check_symmetric(dec: RightGroupDecomposition) -> None:
     if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
         raise InternalConsistencyError("block patterns are not the symmetric group, each once")
     gens = [g for g, *_ in instance(P).pairing[1]]  # enumerate_Q has filled the record
-    try:
-        generated = closure_images(gens, max_size=G.order)
-    except ResourceLimitError:  # the closure grew past |G|, so it left G
-        generated = None
-    if generated != [a.images for a in G.elements]:
+    generated = packed_closure(gens, G.order)  # None: it grew past |G|, so it left G
+    if generated != {bytes(a.images) for a in G.elements}:
         raise InternalConsistencyError("symmetric part does not generate the group part")
     for g in map(G.elements.index_of, gens):
         if any(patterns[row[g]] != product_map(p)(patterns[g]) for row, p in zip(G.table, patterns)):

@@ -6,9 +6,10 @@ right group: the disjoint union of its H-classes, each a group of order k!,
 indexed by the m image cross-sections.  :func:`decompose` names every
 element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
-Each partition's Q, R, idempotents and decomposition are kept in its record,
-in the one cache :func:`instance`: :func:`prove_Q` keeps Q as image tuples,
-and :func:`enumerate_Q` wraps them as maps on first use.
+:func:`prove_Q` proves Q on maps packed one byte per point and keeps it as
+image tuples in the partition's record, in the one cache :func:`instance`,
+beside R, the idempotents and the decomposition; :func:`enumerate_Q` wraps
+the tuples as maps on first use.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 
-from .engine import GroupTable, SemigroupSet, closure_images
+from .engine import GroupTable, SemigroupSet
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .formulas import cardinality_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS
-from .membership import all_in_Q, in_Q
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS, MAX_DEGREE
+from .membership import in_Q
 from .partition import PartitionedSet, check_degree
 from .transformation import Transformation, compose, image, product_map
 
@@ -50,50 +53,92 @@ def _check_size(what: str, size: int, bound: int, exceeds: str = "max_size=") ->
         raise ResourceLimitError(f"{what} {size} exceeds {exceeds}{bound}")
 
 
+def _built(P: PartitionedSet) -> set[bytes]:
+    """Q by formula, packed: the map for a block permutation sigma and a choice c of one
+    point per block sends block i to c[sigma(i)], so it is (block i -> sigma(i)).translate(c)."""
+    pad = bytes(256 - P.k)
+    spreads = [bytes(P.block_of).translate(bytes(sigma) + pad) for sigma in itertools.permutations(range(P.k))]
+    choices = [bytes(c) + pad for c in itertools.product(*P.blocks)]
+    return set(itertools.starmap(bytes.translate, itertools.product(spreads, choices)))
+
+
+def packed_closure(gens, max_size: int) -> set[bytes] | None:
+    """The packed maps generated by ``gens``, or None past ``max_size`` of them.  Right
+    products by the generators, one breadth-first level at a time, reach every word; the
+    left products g*p, one padded table at a time, guard against a defective level loop."""
+    gens = [bytes(g.images) for g in gens]
+    pad = bytes(256 - len(gens[0]))
+    known, level = set(gens), gens
+    while level:
+        products = set()
+        for g in gens:
+            products.update(map(bytes.translate, level, repeat(g + pad)))
+            if len(products) > max_size:
+                return None
+        level = products - known
+        known |= level
+        if len(known) > max_size:
+            return None
+    for g in gens:
+        if not known.issuperset(map(g.translate, map(add, known, repeat(pad)))):
+            raise InternalConsistencyError("left product escaped a right-product closure")
+    return known
+
+
+def all_in_Q(P: PartitionedSet, images: list[bytes]) -> bool:
+    """``in_Q`` for packed maps, assumed valid maps of degree P.n, read by columns: column x of
+    the maps joined holds x's image in each.  Collapse: each point's column is its block head's.
+    Cover: the heads' blocks differ pairwise in each map, so their columns, read as integers,
+    XOR to no zero byte.  Defensively: with k hits per map, each block is hit once per map."""
+    joined, n = b"".join(images), P.n
+    if not all(joined[x::n] == joined[block[0]::n] for block in P.blocks for x in block):
+        return False
+    hits = [joined[block[0]::n].translate(bytes(P.block_of) + bytes(256 - n)) for block in P.blocks]
+    ints = [int.from_bytes(column, "big") for column in hits]  # the heads' blocks, one byte per map
+    if any(0 in (a ^ b).to_bytes(len(images), "big") for a, b in itertools.combinations(ints, 2)):
+        return False
+    if not set(map(b"".join(hits).count, range(P.k))) <= {len(images)}:
+        raise InternalConsistencyError("accepted map whose image is not a cross-section")
+    return True
+
+
 def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     """P's record, holding Q as sorted image tuples (``images``) and R with its trace
     (``pairing``), both proved; nothing is wrapped as a map.
 
-    Q is built directly as (block permutation) x (representative choice):
-    the element for a permutation sigma and representatives c (with c_i in
-    the block sigma(i)) sends every point of block i to c_i.  The proof: the
-    count is k!*m, the closure of R of :func:`rank_pairing`, bounded by |Q|,
-    is the built set, R's factors (symmetric part and idempotents) lie in
-    it, and the whole set passes all_in_Q.  That proves it closed and
-    generated by R, so by R's factors, with O(|Q|*|R|) products instead of
-    |Q|^2.  The closure equality proves each built tuple a product of
-    validated maps, and the closure's sorted tuples are kept as Q's order.
-    The size bound is checked before the record is read, and nothing is
-    kept unless proved.
+    The proof packs a map of degree n <= ``MAX_DEGREE`` as ``bytes(images)``, so a*b is
+    ``a.translate(b + bytes(256 - n))``.  The pad is never read: every packed map is a
+    validated generator, a formula-built choice or a product of those.  The count of
+    :func:`_built` is k!*m, the closure of R of :func:`rank_pairing`, bounded by |Q|, is
+    that set, R's factors (symmetric part and idempotents) lie in it, and it passes
+    :func:`all_in_Q`.  So it is closed and generated by R, so by R's factors, with
+    O(|Q|*|R|) products instead of |Q|^2, and each map in it is a product of validated
+    maps.  The closure, sorted (bytes sort as image tuples do), is unpacked once as Q's
+    order.  The bounds are checked before the record is read; nothing unproved is kept.
     """
     expected = cardinality_Q(P)
     _check_size("|Q| =", expected, max_size)
+    _check_size("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
     if record.images is not None:
         return record
-    spread = product_map(P.block_of)  # one image per block -> one per point
-    built = {
-        spread(choice)
-        for sigma in itertools.permutations(range(P.k))
-        for choice in itertools.product(*(P.blocks[i] for i in sigma))
-    }
+    built = _built(P)
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
     generators, paired, leftover = rank_pairing(P)
-    try:
-        generated = closure_images(generators, max_size=expected)
-    except ResourceLimitError:  # the closure grew past |Q|, so it left the built set
-        generated = None
-    factors = (a.images for row in paired + leftover for a in row[:-1])
+    generated = packed_closure(generators, max_size=expected)  # None: it grew past |Q|, so left the built set
+    factors = (bytes(a.images) for row in paired + leftover for a in row[:-1])
     if generated is None or not built.issuperset(itertools.chain(generated, factors)):
         raise InternalConsistencyError("constructed Q is not closed under composition")
-    if len(generated) != len(built):  # distinct tuples inside the built set
+    if len(generated) != len(built):  # distinct maps inside the built set
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
-    del built  # equal to the closure's tuples now: freed before the membership batch
-    if not all_in_Q(P, generated):  # after the closure proof, which rejects tuples that are not maps of degree n
+    del built  # equal to the closure now: freed before the membership batch
+    images = sorted(generated)
+    del generated  # the list holds the maps now: the set's table is freed before the unpack
+    if not all_in_Q(P, images):  # after the closure proof, which rejects maps that are not of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
     record.pairing = generators, paired, leftover
-    record.images = generated
+    record.images = list(zip(*[iter(b"".join(images))] * P.n))  # zip cuts the joined maps into n-tuples
     return record
 
 
@@ -125,6 +170,7 @@ def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tup
     Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
     _check_size("idempotent count", P.m, max_size)
+    _check_size("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
     if record.idempotents is not None:
         return record.idempotents
@@ -133,7 +179,7 @@ def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tup
         raise InternalConsistencyError("constructed idempotent fails a*a == a")
     if len(out) != P.m:
         raise InternalConsistencyError(f"built {len(out)} idempotents, expected {P.m}")
-    if not all_in_Q(P, [a.images for a in out]) or any(product_map(a.images)(P.block_of) != P.block_of for a in out):
+    if not all_in_Q(P, [bytes(a.images) for a in out]) or any(product_map(a.images)(P.block_of) != P.block_of for a in out):
         raise InternalConsistencyError("constructed idempotent does not send each block to one of its own points")
     record.idempotents = out
     return out

@@ -21,40 +21,20 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import (
-    SemigroupSet,
-    _extend,
-    closure,
-    green_R_definitional,
-    green_R_related,
-    groups_isomorphic,
-    is_right_group,
-    right_group_legs,
-)
+from .engine import SemigroupSet, _extend, closure, green_R_definitional, green_R_related, groups_isomorphic
+from .engine import is_right_group, right_group_legs
 from .errors import InternalConsistencyError, ResourceLimitError, ValidationError
 from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
 from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
 from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
-from .limits import H_CLASS_ISO_MAX_K, MAX_SAMPLES
+from .limits import H_CLASS_ISO_MAX_K, MAX_DEGREE, MAX_SAMPLES
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
-from .membership import (
-    in_Q,
-    in_TE,
-    in_TEstar,
-    in_TEstar_pairwise,
-    is_idempotent_Q,
-)
+from .membership import in_Q, in_TE, in_TEstar, in_TEstar_pairwise, is_idempotent_Q
 from .partition import PartitionedSet, is_cross_section
 from .qsemigroup import block_permutation, decompose, enumerate_Q, h_class, idempotents_Q, instance
 from .rank import GeneratingSetReport, _hits_every_hclass, minimal_generating_set, minimality_certificate
-from .transformation import (
-    Transformation,
-    compose,
-    image,
-    kernel_partition,
-    q_shorthand,
-)
+from .transformation import Transformation, compose, image, kernel_partition, q_shorthand
 
 
 @dataclass(frozen=True)
@@ -390,7 +370,9 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
         check_membership_implications(P, rng, samples),
     ]
     audit: dict = {"applicable": False, "reason": "enumeration bound exceeded"}
-    if cardinality_Q(P) <= ENUM_BOUND:
+    if P.n > MAX_DEGREE:
+        checks.append(Check("enumeration", "skipped", f"n = {P.n} exceeds MAX_DEGREE={MAX_DEGREE}"))
+    elif cardinality_Q(P) <= ENUM_BOUND:
         Q = enumerate_Q(P)
         small = len(Q) <= DEFAULT_VERIFY_MAX
         flags = [is_idempotent_Q(P, a) for a in Q]  # one sweep, read by both checks

@@ -36,6 +36,16 @@ for _i in range(1, 7):
     T_SETS[f"T{4 + _i}"] = tuple(j for j in range(1, 37) if (j - _i) % 6 != 0)
 
 
+def shapes(n, largest=None):
+    """Every block-size shape of n points, as non-increasing size tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in shapes(n - first, first):
+            yield (first,) + rest
+
+
 def clear_q_caches():
     """Drop every per-partition record behind enumerate_Q, idempotents_Q and decompose.
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -35,9 +36,9 @@ from qstar import (
 )
 from qstar.cli import main
 from qstar.engine import groups_isomorphic
-from qstar.qsemigroup import rank_pairing
+from qstar.qsemigroup import prove_Q, rank_pairing
 
-from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches
+from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches, shapes
 
 SMALL_PARTITIONS = [
     (1,),
@@ -280,13 +281,13 @@ def test_clearing_any_one_cache_leaves_no_object_of_an_older_build(monkeypatch, 
     # the objects of the Q that is served now, whichever name was cleared.
     P = partition_from_sizes((3, 2, 1))
     closed = []
-    real = qstar.qsemigroup.closure_images
+    real = qstar.qsemigroup.packed_closure
 
     def recording(generators, max_size):
         closed.append(tuple(generators))
         return real(generators, max_size=max_size)
 
-    monkeypatch.setattr(qstar.qsemigroup, "closure_images", recording)
+    monkeypatch.setattr(qstar.qsemigroup, "packed_closure", recording)
     clear_q_caches()
     decompose(P)
     cleared.cache_clear()
@@ -352,27 +353,20 @@ def test_a_failed_closure_proof_keeps_nothing(monkeypatch):
 
 
 def _plant_in_built_set(monkeypatch, P, corrupt):
-    """Make enumerate_Q build ``corrupt(images)`` in place of its first
-    element that is not a factor of R; returns the list that records it."""
-    factors = {a.images for a in symmetric_part_generators(P) + idempotents_Q(P)}
-    real = qstar.qsemigroup.product_map
+    """Make enumerate_Q build ``corrupt(images)`` in place of its least
+    element that is not a factor of R; returns the list that records the
+    replaced element's image tuple."""
+    factors = {bytes(a.images) for a in symmetric_part_generators(P) + idempotents_Q(P)}
+    real = qstar.qsemigroup._built
     planted = []
 
-    def planting(a_images):
-        spread = real(a_images)
-        if a_images is not P.block_of:
-            return spread
+    def planting(P):
+        built = real(P)
+        replaced = min(built - factors)
+        planted.append(tuple(replaced))
+        return built - {replaced} | {bytes(corrupt(tuple(replaced)))}
 
-        def faulty(choice):
-            images = spread(choice)
-            if planted or images in factors:
-                return images
-            planted.append(images)
-            return corrupt(images)
-
-        return faulty
-
-    monkeypatch.setattr(qstar.qsemigroup, "product_map", planting)
+    monkeypatch.setattr(qstar.qsemigroup, "_built", planting)
     return planted
 
 
@@ -408,12 +402,12 @@ def test_membership_batch_catches_a_non_member_that_passes_the_closure_proof(mon
     P = partition_from_sizes((2, 1, 1))
     identity = tuple(range(P.n))
     planted = _plant_in_built_set(monkeypatch, P, lambda images: identity)
-    real = qstar.qsemigroup.closure_images
+    real = qstar.qsemigroup.packed_closure
 
     def passing(generators, max_size):
-        return sorted(identity if images == planted[0] else images for images in real(generators, max_size=max_size))
+        return {bytes(identity) if tuple(p) == planted[0] else p for p in real(generators, max_size=max_size)}
 
-    monkeypatch.setattr(qstar.qsemigroup, "closure_images", passing)
+    monkeypatch.setattr(qstar.qsemigroup, "packed_closure", passing)
     clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="^constructed element fails the membership predicate$"):
         enumerate_Q(P)
@@ -488,22 +482,17 @@ def test_closure_proof_reports_generators_that_fall_short(monkeypatch):
 def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
     # The closure of the generators G, bounded by |Q|, computes |Q|*|G| right
     # products and |G|*|Q| left products; a pairwise proof would need |Q|^2.
+    # Each packed product, and each map the membership batch pads, reads its
+    # table from one ``repeat``, so counting the items drawn counts them all.
     P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, m = 2, |Q| = 240
     products = []
-    real = qstar.transformation.product_map
 
-    def counting(a_images):
-        mul = real(a_images)
-
-        def counted(b_images):
+    def counting(table):
+        for item in itertools.repeat(table):
             products.append(None)
-            return mul(b_images)
+            yield item
 
-        return counted
-
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("qstar") and hasattr(module, "product_map"):
-            monkeypatch.setattr(module, "product_map", counting)
+    monkeypatch.setattr(qstar.qsemigroup, "repeat", counting)
     clear_q_caches()
     Q = enumerate_Q(P)
     generators = len(symmetric_part_generators(P)) + P.m
@@ -569,17 +558,16 @@ def test_closure_proof_catches_an_idempotent_outside_the_built_set(monkeypatch):
 
 
 def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys):
-    # Counts the image-level kernel, which engine.closure wraps too.
+    # Counts the packed kernel of Q's proof; no command here runs the tuple kernel.
     calls = []
-    real = qstar.engine.closure_images
+    real = qstar.qsemigroup.packed_closure
 
     def counting(gens, *args, **kwargs):
         calls.append(tuple(gens))
         return real(gens, *args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("qstar") and getattr(module, "closure_images", None) is real:
-            monkeypatch.setattr(module, "closure_images", counting)
+    monkeypatch.setattr(qstar.qsemigroup, "packed_closure", counting)
+    monkeypatch.setattr(qstar.engine, "closure_images", None)
     clear_q_caches()
     assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
     assert calls == [rank_pairing(partition_from_spec("1,2|3,4|5|6|7"))[0]]
@@ -628,3 +616,61 @@ def test_a_built_tuple_outside_the_closure_is_caught_before_any_element_is_wrapp
     with pytest.raises(InternalConsistencyError, match="not closed"):
         enumerate_Q(P)
     assert planted and not any(P.n in images for images in wrapped)
+
+
+def test_left_product_guard_catches_a_defective_right_closure(monkeypatch):
+    # Right products by one generator g come out as the factor itself (the
+    # identity table), so the levels close on the other generators only and
+    # stay inside the built set; only the left products g*p leave them.
+    P = partition_from_sizes((2, 1, 1))
+    g = bytes(rank_pairing(P)[0][0].images)
+
+    def skipping(table):
+        return itertools.repeat(bytes(range(256)) if table[:P.n] == g and len(table) == 256 else table)
+
+    monkeypatch.setattr(qstar.qsemigroup, "repeat", skipping)
+    clear_q_caches()
+    with pytest.raises(InternalConsistencyError, match="^left product escaped a right-product closure$"):
+        enumerate_Q(P)
+
+
+def test_cross_section_count_catches_what_a_fooled_cover_test_lets_through(monkeypatch):
+    # A constant map is planted in the built set and reported by the closure,
+    # and the cover test is made to find no two heads in one block: the map
+    # collapses every block, so only the count of hits per block is left.
+    P = partition_from_sizes((2, 1, 1))
+    planted = _plant_in_built_set(monkeypatch, P, lambda images: (0,) * P.n)
+    real = qstar.qsemigroup.packed_closure
+
+    def passing(generators, max_size):
+        return {bytes(P.n) if tuple(p) == planted[0] else p for p in real(generators, max_size=max_size)}
+
+    monkeypatch.setattr(qstar.qsemigroup, "packed_closure", passing)
+    monkeypatch.setattr(qstar.qsemigroup, "any", lambda items: False, raising=False)
+    clear_q_caches()
+    with pytest.raises(InternalConsistencyError, match="^accepted map whose image is not a cross-section$"):
+        enumerate_Q(P)
+    assert planted
+
+
+@pytest.mark.parametrize("sizes", [sizes for n in range(1, 7) for sizes in shapes(n)], ids=str)
+def test_packed_proof_equals_the_brute_force_filter(sizes):
+    P = partition_from_sizes(sizes)
+    clear_q_caches()
+    assert prove_Q(P).images == [a.images for a in enumerate_Q_bruteforce(P)]
+
+
+TUPLE_KERNEL_SHAPES = [s for n in range(1, 9) for s in shapes(n) if cardinality_Q(partition_from_sizes(s)) <= 20_000]
+
+
+def test_the_tuple_kernel_shapes_are_every_small_shape_up_to_eight_points():
+    assert len(TUPLE_KERNEL_SHAPES) == 65
+
+
+@pytest.mark.parametrize("sizes", TUPLE_KERNEL_SHAPES, ids=str)
+def test_packed_proof_equals_the_tuple_kernel(sizes):
+    P = partition_from_sizes(sizes)
+    clear_q_caches()
+    record = prove_Q(P)
+    assert record.pairing == rank_pairing(P)
+    assert record.images == qstar.engine.closure_images(record.pairing[0])

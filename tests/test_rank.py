@@ -266,13 +266,13 @@ def test_brute_force_refuses_q_above_its_bound_before_building_it(monkeypatch):
 
 def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     calls = []
-    real = qstar.qsemigroup.closure_images
+    real = qstar.qsemigroup.packed_closure
 
     def counting(gens, *args, **kwargs):
         calls.append(tuple(gens))
         return real(gens, *args, **kwargs)
 
-    monkeypatch.setattr(qstar.qsemigroup, "closure_images", counting)
+    monkeypatch.setattr(qstar.qsemigroup, "packed_closure", counting)
     P = partition_from_spec("1,2|3,4|5")
     clear_q_caches()
     assert run_verification(P).all_passed
