@@ -32,7 +32,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
-from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER
+from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, admit
 from .transformation import Transformation, kernel_partition, product_map
 # Not used here; bench/test_bench.py checks that tracing restores qstar.engine.compose.
 from .transformation import compose  # noqa: F401
@@ -334,9 +334,7 @@ class GroupTable:
 
 def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
     """The full symmetric group on k points, built from scratch."""
-    order = math.factorial(k)
-    if order > max_order:
-        raise ResourceLimitError(f"group order {order} exceeds bound {max_order}")
+    admit("group order", math.factorial(k), max_order, "bound ")
     perms = [Transformation(p) for p in itertools.permutations(range(k))]
     return GroupTable.from_semigroup(SemigroupSet.from_elements(perms))
 

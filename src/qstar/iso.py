@@ -10,11 +10,11 @@ set R of Q(P1), so a positive answer is always certified.
 
 from __future__ import annotations
 
-from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .errors import ContractError, InternalConsistencyError
 from .formulas import cardinality_Q, q_isomorphic
-from .limits import DEFAULT_VERIFY_MAX
+from .limits import DEFAULT_VERIFY_MAX, admit
 from .partition import PartitionedSet
-from .qsemigroup import decompose, enumerate_Q, instance
+from .qsemigroup import decompose, enumerate_Q, prove_Q
 from .transformation import product_map
 
 
@@ -25,7 +25,7 @@ def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     sorted by size then index; idempotent parts are matched in canonical
     order.  The map phi is checked to be a bijection and, on image tuples,
     to satisfy phi(s*g) == phi(s)*phi(g) for every s in Q(P1) and g in the
-    set R of P1's ``instance`` record, which :func:`enumerate_Q` proved
+    set R of ``prove_Q(P1).pairing``, which :func:`enumerate_Q` proved
     generates Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
     phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
     |Q|^2 pairs.  Raises :class:`ContractError` when the instances are not
@@ -33,46 +33,34 @@ def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     ``DEFAULT_VERIFY_MAX``; below it k! <= 120 and m <= 200, under ``decompose``'s defaults.
     """
     if not q_isomorphic(P1, P2):
-        raise ContractError(
-            f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})"
-        )
-    size = cardinality_Q(P1)
-    if size > DEFAULT_VERIFY_MAX:
-        raise ResourceLimitError(
-            f"|Q| = {size} exceeds isomorphism check bound {DEFAULT_VERIFY_MAX}"
-        )
+        raise ContractError(f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})")
+    admit("|Q| =", cardinality_Q(P1), DEFAULT_VERIFY_MAX, "isomorphism check bound ")
     dec1 = decompose(P1)
     dec2 = decompose(P2)
     k = P1.k
 
     order1 = sorted(range(k), key=lambda i: (len(P1.blocks[i]), i))
     order2 = sorted(range(k), key=lambda i: (len(P2.blocks[i]), i))
-    beta = [0] * k  # block index of P1 -> block index of P2
-    for a, b in zip(order1, order2):
-        beta[a] = b
-    beta_inv = [0] * k
-    for i, v in enumerate(beta):
-        beta_inv[v] = i
+    beta = [b for _, b in sorted(zip(order1, order2))]  # block index of P1 -> block index of P2
+    beta_inv = sorted(range(k), key=beta.__getitem__)
 
     # Group element i, of pattern sigma, goes to the target group element of
     # pattern beta . sigma . beta^{-1}; idempotent j goes to idempotent j.
     target = {p: i for i, p in enumerate(dec2.patterns)}
     psi = [target[tuple(beta[sigma[beta_inv[b]]] for b in range(k))] for sigma in dec1.patterns]
 
-    Q1 = enumerate_Q(P1)
-    Q2 = enumerate_Q(P2)
     mapping = {}
-    for q in Q1:
+    for q in enumerate_Q(P1):
         i, j = dec1.coordinates(q)
         mapping[q] = dec2.element(psi[i], j)
 
     values = set(mapping.values())
     if len(values) != len(mapping):
         raise InternalConsistencyError("constructed map is not injective")
-    if values != set(Q2.elements):
+    if values != set(enumerate_Q(P2).elements):
         raise InternalConsistencyError("constructed map is not onto Q(P2)")
     phi = {q.images: v.images for q, v in mapping.items()}
-    gens = [g.images for g in instance(P1).pairing[0]]
+    gens = [g.images for g in prove_Q(P1).pairing.generators]
     phi_gens = [phi[g] for g in gens]
     for s, t in phi.items():
         products = zip(map(product_map(s), gens), map(product_map(t), phi_gens))

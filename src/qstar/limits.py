@@ -1,12 +1,16 @@
-"""Size bounds: the one place every default limit of the package is defined.
+"""Size bounds: the one place every default limit of the package is defined,
+and the one check that refuses a size past its bound.
 
 A bound caps how large an object is built, or which instances a check or
 oracle covers.  Past a size cap the build raises
-:class:`ResourceLimitError`; past a coverage bound a check samples, drops
-its oracle comparison, or reports itself skipped.  The CLI's
+:class:`ResourceLimitError` through :func:`admit`, whose text
+:func:`exceeds` also gives the rows the battery reports skipped; past a
+coverage bound a check samples or drops its oracle comparison.  The CLI's
 ``--max-closure``, ``--group-order-bound`` and ``--samples`` default to the
 values here.
 """
+
+from .errors import ResourceLimitError
 
 # Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
 DEFAULT_MAX_CLOSURE = 100_000
@@ -22,6 +26,10 @@ DEFAULT_MAX_GROUP_ORDER = 120
 # lists, or the states of the maximal-subsemigroup oracle's branch and cut
 # (259 on Q for blocks (4, 4); about 3,200 on a 39-element closure in T(4)).
 DEFAULT_MAX_CLOSED_SETS = 500_000
+# Elements of the m right-zero maximal subsemigroups, k!*(m - 1) each, that
+# ``maximal`` builds and lists: blocks (20, 20) list 319,200 in 1.0 s and
+# 80 MB; blocks (30, 30), 1.6 million, took 5.4 s, 267 MB and 77 MB of JSON.
+MAX_RIGHT_ZERO_CELLS = 500_000
 
 # Largest |Q| on which an isomorphism is built and checked on Q(P1)'s
 # generators (``build_isomorphism`` raises above it, and the CLI's ``iso``
@@ -53,9 +61,23 @@ CLOSURE_IDEMPOTENCE_SAMPLES = 10
 # |Q| = 192 (blocks 2,2,2,1) each sample adds about 0.04 ms, so
 # ``verify --samples 10000`` takes about 0.45 s (2-CPU host).
 MAX_SAMPLES = 10_000
+# Work of the membership check's O(n^2) pairwise leg, in n^2 per map: 100
+# maps at n = 282, or 12 at n = 800, where each takes about 21 ms (2-CPU host).
+PAIRWISE_WORK_BUDGET = 8_000_000
 
 # Definitional sweeps: |Q| for the plain rank sweep over subsets, n^n for
 # the brute-force enumeration of Q, and n for the isomorphism census.
 DEFAULT_BRUTE_FORCE_MAX_Q = 24
 DEFAULT_MAX_MAPS = 60_000
 DEFAULT_CENSUS_MAX_N = 12
+
+
+def exceeds(what: str, size: int, bound: int, name: str = "max_size=") -> str | None:
+    """The refusal text ``"{what} {size} exceeds {name}{bound}"`` when ``size`` is past ``bound``, else None."""
+    return f"{what} {size} exceeds {name}{bound}" if size > bound else None
+
+
+def admit(what: str, size: int, bound: int, name: str = "max_size=") -> None:
+    """Admit ``size`` under ``bound``, or raise :class:`ResourceLimitError` with :func:`exceeds`'s text."""
+    if text := exceeds(what, size, bound, name):
+        raise ResourceLimitError(text)

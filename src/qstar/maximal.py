@@ -16,16 +16,17 @@ maximal ones, so the construction can be checked set-for-set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
 from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks
 from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
 from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
-from .limits import DEFAULT_MAX_CLOSED_SETS
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
+from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX
+from .limits import DEFAULT_VERIFY_MAX, MAX_RIGHT_ZERO_CELLS, admit
 from .partition import PartitionedSet
-from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, instance, packed_closure
+from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, generates, prove_Q
 from .transformation import Transformation, product_map
 
 
@@ -67,18 +68,15 @@ def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
     return (s_k, P.m, s_k + P.m)
 
 
-def _check_symmetric(dec: RightGroupDecomposition) -> None:
+def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
     """Prove the group part G isomorphic to S_k: the block patterns are the k!
-    permutations, each once; the symmetric-part generators, read from the first
-    column of the ``rank_pairing`` trace in P's record, generate G; and
-    pattern(a*g) == pattern(a)*pattern(g) for every a in G and generator g, so by
-    induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
+    permutations, each once; the symmetric-part generators ``gens`` generate G;
+    and pattern(a*g) == pattern(a)*pattern(g) for every a in G and generator g, so
+    by induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
     P, G, patterns = dec.partition, dec.group_part, dec.patterns
     if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
         raise InternalConsistencyError("block patterns are not the symmetric group, each once")
-    gens = [g for g, *_ in instance(P).pairing[1]]  # enumerate_Q has filled the record
-    generated = packed_closure(gens, G.order)  # None: it grew past |G|, so it left G
-    if generated != {bytes(a.images) for a in G.elements}:
+    if not generates(gens, G.elements):
         raise InternalConsistencyError("symmetric part does not generate the group part")
     for g in map(G.elements.index_of, gens):
         if any(patterns[row[g]] != product_map(p)(patterns[g]) for row, p in zip(G.table, patterns)):
@@ -97,14 +95,17 @@ def maximal_subsemigroups_Q(
     one idempotent.  The group part is proved isomorphic to S_k on its block
     patterns, so s_k is the number of its maximal subgroups.  Each set is
     checked for maximality against the definitional engine predicate when
-    |Q| <= ``DEFAULT_VERIFY_MAX``.
+    |Q| <= ``DEFAULT_VERIFY_MAX``.  The m right-zero sets hold k!*m*(m - 1)
+    elements in all, checked against ``MAX_RIGHT_ZERO_CELLS`` before anything is built.
     """
     _require_right_group(P)
+    admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_RIGHT_ZERO_CELLS, "MAX_RIGHT_ZERO_CELLS=")
     dec = decompose(P, max_size, max_group_order)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part
     m = P.m
-    _check_symmetric(dec)
+    # The symmetric-part generators are the first column of the trace that proved Q.
+    _check_symmetric(dec, [g for g, *_ in prove_Q(P, max_size).pairing.paired])
 
     # decompose certified that its grid holds every element of Q once, so
     # these families have |H|*m and k!*(m-1) distinct members.
@@ -117,15 +118,7 @@ def maximal_subsemigroups_Q(
     verified = len(Q) <= DEFAULT_VERIFY_MAX
     if verified and not all(is_maximal_subsemigroup(T, Q) for T in group_type + right_zero):
         raise InternalConsistencyError("constructed set fails the maximality oracle")
-    return MaximalSubsemigroupReport(
-        P,
-        tuple(group_type),
-        tuple(right_zero),
-        dec.idempotent_part,
-        len(group_type),
-        m,
-        verified,
-    )
+    return MaximalSubsemigroupReport(P, tuple(group_type), tuple(right_zero), dec.idempotent_part, len(group_type), m, verified)
 
 
 def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
@@ -203,8 +196,7 @@ def exhaustive_maximal_oracle(S: SemigroupSet) -> tuple[SemigroupSet, ...]:
     the definitional maximality predicate.  No structure theory is assumed
     anywhere.
     """
-    if len(S) > DEFAULT_ORACLE_MAX:
-        raise ResourceLimitError(f"|S| = {len(S)} exceeds oracle bound {DEFAULT_ORACLE_MAX}")
+    admit("|S| =", len(S), DEFAULT_ORACLE_MAX, "oracle bound ")
     out = []
     for mask in _maximal_closed_masks(S):
         T = SemigroupSet(S.n, S.subset(_mask_indices(mask, len(S))))

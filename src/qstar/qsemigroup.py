@@ -8,14 +8,17 @@ element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
 :func:`prove_Q` proves Q on maps packed one byte per point and keeps it as
 image tuples in the partition's record, in the one cache :func:`instance`,
-beside R, the idempotents and the decomposition; :func:`enumerate_Q` wraps
-the tuples as maps on first use.
+beside R's ``Pairing``, the idempotents and the decomposition;
+:func:`enumerate_Q` wraps the tuples as maps on first use.  The cache and
+the packed maps stay in this module: others read R as ``prove_Q(P).pairing``
+and ask :func:`generates` whether maps generate a set.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -24,7 +27,7 @@ from operator import add
 from .engine import GroupTable, SemigroupSet
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .formulas import cardinality_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS, MAX_DEGREE
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS, MAX_DEGREE, admit
 from .membership import in_Q
 from .partition import PartitionedSet, check_degree
 from .transformation import Transformation, compose, image, product_map
@@ -46,11 +49,6 @@ def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     if len(set(sigma)) != P.k:
         raise ContractError("induced block map is not a bijection")
     return tuple(sigma)
-
-
-def _check_size(what: str, size: int, bound: int, exceeds: str = "max_size=") -> None:
-    if size > bound:
-        raise ResourceLimitError(f"{what} {size} exceeds {exceeds}{bound}")
 
 
 def _built(P: PartitionedSet) -> set[bytes]:
@@ -85,6 +83,11 @@ def packed_closure(gens, max_size: int) -> set[bytes] | None:
     return known
 
 
+def generates(gens, elements) -> bool:
+    """True when the maps ``gens`` generate exactly the maps ``elements``, closed on packed maps."""
+    return packed_closure(gens, len(elements)) == {bytes(a.images) for a in elements}
+
+
 def all_in_Q(P: PartitionedSet, images: list[bytes]) -> bool:
     """``in_Q`` for packed maps, assumed valid maps of degree P.n, read by columns: column x of
     the maps joined holds x's image in each.  Collapse: each point's column is its block head's.
@@ -103,7 +106,7 @@ def all_in_Q(P: PartitionedSet, images: list[bytes]) -> bool:
 
 
 def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
-    """P's record, holding Q as sorted image tuples (``images``) and R with its trace
+    """P's record, holding Q as sorted image tuples (``images``) and R's ``Pairing``
     (``pairing``), both proved; nothing is wrapped as a map.
 
     The proof packs a map of degree n <= ``MAX_DEGREE`` as ``bytes(images)``, so a*b is
@@ -117,17 +120,17 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     order.  The bounds are checked before the record is read; nothing unproved is kept.
     """
     expected = cardinality_Q(P)
-    _check_size("|Q| =", expected, max_size)
-    _check_size("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
+    admit("|Q| =", expected, max_size)
+    admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
     if record.images is not None:
         return record
     built = _built(P)
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
-    generators, paired, leftover = rank_pairing(P)
-    generated = packed_closure(generators, max_size=expected)  # None: it grew past |Q|, so left the built set
-    factors = (bytes(a.images) for row in paired + leftover for a in row[:-1])
+    pairing = rank_pairing(P)
+    generated = packed_closure(pairing.generators, max_size=expected)  # None: it grew past |Q|, so left the built set
+    factors = (bytes(a.images) for row in pairing.paired + pairing.leftover for a in row[:-1])
     if generated is None or not built.issuperset(itertools.chain(generated, factors)):
         raise InternalConsistencyError("constructed Q is not closed under composition")
     if len(generated) != len(built):  # distinct maps inside the built set
@@ -137,7 +140,7 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     del generated  # the list holds the maps now: the set's table is freed before the unpack
     if not all_in_Q(P, images):  # after the closure proof, which rejects maps that are not of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
-    record.pairing = generators, paired, leftover
+    record.pairing = pairing
     record.images = list(zip(*[iter(b"".join(images))] * P.n))  # zip cuts the joined maps into n-tuples
     return record
 
@@ -169,8 +172,8 @@ def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tup
 
     Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
-    _check_size("idempotent count", P.m, max_size)
-    _check_size("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
+    admit("idempotent count", P.m, max_size)
+    admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
     if record.idempotents is not None:
         return record.idempotents
@@ -202,11 +205,14 @@ def symmetric_part_generators(P: PartitionedSet) -> tuple[Transformation, ...]:
     return tuple(sorted(_pattern_element(P, c, p) for p in patterns))
 
 
-def rank_pairing(P: PartitionedSet) -> tuple:
-    """``(R, paired, leftover)``: Q's generating set of size rank_Q(P) and its trace.
-    (g, f, g*f) pairs each symmetric-part generator g with the next least idempotent f (cycling,
-    for the identity relation), and (f, e*f) == (f, f) adds each other idempotent f, e the least.
-    Products of these valid maps are taken on image tuples, unvalidated."""
+# R, Q's generating set of size rank_Q(P), and the rows of rank_pairing that built it; R holds each row's last entry.
+Pairing = namedtuple("Pairing", "generators paired leftover")
+
+
+def rank_pairing(P: PartitionedSet) -> Pairing:
+    """Q's ``Pairing``: (g, f, g*f) pairs each symmetric-part generator g with the next least
+    idempotent f (cycling, for the identity relation), and (f, e*f) == (f, f) adds each other
+    idempotent f, e the least.  Products of these valid maps are taken on image tuples, unvalidated."""
     idems = idempotents_Q(P, P.m)
     gens_sym = symmetric_part_generators(P)
 
@@ -215,7 +221,7 @@ def rank_pairing(P: PartitionedSet) -> tuple:
 
     paired = tuple((g, f, times(g, f)) for g, f in zip(gens_sym, itertools.cycle(idems)))
     leftover = tuple((f, times(idems[0], f)) for f in idems[len(gens_sym):])
-    return tuple(sorted({row[-1] for row in paired + leftover})), paired, leftover
+    return Pairing(tuple(sorted({row[-1] for row in paired + leftover})), paired, leftover)
 
 
 def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
@@ -228,7 +234,7 @@ def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_G
     """
     if not in_Q(P, a):
         raise ContractError("h_class needs a member of Q")
-    _check_size("H-class order", math.factorial(P.k), max_order, "bound ")
+    admit("H-class order", math.factorial(P.k), max_order, "bound ")
     cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
     members = [_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))]
     return GroupTable.from_semigroup(SemigroupSet.from_elements(members))
@@ -276,8 +282,8 @@ def decompose(
     to hit every element of Q exactly once; the coordinate lookups are built
     from the same products.  ``max_group_order`` bounds the H-class build.
     """
-    _check_size("idempotent count", P.m, max_size)
-    _check_size("H-class order", math.factorial(P.k), max_group_order, "bound ")
+    admit("idempotent count", P.m, max_size)
+    admit("H-class order", math.factorial(P.k), max_group_order, "bound ")
     Q = enumerate_Q(P, max_size)  # checks |Q|; makes the record as enumerate_Q's build
     record = instance(P)
     if record.decomposition is not None:
@@ -313,7 +319,7 @@ class _Record:
 
 @lru_cache(maxsize=64)
 def instance(P: PartitionedSet) -> _Record:
-    """``P``'s record; ``images`` and ``pairing`` hold Q's tuples and R with the trace that proved them."""
+    """``P``'s record; ``images`` and ``pairing`` hold Q's tuples and the R that proved them."""
     return _Record()
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SemigroupSet, _extend
-from .errors import ContractError, InternalConsistencyError, ResourceLimitError
+from .errors import ContractError, InternalConsistencyError
 from .formulas import cardinality_Q, rank_Q
-from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, DEFAULT_VERIFY_MAX
+from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, DEFAULT_VERIFY_MAX, admit
 from .partition import PartitionedSet
 from .qsemigroup import enumerate_Q, idempotents_Q, prove_Q
 from .transformation import Transformation, image
@@ -36,11 +36,11 @@ def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSUR
     """R with its ``rank_pairing`` trace, as ``prove_Q``'s closure proof kept them in
     P's record; its size must equal rank_Q, else an internal error is raised.
     Q's elements are not wrapped as maps for this."""
-    generators, paired, leftover = prove_Q(P, max_size).pairing
+    pairing = prove_Q(P, max_size).pairing
     claimed = rank_Q(P)
-    if len(generators) != claimed:
-        raise InternalConsistencyError(f"construction produced {len(generators)} generators, rank is {claimed}")
-    return GeneratingSetReport(P, generators, claimed, paired, leftover, True)
+    if len(pairing.generators) != claimed:
+        raise InternalConsistencyError(f"construction produced {len(pairing.generators)} generators, rank is {claimed}")
+    return GeneratingSetReport(P, pairing.generators, claimed, pairing.paired, pairing.leftover, True)
 
 
 def _hits_every_hclass(gens, P: PartitionedSet) -> bool:
@@ -77,8 +77,7 @@ def minimality_certificate(P: PartitionedSet) -> dict:
     """
     if P.is_identity_relation:
         raise ContractError("certificate covers nontrivial relations only")
-    if cardinality_Q(P) > DEFAULT_VERIFY_MAX:
-        raise ResourceLimitError(f"|Q| = {cardinality_Q(P)} exceeds minimality certificate bound {DEFAULT_VERIFY_MAX}")
+    admit("|Q| =", cardinality_Q(P), DEFAULT_VERIFY_MAX, "minimality certificate bound ")
     Q = enumerate_Q(P)
     pairs = verify_image_right_invariance(Q)
     r = rank_Q(P)
@@ -105,8 +104,7 @@ def brute_force_no_generating_set_of_size(P: PartitionedSet, size: int) -> bool:
     """
     if size < 0:
         raise ContractError(f"size must be >= 0, got {size}")
-    if cardinality_Q(P) > DEFAULT_BRUTE_FORCE_MAX_Q:
-        raise ResourceLimitError(f"|Q| = {cardinality_Q(P)} exceeds brute-force bound {DEFAULT_BRUTE_FORCE_MAX_Q}")
+    admit("|Q| =", cardinality_Q(P), DEFAULT_BRUTE_FORCE_MAX_Q, "brute-force bound ")
     return _no_generating_set_by_levels(enumerate_Q(P).index_table, size)
 
 

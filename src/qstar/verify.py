@@ -23,16 +23,16 @@ from dataclasses import dataclass
 
 from .engine import SemigroupSet, _extend, closure, green_R_definitional, green_R_related, groups_isomorphic
 from .engine import is_right_group, right_group_legs
-from .errors import InternalConsistencyError, ResourceLimitError, ValidationError
+from .errors import InternalConsistencyError, ValidationError
 from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
 from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
 from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
-from .limits import H_CLASS_ISO_MAX_K, MAX_DEGREE, MAX_SAMPLES
+from .limits import H_CLASS_ISO_MAX_K, MAX_DEGREE, MAX_SAMPLES, PAIRWISE_WORK_BUDGET, admit, exceeds
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, in_TEstar_pairwise, is_idempotent_Q
 from .partition import PartitionedSet, is_cross_section
-from .qsemigroup import block_permutation, decompose, enumerate_Q, h_class, idempotents_Q, instance
+from .qsemigroup import block_permutation, decompose, enumerate_Q, h_class, idempotents_Q
 from .rank import GeneratingSetReport, _hits_every_hclass, minimal_generating_set, minimality_certificate
 from .transformation import Transformation, compose, image, kernel_partition, q_shorthand
 
@@ -92,16 +92,19 @@ def check_partition_invariants(P: PartitionedSet) -> Check:
 
 def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check:
     if P.n <= EXHAUSTIVE_MAPS_BOUND:
-        maps = _all_maps(P.n)
-        label = f"exhaustive over {P.n ** P.n} maps"
+        count, maps = P.n ** P.n, _all_maps(P.n)
+        label = f"exhaustive over {count} maps"
     elif samples == 0:
         return Check("membership-implications", "skipped", NO_SAMPLES)
     else:
-        maps = _random_maps(P, rng, samples)
+        count, maps = samples, _random_maps(P, rng, samples)
         label = f"{samples} sampled maps"
-    for a in maps:
+    pairwise = max(1, PAIRWISE_WORK_BUDGET // P.n ** 2)  # the first maps the O(n^2) pairwise leg can afford
+    if pairwise < count:
+        label += f", the pairwise form on {pairwise} of them (PAIRWISE_WORK_BUDGET={PAIRWISE_WORK_BUDGET})"
+    for i, a in enumerate(maps):
         fast = in_TEstar(P, a)
-        if fast != in_TEstar_pairwise(P, a):
+        if i < pairwise and fast != in_TEstar_pairwise(P, a):
             return Check("membership-implications", "fail", f"fast and pairwise forms disagree on {a.images}")
         if in_Q(P, a) and not fast:
             return Check("membership-implications", "fail", f"in_Q without in_TEstar on {a.images}")
@@ -141,10 +144,9 @@ def check_q_counts(P: PartitionedSet, Q, flags) -> Check:
 
 def check_idempotents_right_zero(P: PartitionedSet) -> Check:
     idems = idempotents_Q(P)
-    for f in idems:
-        for g in idems:
-            if compose(f, g) != g:
-                return Check("idempotents-right-zero", "fail", f"f*g != g for {f.images}, {g.images}")
+    for f, g in itertools.product(idems, repeat=2):
+        if compose(f, g) != g:
+            return Check("idempotents-right-zero", "fail", f"f*g != g for {f.images}, {g.images}")
     return Check("idempotents-right-zero", "pass", f"f*g == g over all {len(idems)}^2 idempotent pairs")
 
 
@@ -244,11 +246,8 @@ def check_h_class_structure(P: PartitionedSet, Q) -> Check:
 
 def check_decomposition(P: PartitionedSet) -> Check:
     dec = decompose(P)
-    return Check(
-        "decomposition",
-        "pass",
-        f"group part {dec.group_part.order} x idempotent part {len(dec.idempotent_part)} pairs onto Q",
-    )
+    detail = f"group part {dec.group_part.order} x idempotent part {len(dec.idempotent_part)} pairs onto Q"
+    return Check("decomposition", "pass", detail)
 
 
 def check_rank_and_generators(P: PartitionedSet, Q, report: GeneratingSetReport) -> Check:
@@ -299,8 +298,8 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     audit lists beside the candidate.
 
     Candidate: every idempotent except the base one, plus the
-    transposition-patterned element of the base H-class, read from the
-    ``rank_pairing`` trace in P's record.  The closure is
+    transposition-patterned element of the base H-class, the first
+    symmetric-part generator of the report's trace.  The closure is
     computed honestly; the induced block permutations give an independent
     certificate, since patterns multiply homomorphically and a closure can
     only realize patterns from the subgroup its generators' patterns
@@ -309,8 +308,8 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     if P.k < 2 or P.m < 2:
         return {"applicable": False, "reason": "needs k >= 2 and m >= 2"}
     idems = idempotents_Q(P)
-    Q = enumerate_Q(P)  # fills P's record
-    transposition = instance(P).pairing[1][0][0]
+    Q = enumerate_Q(P)
+    transposition = rank_report.paired[0][0]
     if block_permutation(P, transposition) == tuple(range(P.k)):
         raise InternalConsistencyError("expected a transposition-patterned generator first")
     candidate = tuple(sorted(set(idems[1:]) | {transposition}))
@@ -323,13 +322,8 @@ def build_audit(P: PartitionedSet, rank_report: GeneratingSetReport) -> dict:
     proper_patterns = len(pattern_group) < full_order
     if proper_patterns and generates:
         raise InternalConsistencyError("closure reached Q although its block patterns cannot")
-    missing = None
-    if proper_patterns:
-        reached = {a.images for a in pattern_group}
-        for p in itertools.permutations(range(P.k)):
-            if p not in reached:
-                missing = [v + 1 for v in p]
-                break
+    reached = {a.images for a in pattern_group}
+    missing = next(([v + 1 for v in p] for p in itertools.permutations(range(P.k)) if p not in reached), None)
     return {
         "applicable": True,
         "candidate": [list(q_shorthand(P, a)) for a in candidate],
@@ -362,24 +356,26 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
     """Run the full battery on one instance with a deterministic seed."""
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ResourceLimitError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    admit("samples =", samples, MAX_SAMPLES, "MAX_SAMPLES = ")
     rng = random.Random(seed)
     checks = [
         check_partition_invariants(P),
         check_membership_implications(P, rng, samples),
     ]
     audit: dict = {"applicable": False, "reason": "enumeration bound exceeded"}
-    if P.n > MAX_DEGREE:
-        checks.append(Check("enumeration", "skipped", f"n = {P.n} exceeds MAX_DEGREE={MAX_DEGREE}"))
-    elif cardinality_Q(P) <= ENUM_BOUND:
+    unenumerated = exceeds("n =", P.n, MAX_DEGREE, "MAX_DEGREE=") or exceeds("|Q| =", cardinality_Q(P), ENUM_BOUND, "bound ")
+    if unenumerated:
+        checks.append(Check("enumeration", "skipped", unenumerated))
+    else:
         Q = enumerate_Q(P)
-        small = len(Q) <= DEFAULT_VERIFY_MAX
+        unverified = exceeds("|Q| =", len(Q), DEFAULT_VERIFY_MAX, "oracle bound ")
         flags = [is_idempotent_Q(P, a) for a in Q]  # one sweep, read by both checks
         checks.append(check_idempotent_criterion(P, Q, flags))
         checks.append(check_q_counts(P, Q, flags))
         checks.append(check_idempotents_right_zero(P))
-        if small:
+        if unverified:
+            checks.append(Check("oracle-battery", "skipped", unverified))
+        else:
             checks.append(check_group_criterion(P, Q))
             checks.append(check_kernel_cross_section(P, Q))
             checks.append(check_right_group_battery(P, Q, rng, samples))
@@ -392,8 +388,4 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
             checks.append(check_maximal(P, Q))
             checks.append(check_self_isomorphism(P))
             audit = build_audit(P, rank_report)
-        else:
-            checks.append(Check("oracle-battery", "skipped", f"|Q| = {len(Q)} exceeds oracle bound {DEFAULT_VERIFY_MAX}"))
-    else:
-        checks.append(Check("enumeration", "skipped", f"|Q| = {cardinality_Q(P)} exceeds bound {ENUM_BOUND}"))
     return VerificationReport(P, seed, tuple(checks), audit)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import functools
 import inspect
 import io
@@ -10,7 +11,6 @@ import pathlib
 import subprocess
 import sys
 import textwrap
-import types
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -23,7 +23,7 @@ import qstar.qsemigroup
 import qstar.verify
 from qstar import limits, partition_from_spec
 from qstar.cli import build_parser, json_int, main
-from qstar.qsemigroup import enumerate_Q, idempotents_Q, instance
+from qstar.qsemigroup import enumerate_Q, idempotents_Q, prove_Q
 
 from conftest import clear_q_caches
 
@@ -767,11 +767,14 @@ def test_the_symmetric_part_is_built_once_per_cold_instance(capsys, monkeypatch,
 def test_verify_exits_4_when_the_audit_finds_no_transposition_first(capsys, monkeypatch):
     P = partition_from_spec("1,2|3|4")
     clear_q_caches()
-    enumerate_Q(P)
-    generators, paired, leftover = instance(P).pairing
     e = idempotents_Q(P)[0]
-    planted = types.SimpleNamespace(pairing=(generators, ((e, e, e),) + paired[1:], leftover))
-    monkeypatch.setattr(qstar.verify, "instance", lambda P: planted)  # only build_audit reads it there
+    real = qstar.verify.minimal_generating_set
+
+    def planted(P):  # build_audit reads the transposition from the report's copy of the trace's paired rows
+        report = real(P)
+        return dataclasses.replace(report, paired=((e, e, e),) + report.paired[1:])
+
+    monkeypatch.setattr(qstar.verify, "minimal_generating_set", planted)
     assert main(["verify", "--partition", "1,2|3|4"]) == 4
     assert capsys.readouterr() == ("", "internal consistency: expected a transposition-patterned generator first\n")
 
@@ -780,7 +783,7 @@ def test_verify_exits_4_when_the_audit_closure_outruns_its_block_patterns(capsys
     P = partition_from_spec("1,2|3|4")
     clear_q_caches()
     Q = enumerate_Q(P)
-    transposition = instance(P).pairing[1][0][0]
+    transposition = prove_Q(P).pairing.paired[0][0]
     candidate = tuple(sorted({*idempotents_Q(P)[1:], transposition}))
     real = qstar.verify.closure
     monkeypatch.setattr(qstar.verify, "closure", lambda gens: Q if tuple(gens) == candidate else real(gens))

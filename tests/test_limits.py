@@ -6,17 +6,23 @@ package passes that parameter, by position or by keyword: otherwise every
 caller gets the default, and the parameter is a constant in disguise.
 
 ``MAX_DEGREE`` caps the degree n of every Q that is built; the commands
-that build Q name it when it trips.
+that build Q name it when it trips.  A size past its bound is refused
+through ``qstar.limits.admit``, with one text; other modules import
+neither Q's record cache nor its packed kernel from ``qsemigroup``.
 """
 
 import ast
 import json
+import math
 import pathlib
+import random
 
 import pytest
 
 import qstar.limits
-from qstar import partition_from_sizes
+import qstar.maximal
+import qstar.verify
+from qstar import ResourceLimitError, partition_from_sizes
 from qstar.cli import main
 from qstar.qsemigroup import prove_Q
 
@@ -88,3 +94,118 @@ def test_a_block_of_max_degree_points_still_proves_q():
     n = qstar.limits.MAX_DEGREE
     record = prove_Q(partition_from_sizes((n,)))
     assert record.images == [(x,) * n for x in range(n)]
+
+
+def package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def with_functions(tree):
+    """(name of the innermost function holding it or None, node) for every node of ``tree``."""
+    owner = {}
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):  # outer ones first
+        owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return ((owner.get(node), node) for node in ast.walk(tree))
+
+
+# The ResourceLimitError raises outside ``qstar.limits``, each for a reason that
+# ``limits.admit``'s "{what} {size} exceeds {name}{bound}" does not fit.
+RAISED_OUTSIDE_LIMITS = {
+    # "closure exceeded max_size=N", pinned by tests/test_engine.py: a closure
+    # that grew past its bound, not a closed-form size checked before building.
+    ("engine.py", "closure_images"): 2,
+    # Work counters, which trip while the search runs.
+    ("engine.py", "all_closed_subsets"): 1,
+    ("maximal.py", "_maximal_closed_masks"): 1,
+    # "N candidate maps exceed DEFAULT_MAX_MAPS=M", pinned by tests/test_qsemigroup.py.
+    ("qsemigroup.py", "enumerate_Q_bruteforce"): 1,
+}
+# What only qsemigroup may import: Q's record cache and its packed kernel.
+PRIVATE_TO_QSEMIGROUP = {"instance", "packed_closure", "_built", "all_in_Q"}
+
+
+def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
+    trees = package_trees()
+    raised, admitted = {}, set()
+    for name, tree in trees.items():
+        for function, node in with_functions(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ResourceLimitError" and name != "limits.py":
+                raised[name, function] = raised.get((name, function), 0) + 1
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "admit":
+                admitted.add(name)
+    assert raised == RAISED_OUTSIDE_LIMITS
+    # Every module that refused a size by hand now refuses it through admit.
+    assert admitted == {"engine.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
+    imported = sorted(
+        f"{name}: {alias.name}"
+        for name, tree in trees.items() if name != "qsemigroup.py"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in PRIVATE_TO_QSEMIGROUP
+    )
+    assert imported == []
+    subscripted = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "pairing"
+    )
+    assert subscripted == []
+
+
+def test_admit_and_exceeds_share_one_text():
+    assert qstar.limits.exceeds("|Q| =", 36, 36) is None
+    assert qstar.limits.exceeds("|Q| =", 37, 36) == "|Q| = 37 exceeds max_size=36"
+    qstar.limits.admit("n =", 256, 256, "MAX_DEGREE=")
+    with pytest.raises(ResourceLimitError, match="^n = 257 exceeds MAX_DEGREE=256$"):
+        qstar.limits.admit("n =", 257, 256, "MAX_DEGREE=")
+
+
+def right_zero_cells(sizes):
+    P = partition_from_sizes(sizes)
+    return math.factorial(P.k) * P.m * (P.m - 1)
+
+
+def test_the_right_zero_cell_bound_admits_the_ladder_and_refuses_blocks_30_30():
+    bound = qstar.limits.MAX_RIGHT_ZERO_CELLS
+    # maximal at k = 7 (m = 2), the bench's (3,2,1,1), the tests' one block of MAX_DEGREE + 1 points, blocks (20, 20).
+    assert max(map(right_zero_cells, [(2, 1, 1, 1, 1, 1, 1), (3, 2, 1, 1), (257,), (20, 20)])) <= bound
+    assert right_zero_cells((30, 30)) == 1_618_200 > bound
+
+
+def refuse_any_build(*args, **kwargs):
+    raise AssertionError("decompose ran past a refused admission check")
+
+
+def test_maximal_refuses_right_zero_cells_past_the_bound_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(qstar.maximal, "decompose", refuse_any_build)
+    assert main(["maximal", "--partition", ",".join(map(str, range(1, 31))) + "|" + ",".join(map(str, range(31, 61)))]) == 3
+    assert capsys.readouterr() == ("", "resource limit: right-zero cells 1618200 exceeds MAX_RIGHT_ZERO_CELLS=500000\n")
+    monkeypatch.setattr(qstar.maximal, "MAX_RIGHT_ZERO_CELLS", 71)  # blocks (2, 2, 1): 3! * 4 * 3 = 72 cells
+    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 3
+    assert capsys.readouterr() == ("", "resource limit: right-zero cells 72 exceeds MAX_RIGHT_ZERO_CELLS=71\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(qstar.maximal, "MAX_RIGHT_ZERO_CELLS", 72)  # the bound admits cells equal to it
+    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 8
+
+
+@pytest.mark.parametrize("budget, legs", [(75, 3), (1, 1)])
+def test_the_pairwise_leg_runs_on_the_maps_its_budget_affords(monkeypatch, budget, legs):
+    P = partition_from_sizes((3, 2))  # n = 5: each pairwise call costs n^2 = 25
+    calls = []
+    real = qstar.verify.in_TEstar_pairwise
+    monkeypatch.setattr(qstar.verify, "in_TEstar_pairwise", lambda P, a: calls.append(a) or real(P, a))
+    monkeypatch.setattr(qstar.verify, "PAIRWISE_WORK_BUDGET", budget)
+    check = qstar.verify.check_membership_implications(P, random.Random(0), 10)
+    assert (check.status, len(calls)) == ("pass", legs)
+    assert check.detail == (
+        f"implication chain holds, 10 sampled maps, the pairwise form on {legs} of them (PAIRWISE_WORK_BUDGET={budget})"
+    )
+    monkeypatch.setattr(qstar.verify, "PAIRWISE_WORK_BUDGET", 250)  # affords all ten maps: the detail is unchanged
+    assert qstar.verify.check_membership_implications(P, random.Random(0), 10).detail == (
+        "implication chain holds, 10 sampled maps"
+    )
+
+
+def test_the_pairwise_budget_covers_the_default_samples_at_the_largest_built_degree():
+    assert qstar.limits.PAIRWISE_WORK_BUDGET // (qstar.limits.MAX_DEGREE + 1) ** 2 >= qstar.limits.DEFAULT_SAMPLES

@@ -30,7 +30,7 @@ from qstar.errors import InternalConsistencyError
 from qstar.formulas import integer_partitions
 from qstar.limits import DEFAULT_ORACLE_MAX
 from qstar.maximal import _maximal_closed_masks
-from qstar.qsemigroup import instance
+from qstar.qsemigroup import prove_Q
 
 from conftest import clear_q_caches
 
@@ -88,9 +88,8 @@ def test_a_symmetric_part_cut_to_one_generator_is_caught(monkeypatch, sizes):
     P = partition_from_sizes(sizes)
     clear_q_caches()
     enumerate_Q(P)
-    record = instance(P)  # _check_symmetric reads the generators from the first column of paired
-    generators, paired, leftover = record.pairing
-    monkeypatch.setattr(record, "pairing", (generators, paired[:1], leftover))
+    record = prove_Q(P)  # _check_symmetric gets the generators from the first column of paired
+    monkeypatch.setattr(record, "pairing", record.pairing._replace(paired=record.pairing.paired[:1]))
     with pytest.raises(InternalConsistencyError, match="^symmetric part does not generate the group part$"):
         maximal_subsemigroups_Q(P)
 

@@ -535,8 +535,8 @@ def test_closure_proof_catches_a_wrong_pairing_product(monkeypatch, wrong, messa
     real = qstar.qsemigroup.rank_pairing
 
     def patched(P):
-        generators, paired, leftover = real(P)
-        return (wrong(P),) + generators[1:], paired, leftover
+        pairing = real(P)
+        return pairing._replace(generators=(wrong(P),) + pairing.generators[1:])
 
     monkeypatch.setattr(qstar.qsemigroup, "rank_pairing", patched)
     clear_q_caches()
@@ -673,4 +673,4 @@ def test_packed_proof_equals_the_tuple_kernel(sizes):
     clear_q_caches()
     record = prove_Q(P)
     assert record.pairing == rank_pairing(P)
-    assert record.images == qstar.engine.closure_images(record.pairing[0])
+    assert record.images == qstar.engine.closure_images(record.pairing.generators)

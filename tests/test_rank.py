@@ -276,8 +276,9 @@ def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     P = partition_from_spec("1,2|3,4|5")
     clear_q_caches()
     assert run_verification(P).all_passed
-    # enumerate_Q's closure proof; minimal_generating_set and the H-class check stand on it.
-    assert calls == [rank_pairing(P)[0]]
+    # enumerate_Q's closure proof, on which minimal_generating_set and the H-class check stand,
+    # then maximal's proof that the symmetric-part generators generate the group part.
+    assert calls == [rank_pairing(P).generators, symmetric_part_generators(P)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
