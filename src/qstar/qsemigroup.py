@@ -6,11 +6,12 @@ right group: the disjoint union of its H-classes, each a group of order k!,
 indexed by the m image cross-sections.  :func:`decompose` names every
 element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
-:func:`prove_Q` proves Q on maps packed one byte per point and keeps it as
-image tuples in the partition's record, in the one cache :func:`instance`,
-beside R's ``Pairing``, the idempotents and the decomposition;
-:func:`enumerate_Q` wraps the tuples as maps on first use.  The cache and
-the packed maps stay in this module: others read R as ``prove_Q(P).pairing``
+:func:`prove_Q` proves Q on maps packed one byte per point and keeps them
+packed in the partition's record, in the one cache :func:`instance`, beside
+R's ``Pairing``, the idempotents and the decomposition; the record's
+``images``, Q's sorted image tuples, are unpacked on first read, and
+:func:`enumerate_Q` wraps them as maps on first use.  The cache and the
+packed maps stay in this module: others read R as ``prove_Q(P).pairing``
 and ask :func:`generates` whether maps generate a set.
 """
 
@@ -20,9 +21,10 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import islice, repeat
 from operator import add
+from typing import Collection
 
 from .engine import GroupTable, SemigroupSet
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
@@ -54,32 +56,41 @@ def block_permutation(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
 def _built(P: PartitionedSet) -> set[bytes]:
     """Q by formula, packed: the map for a block permutation sigma and a choice c of one
     point per block sends block i to c[sigma(i)], so it is (block i -> sigma(i)).translate(c)."""
+    spreads = list(map(bytes, map(product_map(P.block_of), itertools.permutations(range(P.k)))))
     pad = bytes(256 - P.k)
-    spreads = [bytes(P.block_of).translate(bytes(sigma) + pad) for sigma in itertools.permutations(range(P.k))]
     choices = [bytes(c) + pad for c in itertools.product(*P.blocks)]
     return set(itertools.starmap(bytes.translate, itertools.product(spreads, choices)))
 
 
+# Known maps that packed_closure's left-product guard pads at a time: 1,024 padded maps
+# hold about 0.3 MB; one list of all of them took `generate` at k = 8 from 35 to 58 MB.
+_PAD_BATCH = 1024
+
+
 def packed_closure(gens, max_size: int) -> set[bytes] | None:
     """The packed maps generated by ``gens``, or None past ``max_size`` of them.  Right
-    products by the generators, one breadth-first level at a time, reach every word; the
-    left products g*p, one padded table at a time, guard against a defective level loop."""
+    products by the generators, one breadth-first level at a time, reach every word: each
+    product is tested against the known maps as it comes, and the new ones are the next
+    level.  The left products g*p, with each known map padded once per batch of
+    ``_PAD_BATCH``, guard against a defective level loop."""
     gens = [bytes(g.images) for g in gens]
     pad = bytes(256 - len(gens[0]))
     known, level = set(gens), gens
     while level:
-        products = set()
+        fresh = []
         for g in gens:
-            products.update(map(bytes.translate, level, repeat(g + pad)))
-            if len(products) > max_size:
+            for p in map(bytes.translate, level, repeat(g + pad)):
+                if p not in known:
+                    known.add(p)
+                    fresh.append(p)
+            if len(known) > max_size:
                 return None
-        level = products - known
-        known |= level
-        if len(known) > max_size:
-            return None
-    for g in gens:
-        if not known.issuperset(map(g.translate, map(add, known, repeat(pad)))):
-            raise InternalConsistencyError("left product escaped a right-product closure")
+        level = fresh
+    maps = iter(known)
+    while batch := list(map(add, islice(maps, _PAD_BATCH), repeat(pad))):
+        for g in gens:
+            if not known.issuperset(map(g.translate, batch)):
+                raise InternalConsistencyError("left product escaped a right-product closure")
     return known
 
 
@@ -88,7 +99,7 @@ def generates(gens, elements) -> bool:
     return packed_closure(gens, len(elements)) == {bytes(a.images) for a in elements}
 
 
-def all_in_Q(P: PartitionedSet, images: list[bytes]) -> bool:
+def all_in_Q(P: PartitionedSet, images: Collection[bytes]) -> bool:
     """``in_Q`` for packed maps, assumed valid maps of degree P.n, read by columns: column x of
     the maps joined holds x's image in each.  Collapse: each point's column is its block head's.
     Cover: the heads' blocks differ pairwise in each map, so their columns, read as integers,
@@ -106,8 +117,8 @@ def all_in_Q(P: PartitionedSet, images: list[bytes]) -> bool:
 
 
 def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
-    """P's record, holding Q as sorted image tuples (``images``) and R's ``Pairing``
-    (``pairing``), both proved; nothing is wrapped as a map.
+    """P's record, holding R's ``Pairing`` (``pairing``) and Q as the packed maps its
+    closure proved; ``pairing`` marks the record proved, and nothing is wrapped as a map.
 
     The proof packs a map of degree n <= ``MAX_DEGREE`` as ``bytes(images)``, so a*b is
     ``a.translate(b + bytes(256 - n))``.  The pad is never read: every packed map is a
@@ -116,14 +127,14 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     that set, R's factors (symmetric part and idempotents) lie in it, and it passes
     :func:`all_in_Q`.  So it is closed and generated by R, so by R's factors, with
     O(|Q|*|R|) products instead of |Q|^2, and each map in it is a product of validated
-    maps.  The closure, sorted (bytes sort as image tuples do), is unpacked once as Q's
-    order.  The bounds are checked before the record is read; nothing unproved is kept.
+    maps.  The closure stays packed and unsorted until ``images`` is first read.  The
+    bounds are checked before the record is read; nothing unproved is kept.
     """
     expected = cardinality_Q(P)
     admit("|Q| =", expected, max_size)
     admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
-    if record.images is not None:
+    if record.pairing is not None:
         return record
     built = _built(P)
     if len(built) != expected:
@@ -136,18 +147,15 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     if len(generated) != len(built):  # distinct maps inside the built set
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")
     del built  # equal to the closure now: freed before the membership batch
-    images = sorted(generated)
-    del generated  # the list holds the maps now: the set's table is freed before the unpack
-    if not all_in_Q(P, images):  # after the closure proof, which rejects maps that are not of degree n
+    if not all_in_Q(P, generated):  # after the closure proof, which rejects maps that are not of degree n
         raise InternalConsistencyError("constructed element fails the membership predicate")
-    record.pairing = pairing
-    record.images = list(zip(*[iter(b"".join(images))] * P.n))  # zip cuts the joined maps into n-tuples
+    record.packed, record.pairing = generated, pairing
     return record
 
 
 def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
-    """All of Q in canonical order: :func:`prove_Q`'s image tuples, each wrapped,
-    unvalidated, once per record and kept there."""
+    """All of Q in canonical order: the image tuples of :func:`prove_Q`'s record, each
+    wrapped, unvalidated, once per record and kept there."""
     record = prove_Q(P, max_size)
     if record.Q is None:
         record.Q = SemigroupSet(P.n, tuple(map(Transformation._unchecked, record.images)))
@@ -314,12 +322,19 @@ def decompose(
 
 
 class _Record:
-    idempotents = images = pairing = Q = decomposition = None
+    idempotents = pairing = packed = Q = decomposition = None
+
+    @cached_property
+    def images(self) -> list[tuple[int, ...]]:
+        """Q's image tuples in canonical order, cut on first read from the proved packed
+        maps, sorted (bytes sort as image tuples do) and joined, which are then dropped."""
+        packed, self.packed = sorted(self.packed), None
+        return list(zip(*[iter(b"".join(packed))] * len(packed[0])))  # zip cuts the joined maps into n-tuples
 
 
 @lru_cache(maxsize=64)
 def instance(P: PartitionedSet) -> _Record:
-    """``P``'s record; ``images`` and ``pairing`` hold Q's tuples and the R that proved them."""
+    """``P``'s record; ``pairing`` and ``packed`` hold the R that proved Q and Q's packed maps."""
     return _Record()
 
 

@@ -480,11 +480,12 @@ def test_closure_proof_reports_generators_that_fall_short(monkeypatch):
 
 
 def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
-    # The closure of the generators G, bounded by |Q|, computes |Q|*|G| right
-    # products and |G|*|Q| left products; a pairwise proof would need |Q|^2.
-    # Each packed product, and each map the membership batch pads, reads its
-    # table from one ``repeat``, so counting the items drawn counts them all.
-    P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, m = 2, |Q| = 240
+    # The closure of R, bounded by |Q|, computes |Q|*|R| right products, one
+    # level at a time, and pads each of its |Q| maps once for the left
+    # products; a pairwise proof would need |Q|^2.  Each right product, and
+    # each padded map, reads its table from one ``repeat``, so counting the
+    # items drawn counts them all.
+    P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, m = 2, |Q| = 240, |R| = 2
     products = []
 
     def counting(table):
@@ -495,8 +496,38 @@ def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
     monkeypatch.setattr(qstar.qsemigroup, "repeat", counting)
     clear_q_caches()
     Q = enumerate_Q(P)
-    generators = len(symmetric_part_generators(P)) + P.m
-    assert 0 < len(products) <= 2 * len(Q) * (generators + 1)
+    assert len(products) == len(Q) * (len(rank_pairing(P).generators) + 1) == 720
+
+
+@pytest.mark.parametrize("sizes", [sizes for n in range(1, 7) for sizes in shapes(n)], ids=str)
+def test_closure_bound_admits_exactly_the_generated_set(sizes):
+    # packed_closure returns None once more than max_size maps are known, so
+    # R closes onto Q at |Q| and not below, and the symmetric-part generators,
+    # as maximal's ``generates`` asks, onto the base H-class at k! and not below.
+    P = partition_from_sizes(sizes)
+    closure, built = qstar.qsemigroup.packed_closure, qstar.qsemigroup._built(P)
+    R = rank_pairing(P).generators
+    assert closure(R, len(built) - 1) is None
+    assert closure(R, len(built)) == built
+    base = {min(block) for block in P.blocks}
+    group = {p for p in built if set(p) == base}
+    assert len(group) == math.factorial(P.k)
+    assert closure(symmetric_part_generators(P), len(group) - 1) is None
+    assert closure(symmetric_part_generators(P), len(group)) == group
+
+
+def test_generate_leaves_q_packed_until_its_image_tuples_are_first_read(capsys):
+    # generate reads only R's pairing, so it never sorts or unpacks Q; the
+    # first read of the record's images does, and drops the packed maps.
+    P = partition_from_spec("1,2|3,4|5|6|7")
+    clear_q_caches()
+    assert main(["generate", "--partition", "1,2|3,4|5|6|7"]) == 0
+    record = qstar.qsemigroup.instance(P)
+    packed = record.packed
+    assert "images" not in vars(record) and len(packed) == 480
+    Q = enumerate_Q(P)
+    assert record.packed is None
+    assert vars(record)["images"] == sorted(map(tuple, packed)) == [q.images for q in Q]
 
 
 def test_decompose_passes_the_group_order_bound_to_the_h_class():
