@@ -37,9 +37,9 @@ print("its order:", G.order, "-- a copy of the symmetric group on the 3 blocks")
 print()
 
 dec = decompose(P)
-print("decomposition: group part", dec.group_part.order, "x", len(dec.idempotent_part), "idempotents")
+print("decomposition: group part", len(dec.group_part), "x", len(dec.idempotent_part), "idempotents")
 sample = list(Q)[17]
 i, j = dec.coordinates(sample)
-a, f = dec.group_part.elements.elements[i], dec.idempotent_part[j]
+a, f = dec.group_part[i], dec.idempotent_part[j]
 print("coordinates of", q_shorthand(P, sample), "=", q_shorthand(P, a), "*", q_shorthand(P, f))
 assert dec.element(i, j) == compose(a, f) == sample

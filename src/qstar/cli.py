@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, DEFAULT_VERIFY_MAX
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, MAX_DEGREE
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
 from .transformation import q_shorthand, transformation_from_json
@@ -208,8 +208,7 @@ def cmd_maximal(args) -> dict:
     if P.m == 1:
         # Q is the symmetric group on the blocks; the right-group theorem
         # needs at least two idempotents, so report maximal subgroups instead.
-        G = symmetric_group_table(P.k, max_order=args.group_order_bound)
-        maxima = maximal_subgroups(G)
+        maxima = maximal_subgroups(symmetric_group_table(P.k, max_order=args.group_order_bound).elements)
         return {
             "command": "maximal",
             "partition": P.to_spec(),
@@ -268,7 +267,7 @@ def cmd_iso(args) -> dict:
         "isomorphic": isomorphic,
         "witness_verified": False,
     }
-    if isomorphic and cardinality_Q(P1) <= DEFAULT_VERIFY_MAX:
+    if isomorphic and cardinality_Q(P1) <= DEFAULT_MAX_CLOSURE and max(P1.n, P2.n) <= MAX_DEGREE:
         from .iso import build_isomorphism
 
         iso = build_isomorphism(P1, P2)
@@ -368,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
 
     p = add("iso", cmd_iso, "compare two partitioned sets")
-    p.description = f"An isomorphism is built and checked when the two sides are isomorphic and |Q| <= {DEFAULT_VERIFY_MAX}."
+    p.description = (f"An isomorphism is built and checked when the sides are isomorphic, |Q| <= {DEFAULT_MAX_CLOSURE}"
+                     f" and n <= {MAX_DEGREE} on each side.")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 

@@ -427,10 +427,11 @@ def subgroup_lattice(G: GroupTable) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(subs, key=lambda s: (len(s), s)))
 
 
-def maximal_subgroups(G: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """Proper subgroups not contained in any larger proper subgroup, by :func:`subgroup_lattice`'s argument."""
-    masks = _maximal_masks(all_closed_subsets(G.elements), (1 << G.order) - 1)
-    out = [tuple(_mask_indices(mask, G.order)) for mask in masks]
+def maximal_subgroups(S: SemigroupSet) -> tuple[tuple[int, ...], ...]:
+    """Proper subgroups of the finite group S not contained in any larger proper subgroup, by
+    :func:`subgroup_lattice`'s argument, on S's own table: no group table is needed."""
+    masks = _maximal_masks(all_closed_subsets(S), (1 << len(S)) - 1)
+    out = [tuple(_mask_indices(mask, len(S))) for mask in masks]
     return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 

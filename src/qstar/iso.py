@@ -11,8 +11,7 @@ set R of Q(P1), so a positive answer is always certified.
 from __future__ import annotations
 
 from .errors import ContractError, InternalConsistencyError
-from .formulas import cardinality_Q, q_isomorphic
-from .limits import DEFAULT_VERIFY_MAX, admit
+from .formulas import q_isomorphic
 from .partition import PartitionedSet
 from .qsemigroup import decompose, enumerate_Q, prove_Q
 from .transformation import product_map
@@ -28,13 +27,12 @@ def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     set R of ``prove_Q(P1).pairing``, which :func:`enumerate_Q` proved
     generates Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
     phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
-    |Q|^2 pairs.  Raises :class:`ContractError` when the instances are not
-    isomorphic, and :class:`ResourceLimitError` when |Q| exceeds
-    ``DEFAULT_VERIFY_MAX``; below it k! <= 120 and m <= 200, under ``decompose``'s defaults.
+    |Q|^2 pairs, and no product table is built.  Raises :class:`ContractError`
+    when the instances are not isomorphic, and :class:`ResourceLimitError`
+    past :func:`enumerate_Q`'s bounds.
     """
     if not q_isomorphic(P1, P2):
         raise ContractError(f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})")
-    admit("|Q| =", cardinality_Q(P1), DEFAULT_VERIFY_MAX, "isomorphism check bound ")
     dec1 = decompose(P1)
     dec2 = decompose(P2)
     k = P1.k

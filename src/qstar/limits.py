@@ -12,12 +12,14 @@ values here.
 
 from .errors import ResourceLimitError
 
-# Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
+# Elements of a closure, of Q, or of its idempotent set (``--max-closure``);
+# the CLI's ``iso`` builds its witness up to it, and up to ``MAX_DEGREE``.
 DEFAULT_MAX_CLOSURE = 100_000
 # Largest degree n of a built Q: its proof packs each map one byte per point.
 MAX_DEGREE = 256
-# Order of a group built as a table (``--group-order-bound``): one per
-# ``maximal`` run, the H-class or (m = 1) the symmetric group.  The subgroup
+# Order of a group built as a table: the one a ``maximal`` run searches
+# (``--group-order-bound``), on the H-class's k! members or (m = 1) the
+# symmetric group, and ``h_class``'s.  ``decompose`` builds none.  The subgroup
 # lattice has no work budget of its own; on S_6 (order 720) Close-by-One
 # lists its 1,455 subgroups in about 0.5 s, and S_7 (order 5040) needs a
 # 25-million-entry table.
@@ -31,15 +33,12 @@ DEFAULT_MAX_CLOSED_SETS = 500_000
 # 80 MB; blocks (30, 30), 1.6 million, took 5.4 s, 267 MB and 77 MB of JSON.
 MAX_RIGHT_ZERO_CELLS = 500_000
 
-# Largest |Q| on which an isomorphism is built and checked on Q(P1)'s
-# generators (``build_isomorphism`` raises above it, and the CLI's ``iso``
-# builds a witness only up to it), on which constructed maximal
-# subsemigroups are checked against the maximality predicate, and on which
-# ``run_verification`` runs its oracle battery (skipped above it; one
-# number, since the battery's self-isomorphism check builds an isomorphism).
+# Largest |Q| on which constructed maximal subsemigroups are checked against
+# the maximality predicate, and on which ``run_verification`` runs its
+# oracle battery (skipped above it).
 DEFAULT_VERIFY_MAX = 200
 # Largest |S| the exhaustive maximal-subsemigroup oracle enumerates, and the
-# largest |Q| on which the battery runs that oracle and the rank certificate.
+# largest |Q| on which the battery runs that oracle.
 DEFAULT_ORACLE_MAX = 40
 
 # Verification battery: largest |Q| it enumerates, largest n at which it

@@ -69,18 +69,21 @@ def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
 
 
 def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
-    """Prove the group part G isomorphic to S_k: the block patterns are the k!
-    permutations, each once; the symmetric-part generators ``gens`` generate G;
-    and pattern(a*g) == pattern(a)*pattern(g) for every a in G and generator g, so
-    by induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
-    P, G, patterns = dec.partition, dec.group_part, dec.patterns
+    """Prove the group part G isomorphic to S_k: the block patterns are the k! permutations, each
+    once; the symmetric-part generators ``gens`` generate G; and for every a in G and generator g,
+    a*g, looked up in ``dec.index``, lies in G with pattern(a*g) == pattern(a)*pattern(g), so by
+    induction on b = b'*g on all |G|^2 pairs, as in ``build_isomorphism``."""
+    P, G, patterns, index = dec.partition, dec.group_part, dec.patterns, dec.index
     if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
         raise InternalConsistencyError("block patterns are not the symmetric group, each once")
-    if not generates(gens, G.elements):
+    if not generates(gens, G):
         raise InternalConsistencyError("symmetric part does not generate the group part")
-    for g in map(G.elements.index_of, gens):
-        if any(patterns[row[g]] != product_map(p)(patterns[g]) for row, p in zip(G.table, patterns)):
-            raise InternalConsistencyError("block pattern map is not multiplicative")
+    for g in gens:
+        pattern_g = patterns[index[g.images][0]]
+        for a, p in zip(G, patterns):
+            i, j = index[product_map(a.images)(g.images)]
+            if j or patterns[i] != product_map(p)(pattern_g):
+                raise InternalConsistencyError("block pattern map is not multiplicative")
 
 
 def maximal_subsemigroups_Q(
@@ -90,17 +93,19 @@ def maximal_subsemigroups_Q(
 ) -> MaximalSubsemigroupReport:
     """Construct every maximal subsemigroup of Q (m >= 2).
 
-    Group type: (maximal subgroup of the base H-class) paired with all
-    idempotents.  Right-zero type: the whole group part paired with all but
-    one idempotent.  The group part is proved isomorphic to S_k on its block
-    patterns, so s_k is the number of its maximal subgroups.  Each set is
-    checked for maximality against the definitional engine predicate when
-    |Q| <= ``DEFAULT_VERIFY_MAX``.  The m right-zero sets hold k!*m*(m - 1)
-    elements in all, checked against ``MAX_RIGHT_ZERO_CELLS`` before anything is built.
+    Group type: (maximal subgroup of the base H-class) paired with all idempotents.  Right-zero
+    type: the whole group part paired with all but one idempotent.  The group part is proved
+    isomorphic to S_k on its block patterns, so s_k is the number of its maximal subgroups,
+    searched on the one table built here, of order k! <= ``max_group_order``.  Each set is checked
+    for maximality against the definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``.
+    The m right-zero sets hold k!*m*(m - 1) elements in all, checked against
+    ``MAX_RIGHT_ZERO_CELLS`` before anything is built.
     """
     _require_right_group(P)
     admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_RIGHT_ZERO_CELLS, "MAX_RIGHT_ZERO_CELLS=")
-    dec = decompose(P, max_size, max_group_order)
+    admit("idempotent count", P.m, max_size)  # decompose's first bound, still named before k!
+    admit("H-class order", math.factorial(P.k), max_group_order, "bound ")
+    dec = decompose(P, max_size)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part
     m = P.m
@@ -112,9 +117,9 @@ def maximal_subsemigroups_Q(
     def family(cells) -> SemigroupSet:
         return SemigroupSet(P.n, tuple(sorted((dec.element(i, j) for i, j in cells), key=attrgetter("images"))))
 
-    subgroups = sorted(maximal_subgroups(G))
+    subgroups = sorted(maximal_subgroups(SemigroupSet(P.n, G)))
     group_type = [family((i, j) for i in H for j in range(m)) for H in subgroups]
-    right_zero = [family((i, j) for i in range(G.order) for j in range(m) if j != omitted) for omitted in range(m)]
+    right_zero = [family((i, j) for i in range(len(G)) for j in range(m) if j != omitted) for omitted in range(m)]
     verified = len(Q) <= DEFAULT_VERIFY_MAX
     if verified and not all(is_maximal_subsemigroup(T, Q) for T in group_type + right_zero):
         raise InternalConsistencyError("constructed set fails the maximality oracle")

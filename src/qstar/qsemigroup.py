@@ -232,36 +232,36 @@ def rank_pairing(P: PartitionedSet) -> Pairing:
     return Pairing(tuple(sorted({row[-1] for row in paired + leftover})), paired, leftover)
 
 
-def h_class(a: Transformation, P: PartitionedSet, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
-    """The H-class of ``a`` inside Q: all members sharing its image, as a group.
+def _h_class_members(a: Transformation, P: PartitionedSet) -> tuple[Transformation, ...]:
+    """The k! members of Q sharing a's image, sorted: one per block permutation over that cross-section."""
+    cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
+    return tuple(sorted(_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))))
 
-    The k! elements correspond to block permutations over the fixed image
-    cross-section, so they are built from the permutation patterns instead
-    of searching Q; their product table then proves closure, identity and
-    inverses.  Equivalence with the search route is covered by tests.
-    """
+
+def h_class(a: Transformation, P: PartitionedSet) -> GroupTable:
+    """The H-class of ``a`` inside Q as a group of order k! <= ``DEFAULT_MAX_GROUP_ORDER``, whose product
+    table proves closure, identity and inverses; tests cover its equivalence with searching Q."""
     if not in_Q(P, a):
         raise ContractError("h_class needs a member of Q")
-    admit("H-class order", math.factorial(P.k), max_order, "bound ")
-    cross_section = tuple(sorted(image(a), key=P.block_of.__getitem__))
-    members = [_pattern_element(P, cross_section, p) for p in itertools.permutations(range(P.k))]
-    return GroupTable.from_semigroup(SemigroupSet.from_elements(members))
+    admit("H-class order", math.factorial(P.k), DEFAULT_MAX_GROUP_ORDER, "bound ")
+    return GroupTable.from_semigroup(SemigroupSet.from_elements(_h_class_members(a, P)))
 
 
 @dataclass(frozen=True)
 class RightGroupDecomposition:
     """Q in right-group coordinates: Q is isomorphic to H_e x E(Q).
 
-    Element ``(i, j)`` is the product of ``group_part.elements[i]`` and
-    ``idempotent_part[j]``, and ``patterns[i]`` is the block permutation of
-    group element i.  Products follow the right-group law
-    ``(i, j)(i', j') = (group_part.table[i][i'], j')``.  :func:`decompose`
-    certifies the pairing once, so every lookup here is a table read.
+    Element ``(i, j)`` is the product of ``group_part[i]``, a member of the
+    base H-class, and ``idempotent_part[j]``, and ``patterns[i]`` is the
+    block permutation of group element i.  Products follow the right-group
+    law (i, j)(i', j') = (i'', j'), where group_part[i'']
+    = group_part[i]*group_part[i'].  :func:`decompose` certifies the pairing
+    once, so every lookup here is a read of the grid or the index.
     """
 
     partition: PartitionedSet
     base_idempotent: Transformation
-    group_part: GroupTable
+    group_part: tuple[Transformation, ...]
     idempotent_part: tuple[Transformation, ...]
     patterns: tuple[tuple[int, ...], ...]
     grid: tuple[tuple[Transformation, ...], ...] = field(repr=False, compare=False)
@@ -279,32 +279,27 @@ class RightGroupDecomposition:
             raise ContractError(f"{q!r} is not an element of Q") from None
 
 
-def decompose(
-    P: PartitionedSet,
-    max_size: int = DEFAULT_MAX_CLOSURE,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> RightGroupDecomposition:
-    """Split Q into H_e x E(Q) over the canonically least idempotent e.
+def decompose(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> RightGroupDecomposition:
+    """Split Q into H_e x E(Q) over the canonically least idempotent e, with no product table.
 
-    The pairing (a, f) -> a*f is computed on the product kernel and verified
-    to hit every element of Q exactly once; the coordinate lookups are built
-    from the same products.  ``max_group_order`` bounds the H-class build.
+    H_e's k! members are built from the block patterns, with e checked as their two-sided
+    identity.  The pairing (a, f) -> a*f is computed on the product kernel and verified to hit
+    every element of Q exactly once; the coordinate lookups are built from the same products.
     """
     admit("idempotent count", P.m, max_size)
-    admit("H-class order", math.factorial(P.k), max_group_order, "bound ")
     Q = enumerate_Q(P, max_size)  # checks |Q|; makes the record as enumerate_Q's build
     record = instance(P)
     if record.decomposition is not None:
         return record.decomposition
     idems = idempotents_Q(P, P.m)
     e = idems[0]
-    G = h_class(e, P, math.factorial(P.k))
-    if G.elements.elements[G.identity] != e:
+    G = _h_class_members(e, P)
+    if any(product_map(e.images)(a.images) != a.images or product_map(a.images)(e.images) != a.images for a in G):
         raise InternalConsistencyError("base idempotent is not the identity of its H-class")
     unpaired = {q.images: q for q in Q}
     index = {}
     grid = []
-    for i, a in enumerate(G.elements):
+    for i, a in enumerate(G):
         mul = product_map(a.images)
         row = []
         for j, f in enumerate(idems):
@@ -316,7 +311,7 @@ def decompose(
         grid.append(tuple(row))
     if unpaired:
         raise InternalConsistencyError("pairing (a, f) -> a*f is not a bijection onto Q")
-    patterns = tuple(block_permutation(P, a) for a in G.elements)
+    patterns = tuple(block_permutation(P, a) for a in G)
     record.decomposition = RightGroupDecomposition(P, e, G, idems, patterns, tuple(grid), index)
     return record.decomposition
 

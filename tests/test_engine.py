@@ -484,7 +484,7 @@ def test_subgroup_lattice_of_s3():
     subs = subgroup_lattice(G)
     assert len(subs) == 6
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
-    maxima = maximal_subgroups(G)
+    maxima = maximal_subgroups(G.elements)
     assert len(maxima) == 4
     assert sorted(len(s) for s in maxima) == [2, 2, 2, 3]
 
@@ -527,7 +527,7 @@ def test_subgroup_lattice_equals_the_pairwise_join_fixpoint():
 def test_subgroup_counts_of_s4():
     G = symmetric_group_table(4)
     assert len(subgroup_lattice(G)) == 30
-    maxima = maximal_subgroups(G)
+    maxima = maximal_subgroups(G.elements)
     assert sorted(len(s) for s in maxima) == [6, 6, 6, 6, 8, 8, 8, 12]
     assert len(maxima) == 8
 

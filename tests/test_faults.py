@@ -1,12 +1,13 @@
 """Planted faults reach the ``InternalConsistencyError`` raises that guard the constructions.
 
 Each fault is a ``monkeypatch`` of one ``qstar`` name, never a source edit.
-The function that raises is called directly, and the traceback must end in
-it.  Where a command reaches the raise, ``cli.main`` must also exit 4 with
+The function that raises is called directly, or through the construction
+that calls it when it takes no partition, and the traceback must end in it.  Where a command reaches the raise, ``cli.main`` must also exit 4 with
 the message on stderr and nothing on stdout.  A fault that no raise guards
 must fail a check of the ``verify`` battery instead.
 """
 
+import dataclasses
 import math
 import re
 
@@ -16,9 +17,10 @@ import qstar.maximal
 import qstar.qsemigroup
 import qstar.rank
 from qstar.cli import main
+from qstar.engine import SemigroupSet
 from qstar.errors import InternalConsistencyError
 from qstar.partition import PartitionedSet, partition_from_spec
-from qstar.transformation import identity_map
+from qstar.transformation import constant_map, identity_map
 from qstar.verify import run_verification
 
 from conftest import clear_q_caches
@@ -51,10 +53,20 @@ def m_off_by_one(monkeypatch):
 
 
 def h_class_of_the_last_idempotent(monkeypatch):
-    real = qstar.qsemigroup.h_class
+    real = qstar.qsemigroup._h_class_members
     monkeypatch.setattr(
-        qstar.qsemigroup, "h_class", lambda e, P, *bound: real(qstar.qsemigroup.idempotents_Q(P)[-1], P, *bound)
+        qstar.qsemigroup, "_h_class_members", lambda e, P: real(qstar.qsemigroup.idempotents_Q(P)[-1], P)
     )
+
+
+def two_block_patterns_swapped(monkeypatch):
+    real = qstar.maximal.decompose
+
+    def swapped(*args):
+        dec = real(*args)
+        return dataclasses.replace(dec, patterns=dec.patterns[1::-1] + dec.patterns[2:])
+
+    monkeypatch.setattr(qstar.maximal, "decompose", swapped)
 
 
 def rank_above_m(monkeypatch):
@@ -65,6 +77,15 @@ def rank_above_m(monkeypatch):
 
 def one_image_class(monkeypatch):
     monkeypatch.setattr(qstar.rank, "image", lambda a: frozenset())
+
+
+def one_product_moves_its_image(monkeypatch):
+    # Q is read with its last map replaced by a constant one, whose product
+    # with each generator has one point of image, not a cross-section.
+    real = qstar.rank.enumerate_Q
+    monkeypatch.setattr(
+        qstar.rank, "enumerate_Q", lambda P: SemigroupSet(P.n, (*real(P).elements[:-1], constant_map(P.n, 0)))
+    )
 
 
 def maximality_oracle_refuses(monkeypatch):
@@ -82,8 +103,15 @@ FAULTS = [
         "base idempotent is not the identity of its H-class",
         "maximal",
     ),
+    (two_block_patterns_swapped, qstar.maximal._check_symmetric, "block pattern map is not multiplicative", "maximal"),
     (rank_above_m, qstar.rank.minimality_certificate, "pigeonhole premise r - 1 < m failed", None),
     (one_image_class, qstar.rank.minimality_certificate, "Q carries 1 image classes, expected 2", "verify"),
+    (
+        one_product_moves_its_image,
+        qstar.rank.verify_image_right_invariance,
+        "image is not right-invariant on this set",
+        "verify",
+    ),
     (
         maximality_oracle_refuses,
         qstar.maximal.maximal_subsemigroups_Q,
@@ -92,13 +120,18 @@ FAULTS = [
     ),
 ]
 IDS = [fault.__name__ for fault, *_ in FAULTS]
+# Raises in helpers that take no partition, reached through the construction that calls them.
+CALLED_THROUGH = {
+    qstar.maximal._check_symmetric: qstar.maximal.maximal_subsemigroups_Q,
+    qstar.rank.verify_image_right_invariance: qstar.rank.minimality_certificate,
+}
 
 
 @pytest.mark.parametrize("fault, function, message, command", FAULTS, ids=IDS)
 def test_a_planted_fault_trips_its_consistency_check(monkeypatch, fault, function, message, command):
     fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$") as caught:
-        function(partition_from_spec(SPEC))
+        CALLED_THROUGH.get(function, function)(partition_from_spec(SPEC))
     assert caught.traceback[-1].name == function.__name__
 
 
@@ -119,7 +152,7 @@ def test_verify_fails_a_maximal_construction_that_drops_a_subgroup(monkeypatch, 
     # keeps is still maximal, so only the count can catch the fault: count_maximal
     # searches S_4 apart from maximal_subgroups.
     real = qstar.maximal.maximal_subgroups
-    monkeypatch.setattr(qstar.maximal, "maximal_subgroups", lambda G: real(G)[1:] if G.order >= 24 else real(G))
+    monkeypatch.setattr(qstar.maximal, "maximal_subgroups", lambda G: real(G)[1:] if len(G) >= 24 else real(G))
     P = partition_from_spec(spec)
     check = next(check for check in run_verification(P).checks if check.name == "maximal-subsemigroups")
     total = 8 + P.m  # s_4 + m

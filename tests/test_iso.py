@@ -5,13 +5,12 @@ import pytest
 
 import qstar.cli
 import qstar.iso
-from qstar.engine import is_homomorphism
+from qstar.engine import GroupTable, SemigroupSet, is_homomorphism
 from qstar.limits import DEFAULT_VERIFY_MAX
 from qstar import (
     ContractError,
     InternalConsistencyError,
     IsoClassKey,
-    ResourceLimitError,
     RightGroupDecomposition,
     Transformation,
     ValidationError,
@@ -29,6 +28,8 @@ from qstar import (
     q_isomorphic,
     rank_Q,
 )
+
+from conftest import clear_q_caches
 
 
 def test_iso_key():
@@ -245,19 +246,42 @@ def test_build_isomorphism_reports_a_map_that_is_not_multiplicative(monkeypatch)
         build_isomorphism(P, P)
 
 
-def test_build_isomorphism_refuses_q_above_the_check_bound(monkeypatch):
-    def no_decompose(*args, **kwargs):
-        raise AssertionError("decomposed past the bound")
+def test_build_isomorphism_at_k_7_builds_no_product_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built a product table")
 
-    monkeypatch.setattr(qstar.iso, "DEFAULT_VERIFY_MAX", 35)
-    monkeypatch.setattr(qstar.iso, "decompose", no_decompose)
-    P1 = partition_from_sizes((3, 2, 1))
-    P2 = partition_from_sizes((6, 1, 1))
-    with pytest.raises(ResourceLimitError, match="^\\|Q\\| = 36 exceeds isomorphism check bound 35$"):
-        build_isomorphism(P1, P2)
-    monkeypatch.undo()
-    monkeypatch.setattr(qstar.iso, "DEFAULT_VERIFY_MAX", 36)
-    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 6
+    P1 = partition_from_sizes((2, 1, 1, 1, 1, 1, 1))  # |Q| = 7! * 2 = 10,080
+    P2 = partition_from_sizes((1, 1, 1, 1, 1, 1, 2))
+    clear_q_caches()
+    monkeypatch.setattr(GroupTable, "from_semigroup", no_table)
+    monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
+    iso = build_isomorphism(P1, P2)
+    assert iso["verified"] and iso["block_bijection"] == (6, 0, 1, 2, 3, 4, 5)
+    assert iso["pairs_checked"] == 10_080 * 2  # every element times each of the two rank generators
+
+
+def run_iso(capsys, left, right):
+    assert qstar.cli.main(["iso", "--left", left, "--right", right]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_iso_builds_its_witness_past_the_battery_bound(capsys):
+    payload = run_iso(capsys, "1,2|3|4|5|6", "1|2|3|4,6|5")  # |Q| = 5! * 2 = 240 > DEFAULT_VERIFY_MAX
+    assert payload["witness_verified"] is True and payload["isomorphism"]["block_bijection"] == [4, 1, 2, 3, 5]
+
+
+def test_iso_builds_no_witness_past_either_bound_of_enumerate_q(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built Q past its bounds")
+
+    monkeypatch.setattr(qstar.iso, "decompose", no_build)
+    monkeypatch.setattr(qstar.iso, "enumerate_Q", no_build)
+    past_size = run_iso(capsys, "1,2|3,4|5|6|7|8|9|10", "1|2|3|4|5|6|7,8|9,10")  # |Q| = 8! * 4 = 161,280
+    one_block = ",".join(map(str, range(1, 301)))  # n = 300 > MAX_DEGREE, while |Q| = m = 300
+    past_degree = run_iso(capsys, one_block, one_block)
+    for payload in (past_size, past_degree):
+        assert payload["isomorphic"] is True and payload["witness_verified"] is False
+        assert "isomorphism" not in payload
 
 
 def _multiplicative_on_tables(P1, P2, mapping):

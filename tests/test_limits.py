@@ -70,7 +70,7 @@ def test_every_bound_parameter_is_varied_by_some_caller():
     unvaried, bounded = unvaried_bounds(PACKAGE)
     assert unvaried == []
     # The walk finds the bounds the commands pass, so an empty list is not vacuous.
-    assert {"decompose.max_group_order", "maximal_subsemigroups_Q.max_size", "prove_Q.max_size"} <= bounded
+    assert {"maximal_subsemigroups_Q.max_group_order", "maximal_subsemigroups_Q.max_size", "prove_Q.max_size"} <= bounded
 
 
 # One block of MAX_DEGREE + 1 points: |Q| = n and m = n stay far inside every
@@ -135,7 +135,7 @@ def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
                 admitted.add(name)
     assert raised == RAISED_OUTSIDE_LIMITS
     # Every module that refused a size by hand now refuses it through admit.
-    assert admitted == {"engine.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
+    assert admitted == {"engine.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
     imported = sorted(
         f"{name}: {alias.name}"
         for name, tree in trees.items() if name != "qsemigroup.py"
@@ -150,6 +150,19 @@ def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "pairing"
     )
     assert subscripted == []
+
+
+def test_only_the_group_builders_build_a_group_table():
+    # decompose, the iso witness and the rank certificate read products through
+    # Q's coordinates and generators; the maximal construction searches one
+    # SemigroupSet.  A group table is built only where a group is asked for.
+    callers = sorted(
+        (name, function)
+        for name, tree in package_trees().items()
+        for function, node in with_functions(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "from_semigroup"
+    )
+    assert callers == [("engine.py", "symmetric_group_table"), ("qsemigroup.py", "h_class")]
 
 
 def test_admit_and_exceeds_share_one_text():

@@ -35,7 +35,7 @@ from qstar import (
     universal_partition,
 )
 from qstar.cli import main
-from qstar.engine import groups_isomorphic
+from qstar.engine import GroupTable, SemigroupSet, groups_isomorphic
 from qstar.qsemigroup import prove_Q, rank_pairing
 
 from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches, shapes
@@ -131,10 +131,10 @@ def test_identity_relation_h_class_is_the_whole_group():
 
 def test_decompose_degenerate_shapes():
     dec = decompose(identity_partition(3))
-    assert dec.group_part.order == 6
+    assert len(dec.group_part) == 6
     assert len(dec.idempotent_part) == 1
     one_block = decompose(universal_partition(4))
-    assert one_block.group_part.order == 1
+    assert len(one_block.group_part) == 1
     assert len(one_block.idempotent_part) == 4
 
 
@@ -183,9 +183,9 @@ def test_h_classes_partition_q(p6):
 def test_decomposition_round_trip(p6, alpha):
     dec = decompose(p6)
     assert dec.base_idempotent == alpha(1)
-    assert dec.group_part.order == 6
+    assert len(dec.group_part) == 6
     assert len(dec.idempotent_part) == 6
-    G = dec.group_part.elements.elements
+    G = dec.group_part
     Q = enumerate_Q(p6)
     for q in Q:
         i, j = dec.coordinates(q)
@@ -205,11 +205,12 @@ def test_decomposition_product_law():
         idems = dec.idempotent_part
         Q = enumerate_Q(P)
         coords = [dec.coordinates(q) for q in Q]
+        times = [[G.index(compose(a, b)) for b in G] for a in G]  # the group part's own products
         for q, (i, j) in zip(Q, coords):
-            assert compose(G.elements.elements[i], idems[j]) == q
+            assert compose(G[i], idems[j]) == q
         for q1, (i1, _) in zip(Q, coords):
             for q2, (i2, j2) in zip(Q, coords):
-                assert dec.coordinates(compose(q1, q2)) == (G.table[i1][i2], j2)
+                assert dec.coordinates(compose(q1, q2)) == (times[i1][i2], j2)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +294,7 @@ def test_clearing_any_one_cache_leaves_no_object_of_an_older_build(monkeypatch, 
     cleared.cache_clear()
     dec, Q = decompose(P), enumerate_Q(P)
     served = {q.images: q for q in Q}
-    cells = [dec.element(i, j) for i in range(dec.group_part.order) for j in range(P.m)]
+    cells = [dec.element(i, j) for i in range(len(dec.group_part)) for j in range(P.m)]
     assert len(cells) == len(Q) and all(q is served[q.images] for q in cells)
     assert dec.idempotent_part is idempotents_Q(P)
     generators = minimal_generating_set(P).generators
@@ -308,13 +309,16 @@ def test_bounds_refuse_a_smaller_bound_against_a_cached_record():
         enumerate_Q(P, 35)
     with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
         idempotents_Q(P, 5)
-    # decompose refuses in build order: m, then k!, then |Q| = k!*m.
+    # decompose refuses in build order: m, then |Q| = k!*m.  The maximal
+    # construction refuses k! between them, before it decomposes.
     with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
-        decompose(P, 5, 5)
+        decompose(P, 5)
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
+        maximal_subsemigroups_Q(P, 5, 5)
     with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
-        decompose(P, max_group_order=5)
+        maximal_subsemigroups_Q(P, max_group_order=5)
     with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
-        decompose(P, 35, 5)
+        maximal_subsemigroups_Q(P, 35, 5)
     with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
         decompose(P, 35)
 
@@ -530,11 +534,24 @@ def test_generate_leaves_q_packed_until_its_image_tuples_are_first_read(capsys):
     assert vars(record)["images"] == sorted(map(tuple, packed)) == [q.images for q in Q]
 
 
-def test_decompose_passes_the_group_order_bound_to_the_h_class():
+def test_decompose_builds_no_group_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built a product table")
+
+    P = partition_from_spec("1,2|3|4|5|6|7|8")  # k = 7: H_e has 5,040 members
+    clear_q_caches()
+    monkeypatch.setattr(GroupTable, "from_semigroup", no_table)
+    monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
+    dec = decompose(P)
+    assert (len(dec.group_part), len(dec.idempotent_part), len(dec.index)) == (5040, 2, 10080)
+    assert sorted(dec.patterns) == list(itertools.permutations(range(7)))
+
+
+def test_maximal_passes_the_group_order_bound_before_decomposing():
     P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, H-class order 120
     with pytest.raises(ResourceLimitError, match="H-class order 120 exceeds bound 119"):
-        decompose(P, max_group_order=119)
-    assert decompose(P, max_group_order=120).group_part.order == 120
+        maximal_subsemigroups_Q(P, max_group_order=119)
+    assert maximal_subsemigroups_Q(P, max_group_order=120).s_k == 22
 
 
 def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch):
@@ -542,8 +559,9 @@ def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch
         raise AssertionError("built an H-class past its order bound")
 
     monkeypatch.setattr(qstar.qsemigroup, "_pattern_element", refuse)
+    monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_GROUP_ORDER", 5)
     with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
-        h_class(alpha(1), p6, max_order=5)
+        h_class(alpha(1), p6)
 
 
 def test_shorthand_table_is_the_canonical_presentation(p6, alpha):

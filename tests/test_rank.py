@@ -14,6 +14,7 @@ from qstar import (
     ContractError,
     InternalConsistencyError,
     ResourceLimitError,
+    SemigroupSet,
     Transformation,
     block_permutation,
     closure,
@@ -70,7 +71,7 @@ def test_symmetric_part_generates_the_base_h_class(p6):
     # the group part.
     dec = decompose(p6)
     gens = symmetric_part_generators(p6)
-    assert set(closure(gens)) == set(dec.group_part.elements)
+    assert set(closure(gens)) == set(dec.group_part)
 
 
 def test_symmetric_part_generators_degenerate_shapes():
@@ -185,14 +186,15 @@ def test_pattern_homomorphism_certifies_non_generation(p6, alpha):
 
 def test_image_right_invariance(p6):
     Q = enumerate_Q(p6)
-    assert verify_image_right_invariance(Q) == 36 * 36
+    assert verify_image_right_invariance(Q, Q) == 36 * 36
+    assert verify_image_right_invariance(Q, qstar.qsemigroup.prove_Q(p6).pairing.generators) == 36 * 6
 
 
 def test_minimality_certificate(p6):
     cert = minimality_certificate(p6)
     assert cert["rank"] == 6
     assert cert["image_classes"] == 6
-    assert cert["pairs_checked"] == 1296
+    assert cert["pairs_checked"] == 36 * 6  # every element times each of the rank generators
     assert cert["smaller_subsets_possible"] is False
     with pytest.raises(ContractError):
         minimality_certificate(identity_partition(3))
@@ -292,18 +294,15 @@ def test_rank_generators_are_the_reported_set_and_their_factors_lie_in_q(n):
         assert all(g in Q for g in symmetric_part_generators(P) + idempotents_Q(P))
 
 
-def test_minimality_certificate_refuses_q_above_the_verify_bound(monkeypatch):
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated Q past the bound")
+def test_minimality_certificate_reads_no_product_table(monkeypatch):
+    def no_table(self):
+        raise AssertionError("built a product table")
 
-    P = partition_from_sizes((2, 1, 1))  # |Q| = 12
-    monkeypatch.setattr(qstar.rank, "DEFAULT_VERIFY_MAX", 11)
-    monkeypatch.setattr(qstar.rank, "enumerate_Q", no_enumeration)
-    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 12 exceeds minimality certificate bound 11$"):
-        minimality_certificate(P)
-    monkeypatch.undo()
-    monkeypatch.setattr(qstar.rank, "DEFAULT_VERIFY_MAX", 12)
-    assert minimality_certificate(P)["pairs_checked"] == 12 * 12
+    P = partition_from_sizes((2, 2, 1, 1, 1))  # |Q| = 480, past the battery's oracle bound of 200
+    clear_q_caches()
+    monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
+    cert = minimality_certificate(P)
+    assert (cert["rank"], cert["image_classes"], cert["pairs_checked"]) == (4, 4, 480 * 4)
 
 
 def test_idempotents_alone_never_generate(p6):
@@ -315,4 +314,4 @@ def test_image_right_invariance_raises_when_images_move():
     S = closure([identity_map(2), constant_map(2, 0)])
     assert len(S) == 2
     with pytest.raises(InternalConsistencyError, match="image is not right-invariant on this set"):
-        verify_image_right_invariance(S)
+        verify_image_right_invariance(S, S)
