@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES, MAX_DEGREE
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
 from .transformation import q_shorthand, transformation_from_json
@@ -267,10 +267,13 @@ def cmd_iso(args) -> dict:
         "isomorphic": isomorphic,
         "witness_verified": False,
     }
-    if isomorphic and cardinality_Q(P1) <= DEFAULT_MAX_CLOSURE and max(P1.n, P2.n) <= MAX_DEGREE:
+    if isomorphic:
         from .iso import build_isomorphism
 
-        iso = build_isomorphism(P1, P2)
+        try:
+            iso = build_isomorphism(P1, P2)
+        except ResourceLimitError:  # refused before building: no witness
+            return payload
         payload["isomorphism"] = {
             "block_bijection": [b + 1 for b in iso["block_bijection"]],
             "verified": iso["verified"],
@@ -367,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
 
     p = add("iso", cmd_iso, "compare two partitioned sets")
-    p.description = (f"An isomorphism is built and checked when the sides are isomorphic, |Q| <= {DEFAULT_MAX_CLOSURE}"
-                     f" and n <= {MAX_DEGREE} on each side.")
+    p.description = "An isomorphism is built and checked when the sides are isomorphic and within qstar.limits."
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 

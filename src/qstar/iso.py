@@ -11,9 +11,10 @@ set R of Q(P1), so a positive answer is always certified.
 from __future__ import annotations
 
 from .errors import ContractError, InternalConsistencyError
-from .formulas import q_isomorphic
+from .formulas import cardinality_Q, q_isomorphic, rank_Q
+from .limits import GENERATOR_CHECK_BUDGET, admit
 from .partition import PartitionedSet
-from .qsemigroup import decompose, enumerate_Q, prove_Q
+from .qsemigroup import admit_Q, decompose, enumerate_Q, prove_Q
 from .transformation import product_map
 
 
@@ -28,11 +29,15 @@ def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     generates Q(P1).  By induction on b = b'*g, phi(s*b) = phi(s*b')*phi(g) =
     phi(s)*phi(b')*phi(g) = phi(s)*phi(b), so phi is a homomorphism on all
     |Q|^2 pairs, and no product table is built.  Raises :class:`ContractError`
-    when the instances are not isomorphic, and :class:`ResourceLimitError`
-    past :func:`enumerate_Q`'s bounds.
+    when the instances are not isomorphic, and :class:`ResourceLimitError`,
+    before anything is built, past :func:`admit_Q`'s bounds on either side or
+    when the |Q|*|R| pairs exceed ``GENERATOR_CHECK_BUDGET``.
     """
     if not q_isomorphic(P1, P2):
         raise ContractError(f"not isomorphic: keys (k={P1.k}, m={P1.m}) vs (k={P2.k}, m={P2.m})")
+    admit_Q(P1)
+    admit_Q(P2)
+    admit("|Q|*|R| =", cardinality_Q(P1) * rank_Q(P1), GENERATOR_CHECK_BUDGET, "GENERATOR_CHECK_BUDGET=")
     dec1 = decompose(P1)
     dec2 = decompose(P2)
     k = P1.k

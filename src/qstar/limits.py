@@ -12,8 +12,7 @@ values here.
 
 from .errors import ResourceLimitError
 
-# Elements of a closure, of Q, or of its idempotent set (``--max-closure``);
-# the CLI's ``iso`` builds its witness up to it, and up to ``MAX_DEGREE``.
+# Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
 DEFAULT_MAX_CLOSURE = 100_000
 # Largest degree n of a built Q: its proof packs each map one byte per point.
 MAX_DEGREE = 256
@@ -32,6 +31,11 @@ DEFAULT_MAX_CLOSED_SETS = 500_000
 # ``maximal`` builds and lists: blocks (20, 20) list 319,200 in 1.0 s and
 # 80 MB; blocks (30, 30), 1.6 million, took 5.4 s, 267 MB and 77 MB of JSON.
 MAX_RIGHT_ZERO_CELLS = 500_000
+
+# Pairs (s, g), s in Q and g in its generating set R, of a check against R: |Q|*|R| =
+# k!*m*max{2, m}.  It admits every buildable Q of rank 2; ``build_isomorphism`` takes about
+# 9 us a pair at n = 252 (2-CPU host), and 20 s on blocks (32, 32, 1)'s 6.3 million.
+GENERATOR_CHECK_BUDGET = 200_000
 
 # Largest |Q| on which constructed maximal subsemigroups are checked against
 # the maximality predicate, and on which ``run_verification`` runs its

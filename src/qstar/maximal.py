@@ -103,7 +103,9 @@ def maximal_subsemigroups_Q(
     """
     _require_right_group(P)
     admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_RIGHT_ZERO_CELLS, "MAX_RIGHT_ZERO_CELLS=")
-    admit("idempotent count", P.m, max_size)  # decompose's first bound, still named before k!
+    # k! is refused before decompose builds Q, and after decompose's first bound, m, so that an
+    # input past several bounds still names them in the CLI's order m, k!, |Q|.
+    admit("idempotent count", P.m, max_size)
     admit("H-class order", math.factorial(P.k), max_group_order, "bound ")
     dec = decompose(P, max_size)
     Q = enumerate_Q(P, max_size)

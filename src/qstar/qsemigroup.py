@@ -116,6 +116,13 @@ def all_in_Q(P: PartitionedSet, images: Collection[bytes]) -> bool:
     return True
 
 
+def admit_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> int:
+    """|Q|, once P passes the bounds of a built Q: |Q| <= ``max_size``, then n <= ``MAX_DEGREE``."""
+    admit("|Q| =", expected := cardinality_Q(P), max_size)
+    admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
+    return expected
+
+
 def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     """P's record, holding R's ``Pairing`` (``pairing``) and Q as the packed maps its
     closure proved; ``pairing`` marks the record proved, and nothing is wrapped as a map.
@@ -128,11 +135,9 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     :func:`all_in_Q`.  So it is closed and generated by R, so by R's factors, with
     O(|Q|*|R|) products instead of |Q|^2, and each map in it is a product of validated
     maps.  The closure stays packed and unsorted until ``images`` is first read.  The
-    bounds are checked before the record is read; nothing unproved is kept.
+    bounds of :func:`admit_Q` are checked before the record is read; nothing unproved is kept.
     """
-    expected = cardinality_Q(P)
-    admit("|Q| =", expected, max_size)
-    admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
+    expected = admit_Q(P, max_size)
     record = instance(P)
     if record.pairing is not None:
         return record

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .engine import SemigroupSet, _extend
 from .errors import ContractError, InternalConsistencyError
 from .formulas import cardinality_Q, rank_Q
-from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, admit
+from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, GENERATOR_CHECK_BUDGET, admit
 from .partition import PartitionedSet
 from .qsemigroup import enumerate_Q, idempotents_Q, prove_Q
 from .transformation import Transformation, image
@@ -76,10 +76,12 @@ def minimality_certificate(P: PartitionedSet) -> dict:
     rank - 1 = max{2, m} - 1 < m, so any smaller candidate set touches at
     most m - 1 of the m image classes and its closure misses a whole
     H-class.  Returns the audit numbers; raises on any failed check, and
-    ResourceLimitError past :func:`enumerate_Q`'s bounds.
+    ResourceLimitError past :func:`enumerate_Q`'s bounds or when the |Q|*|R|
+    pairs of step (1) exceed ``GENERATOR_CHECK_BUDGET``.
     """
     if P.is_identity_relation:
         raise ContractError("certificate covers nontrivial relations only")
+    admit("|Q|*|R| =", cardinality_Q(P) * rank_Q(P), GENERATOR_CHECK_BUDGET, "GENERATOR_CHECK_BUDGET=")
     Q = enumerate_Q(P)
     pairs = verify_image_right_invariance(Q, prove_Q(P).pairing.generators)
     r = rank_Q(P)

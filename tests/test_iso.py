@@ -11,6 +11,7 @@ from qstar import (
     ContractError,
     InternalConsistencyError,
     IsoClassKey,
+    ResourceLimitError,
     RightGroupDecomposition,
     Transformation,
     ValidationError,
@@ -270,7 +271,7 @@ def test_iso_builds_its_witness_past_the_battery_bound(capsys):
     assert payload["witness_verified"] is True and payload["isomorphism"]["block_bijection"] == [4, 1, 2, 3, 5]
 
 
-def test_iso_builds_no_witness_past_either_bound_of_enumerate_q(capsys, monkeypatch):
+def test_iso_builds_no_witness_past_a_bound_of_its_build(capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("built Q past its bounds")
 
@@ -279,9 +280,21 @@ def test_iso_builds_no_witness_past_either_bound_of_enumerate_q(capsys, monkeypa
     past_size = run_iso(capsys, "1,2|3,4|5|6|7|8|9|10", "1|2|3|4|5|6|7,8|9,10")  # |Q| = 8! * 4 = 161,280
     one_block = ",".join(map(str, range(1, 301)))  # n = 300 > MAX_DEGREE, while |Q| = m = 300
     past_degree = run_iso(capsys, one_block, one_block)
-    for payload in (past_size, past_degree):
+    # |Q| = 6,144 and n = 65 pass enumerate_Q's bounds; |Q|*|R| = 6,144 * 1,024 pairs do not.
+    past_budget = run_iso(capsys, partition_from_sizes((32, 32, 1)).to_spec(), partition_from_sizes((1, 32, 32)).to_spec())
+    for payload in (past_size, past_degree, past_budget):
         assert payload["isomorphic"] is True and payload["witness_verified"] is False
         assert "isomorphism" not in payload
+
+
+def test_build_isomorphism_admits_pairs_equal_to_the_budget(monkeypatch):
+    P1 = partition_from_sizes((3, 2, 1))  # |Q|*|R| = 36 * 6
+    P2 = partition_from_sizes((6, 1, 1))
+    monkeypatch.setattr(qstar.iso, "GENERATOR_CHECK_BUDGET", 36 * 6)
+    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 6
+    monkeypatch.setattr(qstar.iso, "GENERATOR_CHECK_BUDGET", 36 * 6 - 1)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\|\*\|R\| = 216 exceeds GENERATOR_CHECK_BUDGET=215$"):
+        build_isomorphism(P1, P2)
 
 
 def _multiplicative_on_tables(P1, P2, mapping):

@@ -135,7 +135,7 @@ def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
                 admitted.add(name)
     assert raised == RAISED_OUTSIDE_LIMITS
     # Every module that refused a size by hand now refuses it through admit.
-    assert admitted == {"engine.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
+    assert admitted == {"engine.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
     imported = sorted(
         f"{name}: {alias.name}"
         for name, tree in trees.items() if name != "qsemigroup.py"
@@ -218,6 +218,17 @@ def test_the_pairwise_leg_runs_on_the_maps_its_budget_affords(monkeypatch, budge
     assert qstar.verify.check_membership_implications(P, random.Random(0), 10).detail == (
         "implication chain holds, 10 sampled maps"
     )
+
+
+def test_the_generator_check_budget_admits_every_rank_2_q_and_refuses_blocks_32_32_1():
+    def pairs(sizes):
+        P = partition_from_sizes(sizes)
+        return qstar.cardinality_Q(P) * qstar.rank_Q(P)
+
+    budget = qstar.limits.GENERATOR_CHECK_BUDGET
+    assert 2 * qstar.limits.DEFAULT_MAX_CLOSURE <= budget  # every Q of rank 2 that can be built
+    assert max(map(pairs, [(2, 1, 1, 1, 1, 1, 1, 1), (qstar.limits.MAX_DEGREE,)])) <= budget
+    assert pairs((32, 32, 1)) == 6_291_456 > budget
 
 
 def test_the_pairwise_budget_covers_the_default_samples_at_the_largest_built_degree():

@@ -305,6 +305,17 @@ def test_minimality_certificate_reads_no_product_table(monkeypatch):
     assert (cert["rank"], cert["image_classes"], cert["pairs_checked"]) == (4, 4, 480 * 4)
 
 
+def test_minimality_certificate_refuses_past_the_generator_check_budget(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("enumerated Q past the generator check budget")
+
+    P = partition_from_sizes((2, 2, 1, 1, 1))  # |Q|*|R| = 480 * 4
+    monkeypatch.setattr(qstar.rank, "GENERATOR_CHECK_BUDGET", 480 * 4 - 1)
+    monkeypatch.setattr(qstar.rank, "enumerate_Q", no_build)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\|\*\|R\| = 1920 exceeds GENERATOR_CHECK_BUDGET=1919$"):
+        minimality_certificate(P)
+
+
 def test_idempotents_alone_never_generate(p6):
     closed = closure(idempotents_Q(p6))
     assert len(closed) == 6
