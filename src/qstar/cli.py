@@ -5,7 +5,7 @@ Subcommands:
 * ``analyze``  - closed-form structure numbers for one partitioned set
 * ``check``    - membership predicates for one transformation
 * ``generate`` - a verified minimal generating set (``--max-closure``)
-* ``maximal``  - the maximal subsemigroups (``--max-closure``, ``--group-order-bound``)
+* ``maximal``  - the maximal subsemigroups (``--max-closure``)
 * ``iso``      - compare two partitioned sets up to isomorphism
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
@@ -16,8 +16,9 @@ argv (help, usage errors, ``--option=value``, abbreviations, repeats) once,
 with the top-level parser.  Both give the same namespace.
 
 Each subcommand takes only the options it reads; the battery's coverage
-bounds and the bounds of ``iso``'s witness build are :mod:`qstar.limits`
-constants with no flag.  The commands that build Q (``generate``,
+bounds, the bounds of ``iso``'s witness build and the order of a group
+built as a table (``MAX_GROUP_ORDER``) are :mod:`qstar.limits` constants
+with no flag.  The commands that build Q (``generate``,
 ``maximal``, ``verify`` and ``iso``'s witness) import the modules that
 build it when they run, so the closed-form commands (``analyze``,
 ``check``, ``census``) load none of them.
@@ -47,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_SAMPLES
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_SAMPLES, MAX_GROUP_ORDER
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
 from .transformation import q_shorthand, transformation_from_json
@@ -208,7 +209,7 @@ def cmd_maximal(args) -> dict:
     if P.m == 1:
         # Q is the symmetric group on the blocks; the right-group theorem
         # needs at least two idempotents, so report maximal subgroups instead.
-        maxima = maximal_subgroups(symmetric_group_table(P.k, max_order=args.group_order_bound).elements)
+        maxima = maximal_subgroups(symmetric_group_table(P.k).elements)
         return {
             "command": "maximal",
             "partition": P.to_spec(),
@@ -223,9 +224,7 @@ def cmd_maximal(args) -> dict:
             "s_k": json_int(len(maxima)),
             "maximal_subgroup_orders": sorted(len(s) for s in maxima),
         }
-    report = maximal_subsemigroups_Q(
-        P, max_size=args.max_closure, max_group_order=args.group_order_bound
-    )
+    report = maximal_subsemigroups_Q(P, max_size=args.max_closure)
     short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P, args.max_closure)}
     families = [(T, "group", None) for T in report.group_type]
     families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = option("--format", choices=("json", "table"), default="json", help="output format")
     partition = option("--partition", required=True, help='blocks as "1,2,3|4,5|6"')
     closure = option("--max-closure", type=_bound, default=DEFAULT_MAX_CLOSURE, help="abort closures beyond this many elements")
-    group = option("--group-order-bound", type=_bound, default=DEFAULT_MAX_GROUP_ORDER,
-                   help="largest order of a group built as a table: the H-class or a symmetric group")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parser.subcommands = sub.choices  # main runs these directly
 
@@ -367,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     maps.add_argument("--q", help='block shorthand, one value per block: "4,1,6"')
 
     add("generate", cmd_generate, "verified minimal generating set", partition, closure)
-    add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure, group)
+    p = add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure)
+    p.description = f"k blocks with k! > qstar.limits.MAX_GROUP_ORDER ({MAX_GROUP_ORDER}) exit 3 before any map is built."
 
     p = add("iso", cmd_iso, "compare two partitioned sets")
     p.description = "An isomorphism is built and checked when the sides are isomorphic and within qstar.limits."

@@ -32,7 +32,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError, ValidationError
-from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, admit
+from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, MAX_GROUP_ORDER, admit
 from .transformation import Transformation, kernel_partition, product_map
 # Not used here; bench/test_bench.py checks that tracing restores qstar.engine.compose.
 from .transformation import compose  # noqa: F401
@@ -127,7 +127,7 @@ class SemigroupSet:
         return tuple(self.elements[i] for i in sorted(set(indices)))
 
 
-def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> list[tuple[int, ...]]:
+def closure_images(gens: Iterable[Transformation]) -> list[tuple[int, ...]]:
     """The sorted image tuples of the semigroup generated by ``gens``.
 
     Worklist of known-element x generator right-products, which reach every
@@ -135,8 +135,9 @@ def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_C
     guards against a defective worklist.  When the worklist adds nothing, that
     pass is skipped: the worklist has then formed g*p for every pair of
     generators, which is every product the pass would form.  Raises
-    :class:`ResourceLimitError` past ``max_size``.
+    :class:`ResourceLimitError` past ``DEFAULT_MAX_CLOSURE`` elements.
     """
+    max_size = DEFAULT_MAX_CLOSURE
     gen_images = sorted({g.images for g in gens})
     if not gen_images:
         raise ContractError("closure of an empty generating set")
@@ -162,9 +163,9 @@ def closure_images(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_C
     return images
 
 
-def closure(gens: Iterable[Transformation], max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
+def closure(gens: Iterable[Transformation]) -> SemigroupSet:
     """The semigroup generated by ``gens``: :func:`closure_images`, wrapped."""
-    images = closure_images(gens, max_size)
+    images = closure_images(gens)
     return SemigroupSet(len(images[0]), tuple(map(Transformation._unchecked, images)))
 
 
@@ -282,9 +283,10 @@ class GroupTable:
     ``identity`` is found by exhaustive search of the table at construction
     time.  Each ``inverse`` is the first right inverse, checked two-sided: in
     an associative table it is the two-sided inverse if there is one.
-    Associativity is inherited from map composition.  The order is bounded
-    where the elements are built (``h_class``, ``symmetric_group_table``),
-    and nothing that takes a built group checks it again.
+    Associativity is inherited from map composition.  The order is checked
+    against ``MAX_GROUP_ORDER`` where the elements are built (``h_class``,
+    ``symmetric_group_table``), and nothing that takes a built group checks
+    it again.
     """
 
     elements: SemigroupSet
@@ -332,9 +334,9 @@ class GroupTable:
         return tuple(len({t[t[g][i]][inv[g]] for g in indices}) for i in indices)
 
 
-def symmetric_group_table(k: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupTable:
-    """The full symmetric group on k points, built from scratch."""
-    admit("group order", math.factorial(k), max_order, "bound ")
+def symmetric_group_table(k: int) -> GroupTable:
+    """The full symmetric group on k points, built from scratch; k! past ``MAX_GROUP_ORDER`` is refused first."""
+    admit("group order", math.factorial(k), MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
     perms = [Transformation(p) for p in itertools.permutations(range(k))]
     return GroupTable.from_semigroup(SemigroupSet.from_elements(perms))
 

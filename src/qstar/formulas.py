@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .limits import DEFAULT_CENSUS_MAX_N
+from .limits import DEFAULT_CENSUS_MAX_N, admit
 from .partition import PartitionedSet
 
 
@@ -100,9 +100,9 @@ def classify_partitions(n: int) -> dict:
     """Group the block-size multisets for ground size n by isomorphism class,
     keyed by part count and part product: the k and m that :func:`iso_key`
     reads off a partitioned set of those block sizes, which is not built.
-    Returns {IsoClassKey: (size tuples...)} ordered by key."""
-    if n > DEFAULT_CENSUS_MAX_N:
-        raise ValidationError(f"census bound is n <= {DEFAULT_CENSUS_MAX_N}, got {n}")
+    Returns {IsoClassKey: (size tuples...)} ordered by key; n past
+    ``DEFAULT_CENSUS_MAX_N`` is refused by ``admit``."""
+    admit("n =", n, DEFAULT_CENSUS_MAX_N, "DEFAULT_CENSUS_MAX_N=")
     buckets: dict[IsoClassKey, list] = {}
     for sizes in integer_partitions(n):
         buckets.setdefault(IsoClassKey(len(sizes), math.prod(sizes)), []).append(sizes)

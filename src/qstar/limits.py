@@ -6,8 +6,8 @@ oracle covers.  Past a size cap the build raises
 :class:`ResourceLimitError` through :func:`admit`, whose text
 :func:`exceeds` also gives the rows the battery reports skipped; past a
 coverage bound a check samples or drops its oracle comparison.  The CLI's
-``--max-closure``, ``--group-order-bound`` and ``--samples`` default to the
-values here.
+``--max-closure`` and ``--samples`` default to the values here; every other
+bound is a constant that its function reads when it is called.
 """
 
 from .errors import ResourceLimitError
@@ -16,13 +16,12 @@ from .errors import ResourceLimitError
 DEFAULT_MAX_CLOSURE = 100_000
 # Largest degree n of a built Q: its proof packs each map one byte per point.
 MAX_DEGREE = 256
-# Order of a group built as a table: the one a ``maximal`` run searches
-# (``--group-order-bound``), on the H-class's k! members or (m = 1) the
-# symmetric group, and ``h_class``'s.  ``decompose`` builds none.  The subgroup
-# lattice has no work budget of its own; on S_6 (order 720) Close-by-One
-# lists its 1,455 subgroups in about 0.5 s, and S_7 (order 5040) needs a
-# 25-million-entry table.
-DEFAULT_MAX_GROUP_ORDER = 120
+# Order k! of a group built as a table: the one a ``maximal`` run searches, on
+# the H-class's k! members or (m = 1) the symmetric group, and ``h_class``'s.
+# ``decompose`` builds none.  5040 is S_7's order: its table has 25 million
+# entries, and ``maximal`` at k = 7 (m = 2) takes about 17 s and 222 MB while
+# Close-by-One lists S_7's subgroups.  S_8's table would have 1.6 billion.
+MAX_GROUP_ORDER = 5040
 # Work of a closed-subset search: the closed sets ``all_closed_subsets``
 # lists, or the states of the maximal-subsemigroup oracle's branch and cut
 # (259 on Q for blocks (4, 4); about 3,200 on a 39-element closure in T(4)).
@@ -52,11 +51,10 @@ ENUM_BOUND = 5000
 EXHAUSTIVE_MAPS_BOUND = 4
 DEFAULT_SAMPLES = 100
 # Per-check coverage: largest n for the cross-section count and for the
-# Green's R sweep over T(n), largest k for the H-class isomorphism check, and
-# the sample caps of the Green's R and closure checks.
+# Green's R sweep over T(n), and the sample caps of the Green's R and closure
+# checks.
 CROSS_SECTION_SWEEP_MAX_N = 12
 GREEN_R_SWEEP_MAX_N = 3
-H_CLASS_ISO_MAX_K = 4
 GREEN_R_SAMPLES = 50
 CLOSURE_IDEMPOTENCE_SAMPLES = 10
 # Largest ``--samples`` the battery accepts: the right-group battery draws

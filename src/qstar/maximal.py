@@ -23,8 +23,8 @@ from operator import attrgetter
 from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks
 from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
 from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
-from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_ORACLE_MAX
-from .limits import DEFAULT_VERIFY_MAX, MAX_RIGHT_ZERO_CELLS, admit
+from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
+from .limits import MAX_GROUP_ORDER, MAX_RIGHT_ZERO_CELLS, admit
 from .partition import PartitionedSet
 from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, generates, prove_Q
 from .transformation import Transformation, product_map
@@ -60,7 +60,7 @@ def _require_right_group(P: PartitionedSet) -> None:
 
 def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
     """(s_k, m, s_k + m) for m >= 2: the oracle battery's count.  s_k is counted on a freshly built
-    symmetric group table, under ``DEFAULT_MAX_GROUP_ORDER``, by :func:`_maximal_closed_masks`, not by
+    symmetric group table, under ``MAX_GROUP_ORDER``, by :func:`_maximal_closed_masks`, not by
     the construction's ``maximal_subgroups``: in a finite group the nonempty closed subsets are the
     subgroups, so the maximal proper ones are the maximal subgroups."""
     _require_right_group(P)
@@ -86,17 +86,13 @@ def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
                 raise InternalConsistencyError("block pattern map is not multiplicative")
 
 
-def maximal_subsemigroups_Q(
-    P: PartitionedSet,
-    max_size: int = DEFAULT_MAX_CLOSURE,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> MaximalSubsemigroupReport:
+def maximal_subsemigroups_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> MaximalSubsemigroupReport:
     """Construct every maximal subsemigroup of Q (m >= 2).
 
     Group type: (maximal subgroup of the base H-class) paired with all idempotents.  Right-zero
     type: the whole group part paired with all but one idempotent.  The group part is proved
     isomorphic to S_k on its block patterns, so s_k is the number of its maximal subgroups,
-    searched on the one table built here, of order k! <= ``max_group_order``.  Each set is checked
+    searched on the one table built here, of order k! <= ``MAX_GROUP_ORDER``.  Each set is checked
     for maximality against the definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``.
     The m right-zero sets hold k!*m*(m - 1) elements in all, checked against
     ``MAX_RIGHT_ZERO_CELLS`` before anything is built.
@@ -106,7 +102,7 @@ def maximal_subsemigroups_Q(
     # k! is refused before decompose builds Q, and after decompose's first bound, m, so that an
     # input past several bounds still names them in the CLI's order m, k!, |Q|.
     admit("idempotent count", P.m, max_size)
-    admit("H-class order", math.factorial(P.k), max_group_order, "bound ")
+    admit("H-class order", math.factorial(P.k), MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
     dec = decompose(P, max_size)
     Q = enumerate_Q(P, max_size)
     G = dec.group_part

@@ -29,7 +29,7 @@ from typing import Collection
 from .engine import GroupTable, SemigroupSet
 from .errors import ContractError, InternalConsistencyError, ResourceLimitError
 from .formulas import cardinality_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MAPS, MAX_DEGREE, admit
+from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_MAX_MAPS, MAX_DEGREE, MAX_GROUP_ORDER, admit
 from .membership import in_Q
 from .partition import PartitionedSet, check_degree
 from .transformation import Transformation, compose, image, product_map
@@ -244,11 +244,11 @@ def _h_class_members(a: Transformation, P: PartitionedSet) -> tuple[Transformati
 
 
 def h_class(a: Transformation, P: PartitionedSet) -> GroupTable:
-    """The H-class of ``a`` inside Q as a group of order k! <= ``DEFAULT_MAX_GROUP_ORDER``, whose product
+    """The H-class of ``a`` inside Q as a group of order k! <= ``MAX_GROUP_ORDER``, whose product
     table proves closure, identity and inverses; tests cover its equivalence with searching Q."""
     if not in_Q(P, a):
         raise ContractError("h_class needs a member of Q")
-    admit("H-class order", math.factorial(P.k), DEFAULT_MAX_GROUP_ORDER, "bound ")
+    admit("H-class order", math.factorial(P.k), MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
     return GroupTable.from_semigroup(SemigroupSet.from_elements(_h_class_members(a, P)))
 
 

@@ -28,7 +28,7 @@ from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
 from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
 from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
-from .limits import H_CLASS_ISO_MAX_K, MAX_DEGREE, MAX_SAMPLES, PAIRWISE_WORK_BUDGET, admit, exceeds
+from .limits import MAX_DEGREE, MAX_SAMPLES, PAIRWISE_WORK_BUDGET, admit, exceeds
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, in_TEstar_pairwise, is_idempotent_Q
 from .partition import PartitionedSet, is_cross_section
@@ -236,11 +236,10 @@ def check_h_class_structure(P: PartitionedSet, Q) -> Check:
         if tuple(searched.get(image(e), ())) != G.elements.elements:
             return Check("h-class-structure", "fail", "pattern construction differs from searching Q")
         tables.append(G)
-    if P.k <= H_CLASS_ISO_MAX_K:
-        # Isomorphism is an equivalence relation, so matching each H-class with the first suffices.
-        for G in tables[1:]:
-            if not groups_isomorphic(tables[0], G):
-                return Check("h-class-structure", "fail", "two H-classes are not isomorphic")
+    # Isomorphism is an equivalence relation, so matching each H-class with the first suffices.
+    for G in tables[1:]:
+        if not groups_isomorphic(tables[0], G):
+            return Check("h-class-structure", "fail", "two H-classes are not isomorphic")
     return Check("h-class-structure", "pass", f"{len(idems)} H-classes of order {expected}, pairwise isomorphic")
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qstar.cli
+import qstar.engine
 import qstar.qsemigroup
 import qstar.verify
 from qstar import limits, partition_from_spec
@@ -176,7 +177,7 @@ def test_maximal_group_mode(capsys):
 
 
 def test_maximal_group_mode_uses_the_bound_the_group_was_built_with(capsys):
-    payload = run_json(capsys, "maximal", "--group-order-bound", "720", "--partition", "1|2|3|4|5|6")
+    payload = run_json(capsys, "maximal", "--partition", "1|2|3|4|5|6")
     assert payload["group_order"] == 720
     assert payload["s_k"] == 53
 
@@ -197,6 +198,13 @@ def test_census(capsys):
     assert payload["class_count"] == 11
     small = run_json(capsys, "census", "--n", "3")
     assert [(c["k"], c["m"]) for c in small["classes"]] == [(1, 3), (2, 2), (3, 1)]
+
+
+def test_census_past_its_bound_is_a_resource_limit_and_n_0_is_bad_input(capsys):
+    assert main(["census", "--n", str(limits.DEFAULT_CENSUS_MAX_N + 1)]) == 3
+    assert capsys.readouterr() == ("", "resource limit: n = 13 exceeds DEFAULT_CENSUS_MAX_N=12\n")
+    assert main(["census", "--n", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: need a positive integer, got 0\n")
 
 
 def test_verify(capsys):
@@ -262,7 +270,7 @@ def test_verify_stops_past_the_sample_bound(capsys, monkeypatch):
     assert run_json(capsys, "verify", "--partition=1,2,3", f"--samples={limits.MAX_SAMPLES}")["all_passed"] is True
 
 
-@pytest.mark.parametrize("command, option", [("generate", "--max-closure"), ("maximal", "--group-order-bound")])
+@pytest.mark.parametrize("command, option", [("generate", "--max-closure"), ("maximal", "--max-closure")])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_a_nonpositive_size_bound_is_bad_input(capsys, command, option, value):
     with pytest.raises(SystemExit) as exc:
@@ -271,7 +279,7 @@ def test_a_nonpositive_size_bound_is_bad_input(capsys, command, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
-    # The least bound is accepted and then trips on |Q| = 4 or on the H-class of order 2.
+    # The least bound is accepted and then trips on |Q| = 4 or on the idempotent count m = 2.
     assert main([command, "--partition=1,2|3", f"{option}=1"]) == 3
 
 
@@ -300,12 +308,12 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
 
 def test_argparse_defaults_are_the_library_limits():
     parser = build_parser()
-    bounds = {"max_closure": limits.DEFAULT_MAX_CLOSURE, "group_order_bound": limits.DEFAULT_MAX_GROUP_ORDER}
+    bounds = {"max_closure": limits.DEFAULT_MAX_CLOSURE}
     for argv, names in (
         (["analyze", "--partition", "1"], ()),
         (["check", "--partition", "1", "--map", "1"], ()),
         (["generate", "--partition", "1"], ("max_closure",)),
-        (["maximal", "--partition", "1"], ("max_closure", "group_order_bound")),
+        (["maximal", "--partition", "1"], ("max_closure",)),
         (["iso", "--left", "1", "--right", "1"], ()),
         (["census", "--n", "1"], ()),
         (["verify", "--partition", "1"], ()),
@@ -350,6 +358,7 @@ REMOVED_OPTIONS = [
     (["generate", "--partition", "1,2|3"], "--group-order-bound"),
     (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--max-closure"),
     (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--group-order-bound"),
+    (["maximal", "--partition", "1,2|3"], "--group-order-bound"),
 ]
 
 
@@ -370,18 +379,23 @@ def test_max_closure_is_not_read_from_the_environment(capsys, monkeypatch):
     assert main(["generate", "--partition", "1,2,3|4,5|6"]) == 0  # |Q| = 36
 
 
-@pytest.mark.parametrize("spec", ["1|2|3|4|5|6", "1,7|2|3|4|5|6"])
-def test_maximal_on_six_blocks_stops_at_the_default_group_order_bound(spec):
-    # S_6 has order 720, past the default bound of 120; both modes stop before
-    # building a table (the S_6 lattice itself takes about 0.5 s).
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstar.cli", "maximal", "--partition", spec],
-        capture_output=True,
-        text=True,
-        timeout=2,
-    )
-    assert proc.returncode == 3
-    assert "order 720 exceeds bound 120" in proc.stderr
+def refuse_any_map(*args, **kwargs):
+    raise AssertionError("built a map past the group-order bound")
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [("1|2|3|4|5|6|7|8", "group order"), ("1,9|2|3|4|5|6|7|8", "H-class order")],
+    ids=["group", "right-group"],
+)
+def test_maximal_on_eight_blocks_refuses_before_any_map(capsys, monkeypatch, spec, what):
+    # S_8 has order 40,320, past MAX_GROUP_ORDER; both modes refuse before the
+    # symmetric group, Q or an H-class member is built.
+    monkeypatch.setattr(qstar.engine, "Transformation", refuse_any_map)
+    monkeypatch.setattr(qstar.qsemigroup, "_built", refuse_any_map)
+    monkeypatch.setattr(qstar.qsemigroup, "_pattern_element", refuse_any_map)
+    assert main(["maximal", "--partition", spec]) == 3
+    assert capsys.readouterr() == ("", f"resource limit: {what} 40320 exceeds MAX_GROUP_ORDER=5040\n")
 
 
 def test_argparse_rejects_unknown_subcommand():
@@ -619,7 +633,7 @@ PARSE_ARGV = REUSE_ARGV + [
     ["check", "--partition", "1,2", "--map", "1,1", "extra"],
     ["verify", "--partition", "1,2|3", "--samples", "-3"],
     ["census", "--n", "x"],
-    ["maximal", "--partition", "1,2|3", "--group-order-bound", "0"],
+    ["maximal", "--partition", "1,2|3", "--max-closure", "0"],
     ["generate", "--partition", "1,2|3", "--max-closure"],
     ["iso", "--left", "1,2|3", "--right", "1|2,3", "--format", "table"],
     ["analyze", "--partition", "-h"],
@@ -640,14 +654,14 @@ SUBCOMMANDS = ["analyze", "check", "census", "iso", "generate", "maximal", "veri
 ARGV_TOKENS = st.sampled_from(
     [*SUBCOMMANDS, "frobnicate", "--partition", "--part", "--partition=1,2|3", "--partition=--", "--map",
      "--q", "--map=1,1", "--n", "--n=3", "--left", "--right", "--format", "table", "xml", "--max-closure",
-     "--group-order-bound", "--seed", "--samples", "0", "5", "-3", "1", "1,2|3", "-h", "--h", "--help",
+     "--seed", "--samples", "0", "5", "-3", "1", "1,2|3", "-h", "--h", "--help",
      "--", "-", "extra", ""]
 )
 # Option and value pairs, so that many argv are in the plain form or one token away from it.
 ARGV_PAIRS = st.sampled_from(
     [("--partition", "1,2|3"), ("--format", "table"), ("--map", "1,1,3"), ("--q", "1,2"), ("--n", "3"),
      ("--left", "1|2"), ("--right", "1,2"), ("--seed", "7"), ("--samples", "-3"), ("--max-closure", "5"),
-     ("--group-order-bound", "0"), ("--format", "xml"), ("--partition", "-h"), ("--map", "--"), ("-h", "x")]
+     ("--max-closure", "0"), ("--format", "xml"), ("--partition", "-h"), ("--map", "--"), ("-h", "x")]
 )
 ARGV = st.lists(st.one_of(ARGV_TOKENS.map(lambda token: [token]), ARGV_PAIRS.map(list)), max_size=5).map(
     lambda items: [token for item in items for token in item]
@@ -659,7 +673,7 @@ PLAIN_ARGV = {
     "census": ["--n", "3"],
     "iso": ["--left", "1|2", "--right", "1,2"],
     "generate": ["--partition", "1,2|3", "--max-closure", "5"],
-    "maximal": ["--group-order-bound", "2", "--partition", "1,2|3"],
+    "maximal": ["--max-closure", "2", "--partition", "1,2|3"],
     "verify": ["--partition", "1,2|3", "--seed", "7"],
 }
 
@@ -714,7 +728,7 @@ def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
     "argv, option",
     [
         (["generate", "--partition", "1"], "--max-closure"),
-        (["maximal", "--partition", "1"], "--group-order-bound"),
+        (["maximal"], "--max-closure"),  # named before the missing --partition
         (["maximal", "--partition", "1"], "--max-closure"),
         (["census"], "--n"),
         (["verify", "--partition", "1"], "--seed"),

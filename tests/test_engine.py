@@ -217,9 +217,10 @@ def test_corrected_generating_set_reaches_everything(p6, alpha):
     assert set(S) == set(enumerate_Q(p6))
 
 
-def test_closure_resource_limit(alpha):
+def test_closure_resource_limit(alpha, monkeypatch):
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSURE", 10)
     with pytest.raises(ResourceLimitError):
-        closure([alpha(i) for i in (2, 3, 4, 5, 6, 7, 13)], max_size=10)
+        closure([alpha(i) for i in (2, 3, 4, 5, 6, 7, 13)])
 
 
 BOUND_CASES = [
@@ -231,27 +232,31 @@ BOUND_CASES = [
 
 
 @pytest.mark.parametrize("gens", [[Transformation(g) for g in case] for case in BOUND_CASES] + ["Q(2,2,1)"])
-def test_closure_stops_exactly_at_its_bound(gens):
+def test_closure_stops_exactly_at_its_bound(gens, monkeypatch):
     if gens == "Q(2,2,1)":
         P = partition_from_sizes((2, 2, 1))
         gens = symmetric_part_generators(P) + idempotents_Q(P)
     S = closure(gens)
     assert len(S) > len(set(gens))
-    assert closure(gens, max_size=len(S)).elements == S.elements
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSURE", len(S))
+    assert closure(gens).elements == S.elements
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSURE", len(S) - 1)
     with pytest.raises(ResourceLimitError, match=f"^closure exceeded max_size={len(S) - 1}$"):
-        closure(gens, max_size=len(S) - 1)
+        closure(gens)
 
 
-def test_closure_bound_counts_generators_that_are_already_closed():
+def test_closure_bound_counts_generators_that_are_already_closed(monkeypatch):
     # Every product of S is known from the start, so no element is added.
     S = enumerate_Q(partition_from_sizes((2, 1)))
     assert len(S) == 4
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSURE", 3)
     with pytest.raises(ResourceLimitError, match="^closure exceeded max_size=3$"):
-        closure(S.elements, max_size=3)
+        closure(S.elements)
     with pytest.raises(ResourceLimitError, match="^closure exceeded max_size=3$"):
-        closure(S.elements + S.elements, max_size=3)
-    assert closure(S.elements + S.elements, max_size=4).elements == S.elements
-    assert closure(S.elements, max_size=4).elements == S.elements
+        closure(S.elements + S.elements)
+    monkeypatch.setattr(qstar.engine, "DEFAULT_MAX_CLOSURE", 4)
+    assert closure(S.elements + S.elements).elements == S.elements
+    assert closure(S.elements).elements == S.elements
 
 
 def _closure_one_product_at_a_time(gens):
@@ -463,20 +468,25 @@ def test_group_table_rejects_an_element_without_an_inverse():
         GroupTable.from_semigroup(monoid)
 
 
-def test_symmetric_group_orders():
+def test_symmetric_group_orders(monkeypatch):
     for k, order in ((1, 1), (2, 2), (3, 6), (4, 24)):
         assert symmetric_group_table(k).order == order
+    monkeypatch.setattr(qstar.engine, "MAX_GROUP_ORDER", 120)
     with pytest.raises(ResourceLimitError):
-        symmetric_group_table(6, max_order=120)
+        symmetric_group_table(6)
 
 
 def test_symmetric_group_bound_is_checked_before_any_map_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a group past its order bound")
 
+    monkeypatch.setattr(qstar.engine, "Transformation", refuse)
     monkeypatch.setattr(qstar.engine.SemigroupSet, "from_elements", refuse)
-    with pytest.raises(ResourceLimitError, match="group order 5040 exceeds bound 120"):
-        symmetric_group_table(7, max_order=120)
+    with pytest.raises(ResourceLimitError, match="^group order 40320 exceeds MAX_GROUP_ORDER=5040$"):
+        symmetric_group_table(8)
+    monkeypatch.setattr(qstar.engine, "MAX_GROUP_ORDER", 120)
+    with pytest.raises(ResourceLimitError, match="^group order 5040 exceeds MAX_GROUP_ORDER=120$"):
+        symmetric_group_table(7)
 
 
 def test_subgroup_lattice_of_s3():

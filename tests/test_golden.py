@@ -27,7 +27,7 @@ CASES = {
     "iso_witness": (["iso", "--left", "1,2|3,4|5|6", "--right", "1|2,3|4|5,6"], 0),
     "iso_past_bound": (["iso", "--left", "1,2|3,4|5|6|7|8|9|10", "--right", "1|2|3|4|5|6|7,8|9,10"], 0),
     "verify": (["verify", "--partition", "1,2|3,4|5", "--seed", "0"], 0),
-    "maximal_past_group_bound": (["maximal", "--partition", "1,7|2|3|4|5|6"], 3),
+    "maximal_past_group_bound": (["maximal", "--partition", "1,9|2|3|4|5|6|7|8"], 3),
     "check_map_out_of_range": (["check", "--partition", "1,2,3", "--map", "4,1,1"], 2),
     "census_12": (["census", "--n", "12"], 0),
     "analyze_big_counts": (["analyze", "--partition", "|".join(str(i) for i in range(1, 26))], 0),

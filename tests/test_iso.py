@@ -166,7 +166,7 @@ def test_census_keys_are_sorted():
 
 
 def test_census_bound():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ResourceLimitError, match="^n = 13 exceeds DEFAULT_CENSUS_MAX_N=12$"):
         classify_partitions(13)
 
 

@@ -1,9 +1,9 @@
 """Bounds that no caller varies are ``qstar.limits`` constants, not parameters.
 
-A function of the package that takes a ``PartitionedSet`` may give a
-parameter a ``qstar.limits`` default only when some call site in the
-package passes that parameter, by position or by keyword: otherwise every
-caller gets the default, and the parameter is a constant in disguise.
+A function of the package may give a parameter a ``qstar.limits`` default
+only when some call site in the package passes that parameter, by position
+or by keyword: otherwise every caller gets the default, and the parameter
+is a constant in disguise.
 
 ``MAX_DEGREE`` caps the degree n of every Q that is built; the commands
 that build Q name it when it trips.  A size past its bound is refused
@@ -31,14 +31,10 @@ LIMITS = {name for name in vars(qstar.limits) if name.isupper()}
 
 
 def bounded_parameters(trees):
-    """(function, parameter, position or None) for each parameter with a limits default
-    of a function that takes a ``PartitionedSet``."""
+    """(function, parameter, position or None) for each parameter with a limits default."""
     for fn in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
         spec = fn.args
         positional = spec.posonlyargs + spec.args
-        if not any(arg.annotation and "PartitionedSet" in ast.unparse(arg.annotation)
-                   for arg in positional + spec.kwonlyargs):
-            continue
         defaulted = [(arg, positional.index(arg), default)
                      for arg, default in zip(positional[len(positional) - len(spec.defaults):], spec.defaults)]
         defaulted += [(arg, None, default) for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)]
@@ -70,7 +66,7 @@ def test_every_bound_parameter_is_varied_by_some_caller():
     unvaried, bounded = unvaried_bounds(PACKAGE)
     assert unvaried == []
     # The walk finds the bounds the commands pass, so an empty list is not vacuous.
-    assert {"maximal_subsemigroups_Q.max_group_order", "maximal_subsemigroups_Q.max_size", "prove_Q.max_size"} <= bounded
+    assert {"maximal_subsemigroups_Q.max_size", "prove_Q.max_size", "run_verification.samples"} <= bounded
 
 
 # One block of MAX_DEGREE + 1 points: |Q| = n and m = n stay far inside every
@@ -135,7 +131,7 @@ def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
                 admitted.add(name)
     assert raised == RAISED_OUTSIDE_LIMITS
     # Every module that refused a size by hand now refuses it through admit.
-    assert admitted == {"engine.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
+    assert admitted == {"engine.py", "formulas.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
     imported = sorted(
         f"{name}: {alias.name}"
         for name, tree in trees.items() if name != "qsemigroup.py"

@@ -47,19 +47,19 @@ def test_counts_on_degenerate_shapes():
 
 def test_s_k_under_the_order_bound_720():
     counts = [count_maximal(partition_from_sizes((2,) + (1,) * (k - 1)))[0] for k in range(1, 6)]
-    counts.append(len(maximal_subgroups(symmetric_group_table(6, 720).elements)))
+    counts.append(len(maximal_subgroups(symmetric_group_table(6).elements)))
     assert counts == [0, 1, 4, 8, 22, 53]
 
 
 def test_construction_counts_s_k_as_the_fresh_symmetric_group_does():
-    # Every block-size shape with n <= 7, k <= 5 and m >= 2, then k = 6 under the order bound 720.
+    # Every block-size shape with n <= 7, k <= 5 and m >= 2, then k = 6 under the default order bound.
     shapes = [s for n in range(2, 8) for s in integer_partitions(n) if len(s) <= 5 and max(s) > 1]
     assert len(shapes) == 36
     for sizes in shapes:
         P = partition_from_sizes(sizes)
         assert maximal_subsemigroups_Q(P).s_k == count_maximal(P)[0], sizes
     P = partition_from_sizes((2, 1, 1, 1, 1, 1))
-    assert maximal_subsemigroups_Q(P, max_group_order=720).s_k == len(maximal_subgroups(symmetric_group_table(6, 720).elements)) == 53
+    assert maximal_subsemigroups_Q(P).s_k == len(maximal_subgroups(symmetric_group_table(6).elements)) == 53
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import qstar.engine
+import qstar.maximal
 import qstar.qsemigroup
 import qstar.transformation
 from qstar import (
@@ -301,7 +302,7 @@ def test_clearing_any_one_cache_leaves_no_object_of_an_older_build(monkeypatch, 
     assert len(generators) == len(closed[-1]) and all(g is h for g, h in zip(generators, closed[-1]))
 
 
-def test_bounds_refuse_a_smaller_bound_against_a_cached_record():
+def test_bounds_refuse_a_smaller_bound_against_a_cached_record(monkeypatch):
     P = partition_from_sizes((3, 2, 1))  # |Q| = 36, m = 6, k! = 6
     enumerate_Q(P)
     decompose(P)
@@ -313,32 +314,36 @@ def test_bounds_refuse_a_smaller_bound_against_a_cached_record():
     # construction refuses k! between them, before it decomposes.
     with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
         decompose(P, 5)
+    monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 5)
     with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
-        maximal_subsemigroups_Q(P, 5, 5)
-    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
-        maximal_subsemigroups_Q(P, max_group_order=5)
-    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
-        maximal_subsemigroups_Q(P, 35, 5)
+        maximal_subsemigroups_Q(P, 5)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds MAX_GROUP_ORDER=5$"):
+        maximal_subsemigroups_Q(P)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds MAX_GROUP_ORDER=5$"):
+        maximal_subsemigroups_Q(P, 35)
     with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
         decompose(P, 35)
 
 
 @pytest.mark.parametrize(
-    "argv, bounds, message",
+    "argv, bounds, group_order, message",
     [
-        (["maximal", "--partition", "1,2|3"], ["--max-closure", "1"], "idempotent count 2 exceeds max_size=1"),
+        (["maximal", "--partition", "1,2|3"], ["--max-closure", "1"], None, "idempotent count 2 exceeds max_size=1"),
         (
             ["maximal", "--partition", "1,2|3,4|5"],
-            ["--max-closure", "5", "--group-order-bound", "2"],
-            "H-class order 6 exceeds bound 2",
+            ["--max-closure", "5"],
+            2,
+            "H-class order 6 exceeds MAX_GROUP_ORDER=2",
         ),
-        (["maximal", "--partition", "1,2|3|4"], ["--max-closure", "3"], "|Q| = 12 exceeds max_size=3"),
+        (["maximal", "--partition", "1,2|3|4"], ["--max-closure", "3"], None, "|Q| = 12 exceeds max_size=3"),
     ],
     ids=["idempotents", "h-class", "q"],
 )
-def test_cli_bounds_hold_after_the_instance_is_cached(capsys, argv, bounds, message):
+def test_cli_bounds_hold_after_the_instance_is_cached(capsys, monkeypatch, argv, bounds, group_order, message):
     assert main(argv) == 0  # builds and keeps the records under the default bounds
     capsys.readouterr()
+    if group_order is not None:
+        monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", group_order)
     assert main(argv + bounds) == 3
     assert capsys.readouterr() == ("", f"resource limit: {message}\n")
 
@@ -547,11 +552,13 @@ def test_decompose_builds_no_group_table(monkeypatch):
     assert sorted(dec.patterns) == list(itertools.permutations(range(7)))
 
 
-def test_maximal_passes_the_group_order_bound_before_decomposing():
+def test_maximal_passes_the_group_order_bound_before_decomposing(monkeypatch):
     P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, H-class order 120
-    with pytest.raises(ResourceLimitError, match="H-class order 120 exceeds bound 119"):
-        maximal_subsemigroups_Q(P, max_group_order=119)
-    assert maximal_subsemigroups_Q(P, max_group_order=120).s_k == 22
+    monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 119)
+    with pytest.raises(ResourceLimitError, match="^H-class order 120 exceeds MAX_GROUP_ORDER=119$"):
+        maximal_subsemigroups_Q(P)
+    monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 120)
+    assert maximal_subsemigroups_Q(P).s_k == 22
 
 
 def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch):
@@ -559,8 +566,8 @@ def test_h_class_bound_is_checked_before_any_map_is_built(p6, alpha, monkeypatch
         raise AssertionError("built an H-class past its order bound")
 
     monkeypatch.setattr(qstar.qsemigroup, "_pattern_element", refuse)
-    monkeypatch.setattr(qstar.qsemigroup, "DEFAULT_MAX_GROUP_ORDER", 5)
-    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds bound 5$"):
+    monkeypatch.setattr(qstar.qsemigroup, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds MAX_GROUP_ORDER=5$"):
         h_class(alpha(1), p6)
 
 
