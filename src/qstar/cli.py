@@ -4,8 +4,8 @@ Subcommands:
 
 * ``analyze``  - closed-form structure numbers for one partitioned set
 * ``check``    - membership predicates for one transformation
-* ``generate`` - a verified minimal generating set (``--max-closure``)
-* ``maximal``  - the maximal subsemigroups (``--max-closure``)
+* ``generate`` - a verified minimal generating set
+* ``maximal``  - the maximal subsemigroups
 * ``iso``      - compare two partitioned sets up to isomorphism
 * ``census``   - isomorphism classes over all set partitions of n
 * ``verify``   - the full cross-validation battery
@@ -15,10 +15,11 @@ from the subcommand parser's own option table; argparse parses every other
 argv (help, usage errors, ``--option=value``, abbreviations, repeats) once,
 with the top-level parser.  Both give the same namespace.
 
-Each subcommand takes only the options it reads; the battery's coverage
-bounds, the bounds of ``iso``'s witness build and the order of a group
-built as a table (``MAX_GROUP_ORDER``) are :mod:`qstar.limits` constants
-with no flag.  The commands that build Q (``generate``,
+Each subcommand takes only the options it reads, and none takes a size
+bound: |Q| (``DEFAULT_MAX_CLOSURE``), the order of a group built as a table
+(``MAX_GROUP_ORDER``), the cells ``maximal`` lists (``MAX_LISTED_CELLS``),
+the bounds of ``iso``'s witness build and the battery's coverage bounds are
+:mod:`qstar.limits` constants.  The commands that build Q (``generate``,
 ``maximal``, ``verify`` and ``iso``'s witness) import the modules that
 build it when they run, so the closed-form commands (``analyze``,
 ``check``, ``census``) load none of them.
@@ -48,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
-from .limits import DEFAULT_MAX_CLOSURE, DEFAULT_SAMPLES, MAX_GROUP_ORDER
+from .limits import DEFAULT_SAMPLES, MAX_GROUP_ORDER
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
 from .transformation import q_shorthand, transformation_from_json
@@ -189,7 +190,7 @@ def cmd_generate(args) -> dict:
     from .rank import minimal_generating_set
 
     P = partition_from_spec(args.partition)
-    report = minimal_generating_set(P, max_size=args.max_closure)
+    report = minimal_generating_set(P)
     return {
         "command": "generate",
         "partition": P.to_spec(),
@@ -224,8 +225,8 @@ def cmd_maximal(args) -> dict:
             "s_k": json_int(len(maxima)),
             "maximal_subgroup_orders": sorted(len(s) for s in maxima),
         }
-    report = maximal_subsemigroups_Q(P, max_size=args.max_closure)
-    short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P, args.max_closure)}
+    report = maximal_subsemigroups_Q(P)
+    short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P)}
     families = [(T, "group", None) for T in report.group_type]
     families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
     rows = [
@@ -325,14 +326,6 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(too_large(text) or f"invalid int value: {text!r}") from None
 
 
-def _bound(text: str) -> int:
-    """A size bound option's value: an int of at least 1, since 0 admits nothing."""
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qstar",
@@ -347,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = option("--format", choices=("json", "table"), default="json", help="output format")
     partition = option("--partition", required=True, help='blocks as "1,2,3|4,5|6"')
-    closure = option("--max-closure", type=_bound, default=DEFAULT_MAX_CLOSURE, help="abort closures beyond this many elements")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parser.subcommands = sub.choices  # main runs these directly
 
@@ -363,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     maps.add_argument("--map", help='full image list, one value per point: "4,1,6"')
     maps.add_argument("--q", help='block shorthand, one value per block: "4,1,6"')
 
-    add("generate", cmd_generate, "verified minimal generating set", partition, closure)
-    p = add("maximal", cmd_maximal, "maximal subsemigroups", partition, closure)
+    add("generate", cmd_generate, "verified minimal generating set", partition)
+    p = add("maximal", cmd_maximal, "maximal subsemigroups", partition)
     p.description = f"k blocks with k! > qstar.limits.MAX_GROUP_ORDER ({MAX_GROUP_ORDER}) exit 3 before any map is built."
 
     p = add("iso", cmd_iso, "compare two partitioned sets")

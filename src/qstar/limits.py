@@ -5,14 +5,16 @@ A bound caps how large an object is built, or which instances a check or
 oracle covers.  Past a size cap the build raises
 :class:`ResourceLimitError` through :func:`admit`, whose text
 :func:`exceeds` also gives the rows the battery reports skipped; past a
-coverage bound a check samples or drops its oracle comparison.  The CLI's
-``--max-closure`` and ``--samples`` default to the values here; every other
-bound is a constant that its function reads when it is called.
+coverage bound a check samples or drops its oracle comparison.  Each size
+bound is a constant that its function reads when it is called, so no command
+takes a size flag; only ``verify --samples``, a coverage bound, defaults to a
+value here.
 """
 
 from .errors import ResourceLimitError
 
-# Elements of a closure, of Q, or of its idempotent set (``--max-closure``).
+# Elements of a closure, of Q, or of its idempotent set: ``closure``, ``admit_Q``
+# (so every build of Q), ``idempotents_Q``, ``decompose`` and ``maximal``.
 DEFAULT_MAX_CLOSURE = 100_000
 # Largest degree n of a built Q: its proof packs each map one byte per point.
 MAX_DEGREE = 256
@@ -26,10 +28,13 @@ MAX_GROUP_ORDER = 5040
 # lists, or the states of the maximal-subsemigroup oracle's branch and cut
 # (259 on Q for blocks (4, 4); about 3,200 on a 39-element closure in T(4)).
 DEFAULT_MAX_CLOSED_SETS = 500_000
-# Elements of the m right-zero maximal subsemigroups, k!*(m - 1) each, that
-# ``maximal`` builds and lists: blocks (20, 20) list 319,200 in 1.0 s and
-# 80 MB; blocks (30, 30), 1.6 million, took 5.4 s, 267 MB and 77 MB of JSON.
-MAX_RIGHT_ZERO_CELLS = 500_000
+# Elements of the maximal subsemigroups that ``maximal`` builds and lists: m*|H|
+# for each maximal subgroup H, and k!*(m - 1) for each of the m right-zero
+# ones.  The right-zero cells alone are admitted before Q is built: blocks
+# (20, 20) list 319,200 in 1.0 s and 80 MB; blocks (30, 30), 1.6 million, took
+# 5.4 s, 267 MB and 77 MB of JSON.  The total is admitted once the subgroups
+# are found: blocks (5, 2, 1, 1, 1, 1, 1) would list 680,400, 77.6 MB of JSON.
+MAX_LISTED_CELLS = 500_000
 
 # Pairs (s, g), s in Q and g in its generating set R, of a check against R: |Q|*|R| =
 # k!*m*max{2, m}.  It admits every buildable Q of rank 2; ``build_isomorphism`` takes about
@@ -73,12 +78,12 @@ DEFAULT_MAX_MAPS = 60_000
 DEFAULT_CENSUS_MAX_N = 12
 
 
-def exceeds(what: str, size: int, bound: int, name: str = "max_size=") -> str | None:
+def exceeds(what: str, size: int, bound: int, name: str) -> str | None:
     """The refusal text ``"{what} {size} exceeds {name}{bound}"`` when ``size`` is past ``bound``, else None."""
     return f"{what} {size} exceeds {name}{bound}" if size > bound else None
 
 
-def admit(what: str, size: int, bound: int, name: str = "max_size=") -> None:
+def admit(what: str, size: int, bound: int, name: str) -> None:
     """Admit ``size`` under ``bound``, or raise :class:`ResourceLimitError` with :func:`exceeds`'s text."""
     if text := exceeds(what, size, bound, name):
         raise ResourceLimitError(text)

@@ -24,7 +24,7 @@ from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks
 from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
 from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
 from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
-from .limits import MAX_GROUP_ORDER, MAX_RIGHT_ZERO_CELLS, admit
+from .limits import MAX_GROUP_ORDER, MAX_LISTED_CELLS, admit
 from .partition import PartitionedSet
 from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, generates, prove_Q
 from .transformation import Transformation, product_map
@@ -86,7 +86,7 @@ def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
                 raise InternalConsistencyError("block pattern map is not multiplicative")
 
 
-def maximal_subsemigroups_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> MaximalSubsemigroupReport:
+def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
     """Construct every maximal subsemigroup of Q (m >= 2).
 
     Group type: (maximal subgroup of the base H-class) paired with all idempotents.  Right-zero
@@ -94,21 +94,22 @@ def maximal_subsemigroups_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSU
     isomorphic to S_k on its block patterns, so s_k is the number of its maximal subgroups,
     searched on the one table built here, of order k! <= ``MAX_GROUP_ORDER``.  Each set is checked
     for maximality against the definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``.
-    The m right-zero sets hold k!*m*(m - 1) elements in all, checked against
-    ``MAX_RIGHT_ZERO_CELLS`` before anything is built.
+    The m right-zero sets hold k!*m*(m - 1) elements in all, admitted under ``MAX_LISTED_CELLS``
+    before anything is built; with the group-type sets' m*|H| each, they are admitted again once
+    the subgroups are found, before any set is built.
     """
     _require_right_group(P)
-    admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_RIGHT_ZERO_CELLS, "MAX_RIGHT_ZERO_CELLS=")
+    admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
     # k! is refused before decompose builds Q, and after decompose's first bound, m, so that an
     # input past several bounds still names them in the CLI's order m, k!, |Q|.
-    admit("idempotent count", P.m, max_size)
+    admit("idempotent count", P.m, DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
     admit("H-class order", math.factorial(P.k), MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
-    dec = decompose(P, max_size)
-    Q = enumerate_Q(P, max_size)
+    dec = decompose(P)
+    Q = enumerate_Q(P)
     G = dec.group_part
     m = P.m
     # The symmetric-part generators are the first column of the trace that proved Q.
-    _check_symmetric(dec, [g for g, *_ in prove_Q(P, max_size).pairing.paired])
+    _check_symmetric(dec, [g for g, *_ in prove_Q(P).pairing.paired])
 
     # decompose certified that its grid holds every element of Q once, so
     # these families have |H|*m and k!*(m-1) distinct members.
@@ -116,6 +117,7 @@ def maximal_subsemigroups_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSU
         return SemigroupSet(P.n, tuple(sorted((dec.element(i, j) for i, j in cells), key=attrgetter("images"))))
 
     subgroups = sorted(maximal_subgroups(SemigroupSet(P.n, G)))
+    admit("listed cells", m * sum(map(len, subgroups)) + len(G) * m * (m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
     group_type = [family((i, j) for i in H for j in range(m)) for H in subgroups]
     right_zero = [family((i, j) for i in range(len(G)) for j in range(m) if j != omitted) for omitted in range(m)]
     verified = len(Q) <= DEFAULT_VERIFY_MAX

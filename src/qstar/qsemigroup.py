@@ -116,14 +116,14 @@ def all_in_Q(P: PartitionedSet, images: Collection[bytes]) -> bool:
     return True
 
 
-def admit_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> int:
-    """|Q|, once P passes the bounds of a built Q: |Q| <= ``max_size``, then n <= ``MAX_DEGREE``."""
-    admit("|Q| =", expected := cardinality_Q(P), max_size)
+def admit_Q(P: PartitionedSet) -> int:
+    """|Q|, once P passes the bounds of a built Q: |Q| <= ``DEFAULT_MAX_CLOSURE``, then n <= ``MAX_DEGREE``."""
+    admit("|Q| =", expected := cardinality_Q(P), DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
     admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     return expected
 
 
-def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
+def prove_Q(P: PartitionedSet) -> _Record:
     """P's record, holding R's ``Pairing`` (``pairing``) and Q as the packed maps its
     closure proved; ``pairing`` marks the record proved, and nothing is wrapped as a map.
 
@@ -137,7 +137,7 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     maps.  The closure stays packed and unsorted until ``images`` is first read.  The
     bounds of :func:`admit_Q` are checked before the record is read; nothing unproved is kept.
     """
-    expected = admit_Q(P, max_size)
+    expected = admit_Q(P)
     record = instance(P)
     if record.pairing is not None:
         return record
@@ -158,10 +158,10 @@ def prove_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> _Record:
     return record
 
 
-def enumerate_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> SemigroupSet:
+def enumerate_Q(P: PartitionedSet) -> SemigroupSet:
     """All of Q in canonical order: the image tuples of :func:`prove_Q`'s record, each
     wrapped, unvalidated, once per record and kept there."""
-    record = prove_Q(P, max_size)
+    record = prove_Q(P)
     if record.Q is None:
         record.Q = SemigroupSet(P.n, tuple(map(Transformation._unchecked, record.images)))
     return record.Q
@@ -180,12 +180,12 @@ def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
     return SemigroupSet(P.n, tuple(sorted(elems)))
 
 
-def idempotents_Q(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> tuple[Transformation, ...]:
+def idempotents_Q(P: PartitionedSet) -> tuple[Transformation, ...]:
     """The m idempotents of Q: one per choice of a representative in each block.
 
     Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
-    admit("idempotent count", P.m, max_size)
+    admit("idempotent count", P.m, DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
     admit("n =", P.n, MAX_DEGREE, "MAX_DEGREE=")
     record = instance(P)
     if record.idempotents is not None:
@@ -226,7 +226,7 @@ def rank_pairing(P: PartitionedSet) -> Pairing:
     """Q's ``Pairing``: (g, f, g*f) pairs each symmetric-part generator g with the next least
     idempotent f (cycling, for the identity relation), and (f, e*f) == (f, f) adds each other
     idempotent f, e the least.  Products of these valid maps are taken on image tuples, unvalidated."""
-    idems = idempotents_Q(P, P.m)
+    idems = idempotents_Q(P)
     gens_sym = symmetric_part_generators(P)
 
     def times(a, b):
@@ -284,19 +284,19 @@ class RightGroupDecomposition:
             raise ContractError(f"{q!r} is not an element of Q") from None
 
 
-def decompose(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> RightGroupDecomposition:
+def decompose(P: PartitionedSet) -> RightGroupDecomposition:
     """Split Q into H_e x E(Q) over the canonically least idempotent e, with no product table.
 
     H_e's k! members are built from the block patterns, with e checked as their two-sided
     identity.  The pairing (a, f) -> a*f is computed on the product kernel and verified to hit
     every element of Q exactly once; the coordinate lookups are built from the same products.
     """
-    admit("idempotent count", P.m, max_size)
-    Q = enumerate_Q(P, max_size)  # checks |Q|; makes the record as enumerate_Q's build
+    admit("idempotent count", P.m, DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
+    Q = enumerate_Q(P)  # checks |Q|; makes the record as enumerate_Q's build
     record = instance(P)
     if record.decomposition is not None:
         return record.decomposition
-    idems = idempotents_Q(P, P.m)
+    idems = idempotents_Q(P)
     e = idems[0]
     G = _h_class_members(e, P)
     if any(product_map(e.images)(a.images) != a.images or product_map(a.images)(e.images) != a.images for a in G):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .engine import SemigroupSet, _extend
 from .errors import ContractError, InternalConsistencyError
 from .formulas import cardinality_Q, rank_Q
-from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, DEFAULT_MAX_CLOSURE, GENERATOR_CHECK_BUDGET, admit
+from .limits import DEFAULT_BRUTE_FORCE_MAX_Q, GENERATOR_CHECK_BUDGET, admit
 from .partition import PartitionedSet
 from .qsemigroup import enumerate_Q, idempotents_Q, prove_Q
 from .transformation import Transformation, image
@@ -32,11 +32,11 @@ class GeneratingSetReport:
     verified: bool
 
 
-def minimal_generating_set(P: PartitionedSet, max_size: int = DEFAULT_MAX_CLOSURE) -> GeneratingSetReport:
+def minimal_generating_set(P: PartitionedSet) -> GeneratingSetReport:
     """R with its ``rank_pairing`` trace, as ``prove_Q``'s closure proof kept them in
     P's record; its size must equal rank_Q, else an internal error is raised.
     Q's elements are not wrapped as maps for this."""
-    pairing = prove_Q(P, max_size).pairing
+    pairing = prove_Q(P).pairing
     claimed = rank_Q(P)
     if len(pairing.generators) != claimed:
         raise InternalConsistencyError(f"construction produced {len(pairing.generators)} generators, rank is {claimed}")

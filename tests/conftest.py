@@ -8,6 +8,8 @@ over the six image choices.  Element i is available as ``alpha(i)``.
 
 import pytest
 
+import qstar.maximal
+import qstar.qsemigroup
 from qstar import enumerate_Q, from_q_shorthand, make_partitioned_set
 
 # 1-based shorthand (target of block 1, block 2, block 3) for alpha_1..alpha_36.
@@ -53,6 +55,13 @@ def clear_q_caches():
     clear first for the build to run again under the patch.
     """
     enumerate_Q.cache_clear()
+
+
+def bound_closures(monkeypatch, bound):
+    """Set ``DEFAULT_MAX_CLOSURE`` to ``bound`` in the modules whose builds of Q and its
+    maximal subsemigroups read it."""
+    for module in (qstar.qsemigroup, qstar.maximal):
+        monkeypatch.setattr(module, "DEFAULT_MAX_CLOSURE", bound)
 
 
 @pytest.fixture(scope="session")

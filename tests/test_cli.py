@@ -270,19 +270,6 @@ def test_verify_stops_past_the_sample_bound(capsys, monkeypatch):
     assert run_json(capsys, "verify", "--partition=1,2,3", f"--samples={limits.MAX_SAMPLES}")["all_passed"] is True
 
 
-@pytest.mark.parametrize("command, option", [("generate", "--max-closure"), ("maximal", "--max-closure")])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_a_nonpositive_size_bound_is_bad_input(capsys, command, option, value):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--partition=1,2|3", f"{option}={value}"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
-    # The least bound is accepted and then trips on |Q| = 4 or on the idempotent count m = 2.
-    assert main([command, "--partition=1,2|3", f"{option}=1"]) == 3
-
-
 def test_exit_code_on_resource_limit(capsys):
     blocks = "|".join(",".join(str(i * 3 + j + 1) for j in range(3)) for i in range(8))
     assert main(["generate", "--partition", blocks]) == 3
@@ -307,20 +294,18 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
 
 
 def test_argparse_defaults_are_the_library_limits():
+    # No subcommand takes a size bound: the one option defaulting to a qstar.limits
+    # constant is verify's --samples, which sets coverage, not size.
     parser = build_parser()
-    bounds = {"max_closure": limits.DEFAULT_MAX_CLOSURE}
-    for argv, names in (
-        (["analyze", "--partition", "1"], ()),
-        (["check", "--partition", "1", "--map", "1"], ()),
-        (["generate", "--partition", "1"], ("max_closure",)),
-        (["maximal", "--partition", "1"], ("max_closure",)),
-        (["iso", "--left", "1", "--right", "1"], ()),
-        (["census", "--n", "1"], ()),
-        (["verify", "--partition", "1"], ()),
-    ):
-        args = vars(parser.parse_args(argv))
-        assert {name: args[name] for name in bounds if name in args} == {name: bounds[name] for name in names}
-    assert args["samples"] == limits.DEFAULT_SAMPLES
+    values = {value for name, value in vars(limits).items() if name.isupper()}
+    defaulted = sorted(
+        (name, action.dest)
+        for name, sub in parser.subcommands.items()
+        for action in sub._actions
+        if type(action.default) is int and action.default in values
+    )
+    assert defaulted == [("verify", "samples")]
+    assert parser.parse_args(["verify", "--partition", "1"]).samples == limits.DEFAULT_SAMPLES
 
 
 def args_read(fn):
@@ -359,6 +344,8 @@ REMOVED_OPTIONS = [
     (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--max-closure"),
     (["iso", "--left", "1,2|3", "--right", "1|2,3"], "--group-order-bound"),
     (["maximal", "--partition", "1,2|3"], "--group-order-bound"),
+    (["generate", "--partition", "1,2|3"], "--max-closure"),
+    (["maximal", "--partition", "1,2|3"], "--max-closure"),
 ]
 
 
@@ -486,7 +473,7 @@ def test_every_command_output_validates_against_schema(capsys):
         ["check", "--partition=1", "--map=--"],
         ["check", "--partition=1", "--q=--"],
         ["census", "--n=--"],
-        ["generate", "--max-closure=--", "--partition=1"],
+        ["verify", "--samples=--", "--partition=1"],
         ["verify", "--partition=1", "--seed=--"],
     ],
 )
@@ -672,8 +659,8 @@ PLAIN_ARGV = {
     "check": ["--partition", "1,2|3", "--q", "1,2"],
     "census": ["--n", "3"],
     "iso": ["--left", "1|2", "--right", "1,2"],
-    "generate": ["--partition", "1,2|3", "--max-closure", "5"],
-    "maximal": ["--max-closure", "2", "--partition", "1,2|3"],
+    "generate": ["--partition", "1,2|3"],
+    "maximal": ["--format", "table", "--partition", "1,2|3"],
     "verify": ["--partition", "1,2|3", "--seed", "7"],
 }
 
@@ -727,9 +714,9 @@ def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["generate", "--partition", "1"], "--max-closure"),
-        (["maximal"], "--max-closure"),  # named before the missing --partition
-        (["maximal", "--partition", "1"], "--max-closure"),
+        (["verify"], "--seed"),  # named before the missing --partition
+        (["verify"], "--samples"),
+        (["census", "--format", "table"], "--n"),
         (["census"], "--n"),
         (["verify", "--partition", "1"], "--seed"),
         (["verify", "--partition", "1"], "--samples"),

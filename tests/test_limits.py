@@ -21,10 +21,13 @@ import pytest
 
 import qstar.limits
 import qstar.maximal
+import qstar.qsemigroup
 import qstar.verify
 from qstar import ResourceLimitError, partition_from_sizes
 from qstar.cli import main
 from qstar.qsemigroup import prove_Q
+
+from conftest import bound_closures
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
 LIMITS = {name for name in vars(qstar.limits) if name.isupper()}
@@ -66,7 +69,7 @@ def test_every_bound_parameter_is_varied_by_some_caller():
     unvaried, bounded = unvaried_bounds(PACKAGE)
     assert unvaried == []
     # The walk finds the bounds the commands pass, so an empty list is not vacuous.
-    assert {"maximal_subsemigroups_Q.max_size", "prove_Q.max_size", "run_verification.samples"} <= bounded
+    assert bounded == {"run_verification.samples"}
 
 
 # One block of MAX_DEGREE + 1 points: |Q| = n and m = n stay far inside every
@@ -162,8 +165,8 @@ def test_only_the_group_builders_build_a_group_table():
 
 
 def test_admit_and_exceeds_share_one_text():
-    assert qstar.limits.exceeds("|Q| =", 36, 36) is None
-    assert qstar.limits.exceeds("|Q| =", 37, 36) == "|Q| = 37 exceeds max_size=36"
+    assert qstar.limits.exceeds("|Q| =", 36, 36, "DEFAULT_MAX_CLOSURE=") is None
+    assert qstar.limits.exceeds("|Q| =", 37, 36, "DEFAULT_MAX_CLOSURE=") == "|Q| = 37 exceeds DEFAULT_MAX_CLOSURE=36"
     qstar.limits.admit("n =", 256, 256, "MAX_DEGREE=")
     with pytest.raises(ResourceLimitError, match="^n = 257 exceeds MAX_DEGREE=256$"):
         qstar.limits.admit("n =", 257, 256, "MAX_DEGREE=")
@@ -175,7 +178,7 @@ def right_zero_cells(sizes):
 
 
 def test_the_right_zero_cell_bound_admits_the_ladder_and_refuses_blocks_30_30():
-    bound = qstar.limits.MAX_RIGHT_ZERO_CELLS
+    bound = qstar.limits.MAX_LISTED_CELLS
     # maximal at k = 7 (m = 2), the bench's (3,2,1,1), the tests' one block of MAX_DEGREE + 1 points, blocks (20, 20).
     assert max(map(right_zero_cells, [(2, 1, 1, 1, 1, 1, 1), (3, 2, 1, 1), (257,), (20, 20)])) <= bound
     assert right_zero_cells((30, 30)) == 1_618_200 > bound
@@ -188,14 +191,57 @@ def refuse_any_build(*args, **kwargs):
 def test_maximal_refuses_right_zero_cells_past_the_bound_before_building(capsys, monkeypatch):
     monkeypatch.setattr(qstar.maximal, "decompose", refuse_any_build)
     assert main(["maximal", "--partition", ",".join(map(str, range(1, 31))) + "|" + ",".join(map(str, range(31, 61)))]) == 3
-    assert capsys.readouterr() == ("", "resource limit: right-zero cells 1618200 exceeds MAX_RIGHT_ZERO_CELLS=500000\n")
-    monkeypatch.setattr(qstar.maximal, "MAX_RIGHT_ZERO_CELLS", 71)  # blocks (2, 2, 1): 3! * 4 * 3 = 72 cells
+    assert capsys.readouterr() == ("", "resource limit: right-zero cells 1618200 exceeds MAX_LISTED_CELLS=500000\n")
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 71)  # blocks (2, 2, 1): 3! * 4 * 3 = 72 cells
     assert main(["maximal", "--partition", "1,2|3,4|5"]) == 3
-    assert capsys.readouterr() == ("", "resource limit: right-zero cells 72 exceeds MAX_RIGHT_ZERO_CELLS=71\n")
+    assert capsys.readouterr() == ("", "resource limit: right-zero cells 72 exceeds MAX_LISTED_CELLS=71\n")
     monkeypatch.undo()
-    monkeypatch.setattr(qstar.maximal, "MAX_RIGHT_ZERO_CELLS", 72)  # the bound admits cells equal to it
-    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 0
-    assert json.loads(capsys.readouterr().out)["total"] == 8
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 72)  # the bound admits cells equal to it
+    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 3  # and then refuses the whole listing
+    assert capsys.readouterr() == ("", "resource limit: listed cells 108 exceeds MAX_LISTED_CELLS=72\n")
+
+
+# Blocks (2, 2, 1): k = 3, m = 4, |Q| = 24.  S_3's maximal subgroups have orders
+# 2, 2, 2 and 3, so maximal lists 4 * 9 + 3! * 4 * 3 = 108 cells, 72 of them right-zero.
+SMALL_LISTING = ["maximal", "--partition", "1,2|3,4|5"]
+
+
+def refuse_any_family(*args, **kwargs):
+    raise AssertionError("built a family past the listed-cell bound")
+
+
+def test_maximal_lists_cells_up_to_the_bound_and_refuses_past_it_before_any_family(capsys, monkeypatch):
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 108)
+    assert main(SMALL_LISTING) == 0
+    rows = json.loads(capsys.readouterr().out)["subsemigroups"]
+    assert (len(rows), sum(row["size"] for row in rows)) == (8, 108)
+    # On maximal's path only its families read the decomposition's cells.
+    monkeypatch.setattr(qstar.qsemigroup.RightGroupDecomposition, "element", refuse_any_family)
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 107)
+    assert main(SMALL_LISTING) == 3
+    assert capsys.readouterr() == ("", "resource limit: listed cells 108 exceeds MAX_LISTED_CELLS=107\n")
+
+
+def test_maximal_refuses_in_order_right_zero_cells_m_group_order_q_then_listed_cells(capsys, monkeypatch):
+    # Each bound is set one short of its size, then raised to it, so the next one trips.
+    monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 5)
+    bound_closures(monkeypatch, 3)
+    steps = [
+        ("MAX_LISTED_CELLS", 71, "right-zero cells 72 exceeds MAX_LISTED_CELLS=71"),
+        ("MAX_LISTED_CELLS", 107, "idempotent count 4 exceeds DEFAULT_MAX_CLOSURE=3"),
+        ("DEFAULT_MAX_CLOSURE", 23, "H-class order 6 exceeds MAX_GROUP_ORDER=5"),
+        ("MAX_GROUP_ORDER", 6, "|Q| = 24 exceeds DEFAULT_MAX_CLOSURE=23"),
+        ("DEFAULT_MAX_CLOSURE", 24, "listed cells 108 exceeds MAX_LISTED_CELLS=107"),
+    ]
+    for name, value, message in steps:
+        if name == "DEFAULT_MAX_CLOSURE":
+            bound_closures(monkeypatch, value)
+        else:
+            monkeypatch.setattr(qstar.maximal, name, value)
+        assert main(SMALL_LISTING) == 3
+        assert capsys.readouterr() == ("", f"resource limit: {message}\n")
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 108)
+    assert main(SMALL_LISTING) == 0
 
 
 @pytest.mark.parametrize("budget, legs", [(75, 3), (1, 1)])

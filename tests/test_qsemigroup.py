@@ -39,7 +39,7 @@ from qstar.cli import main
 from qstar.engine import GroupTable, SemigroupSet, groups_isomorphic
 from qstar.qsemigroup import prove_Q, rank_pairing
 
-from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, clear_q_caches, shapes
+from conftest import BASE_H_CLASS_INDICES, IDEMPOTENT_INDICES, Q36_SHORTHANDS, bound_closures, clear_q_caches, shapes
 
 SMALL_PARTITIONS = [
     (1,),
@@ -258,23 +258,16 @@ def test_constructions_on_coordinates_make_no_compose_calls(monkeypatch, sizes):
     assert calls == []
 
 
-def test_enumerate_q_resource_limit():
-    P = partition_from_sizes((3, 3, 2, 1, 1, 1, 1))
-    with pytest.raises(ResourceLimitError):
-        enumerate_Q(P, 1000)
+def test_enumerate_q_resource_limit(monkeypatch):
+    P = partition_from_sizes((3, 3, 2, 1, 1, 1, 1))  # |Q| = 7! * 18 = 90720
+    bound_closures(monkeypatch, 1000)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 90720 exceeds DEFAULT_MAX_CLOSURE=1000$"):
+        enumerate_Q(P)
 
 
 def test_enumeration_is_cached(p6):
     assert enumerate_Q(p6) is enumerate_Q(p6)
     assert idempotents_Q(p6) is idempotents_Q(p6)
-
-
-def test_cache_entry_does_not_depend_on_how_the_bound_is_passed():
-    P = partition_from_sizes((2, 1, 1))
-    for fn in (enumerate_Q, idempotents_Q, decompose):
-        fn.cache_clear()
-        assert fn(P) is fn(P, 100_000) is fn(P, max_size=100_000)
-        assert fn.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("cleared", [enumerate_Q, idempotents_Q, decompose], ids=lambda fn: fn.__name__)
@@ -306,45 +299,41 @@ def test_bounds_refuse_a_smaller_bound_against_a_cached_record(monkeypatch):
     P = partition_from_sizes((3, 2, 1))  # |Q| = 36, m = 6, k! = 6
     enumerate_Q(P)
     decompose(P)
-    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
-        enumerate_Q(P, 35)
-    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
-        idempotents_Q(P, 5)
-    # decompose refuses in build order: m, then |Q| = k!*m.  The maximal
-    # construction refuses k! between them, before it decomposes.
-    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
-        decompose(P, 5)
+    bound_closures(monkeypatch, 35)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds DEFAULT_MAX_CLOSURE=35$"):
+        enumerate_Q(P)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds DEFAULT_MAX_CLOSURE=35$"):
+        decompose(P)
     monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds max_size=5$"):
-        maximal_subsemigroups_Q(P, 5)
     with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds MAX_GROUP_ORDER=5$"):
         maximal_subsemigroups_Q(P)
-    with pytest.raises(ResourceLimitError, match="^H-class order 6 exceeds MAX_GROUP_ORDER=5$"):
-        maximal_subsemigroups_Q(P, 35)
-    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds max_size=35$"):
-        decompose(P, 35)
+    # decompose refuses in build order: m, then |Q| = k!*m.  The maximal
+    # construction refuses k! between them, before it decomposes.
+    bound_closures(monkeypatch, 5)
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds DEFAULT_MAX_CLOSURE=5$"):
+        idempotents_Q(P)
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds DEFAULT_MAX_CLOSURE=5$"):
+        decompose(P)
+    with pytest.raises(ResourceLimitError, match="^idempotent count 6 exceeds DEFAULT_MAX_CLOSURE=5$"):
+        maximal_subsemigroups_Q(P)
 
 
 @pytest.mark.parametrize(
-    "argv, bounds, group_order, message",
+    "argv, closure, group_order, message",
     [
-        (["maximal", "--partition", "1,2|3"], ["--max-closure", "1"], None, "idempotent count 2 exceeds max_size=1"),
-        (
-            ["maximal", "--partition", "1,2|3,4|5"],
-            ["--max-closure", "5"],
-            2,
-            "H-class order 6 exceeds MAX_GROUP_ORDER=2",
-        ),
-        (["maximal", "--partition", "1,2|3|4"], ["--max-closure", "3"], None, "|Q| = 12 exceeds max_size=3"),
+        (["maximal", "--partition", "1,2|3"], 1, None, "idempotent count 2 exceeds DEFAULT_MAX_CLOSURE=1"),
+        (["maximal", "--partition", "1,2|3,4|5"], 5, 2, "H-class order 6 exceeds MAX_GROUP_ORDER=2"),
+        (["maximal", "--partition", "1,2|3|4"], 3, None, "|Q| = 12 exceeds DEFAULT_MAX_CLOSURE=3"),
     ],
     ids=["idempotents", "h-class", "q"],
 )
-def test_cli_bounds_hold_after_the_instance_is_cached(capsys, monkeypatch, argv, bounds, group_order, message):
+def test_cli_bounds_hold_after_the_instance_is_cached(capsys, monkeypatch, argv, closure, group_order, message):
     assert main(argv) == 0  # builds and keeps the records under the default bounds
     capsys.readouterr()
+    bound_closures(monkeypatch, closure)
     if group_order is not None:
         monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", group_order)
-    assert main(argv + bounds) == 3
+    assert main(argv) == 3
     assert capsys.readouterr() == ("", f"resource limit: {message}\n")
 
 

@@ -3,8 +3,8 @@
 ``cli.main`` maps the library's error classes to exits 2, 3 and 4, so a
 raise of any other class would escape it as a traceback.  The allow-list
 names the raises that never cross ``main``'s handlers: argparse turns the
-``ArgumentTypeError`` of the option types ``_int`` and ``_bound`` into its
-own exit 2, ``json_text`` raises ``TypeError`` only on a value no
+``ArgumentTypeError`` of the option type ``_int`` into its own exit 2,
+``json_text`` raises ``TypeError`` only on a value no
 command puts in its payload, and the package's ``__getattr__`` raises
 ``AttributeError`` for an unknown name, as the module attribute protocol
 asks, on attribute access that never reaches ``cli.main``.
@@ -19,7 +19,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
 ALLOWED = {
     ("__init__.py", "__getattr__", "AttributeError"),
     ("cli.py", "_int", "ArgumentTypeError"),
-    ("cli.py", "_bound", "ArgumentTypeError"),
     ("cli.py", "json_text", "TypeError"),
 }
 
