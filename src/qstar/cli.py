@@ -15,11 +15,12 @@ from the subcommand parser's own option table; argparse parses every other
 argv (help, usage errors, ``--option=value``, abbreviations, repeats) once,
 with the top-level parser.  Both give the same namespace.
 
-Each subcommand takes only the options it reads, and none takes a size
-bound: |Q| (``DEFAULT_MAX_CLOSURE``), the order of a group built as a table
+Each subcommand takes only the options it reads, and none takes a bound:
+|Q| (``DEFAULT_MAX_CLOSURE``), the order of a group built as a table
 (``MAX_GROUP_ORDER``), the cells ``maximal`` lists (``MAX_LISTED_CELLS``),
-the bounds of ``iso``'s witness build and the battery's coverage bounds are
-:mod:`qstar.limits` constants.  The commands that build Q (``generate``,
+the bounds of ``iso``'s witness build and the battery's coverage bounds,
+its sample count ``VERIFY_SAMPLES`` among them, are :mod:`qstar.limits`
+constants.  The commands that build Q (``generate``,
 ``maximal``, ``verify`` and ``iso``'s witness) import the modules that
 build it when they run, so the closed-form commands (``analyze``,
 ``check``, ``census``) load none of them.
@@ -49,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .formulas import cardinality_Q, classify_partitions, is_group_Q, q_isomorphic, rank_Q
-from .limits import DEFAULT_SAMPLES, MAX_GROUP_ORDER
+from .limits import MAX_GROUP_ORDER
 from .membership import in_Q, in_TE, in_TEstar, is_idempotent_Q
 from .partition import partition_from_spec, too_large
 from .transformation import q_shorthand, transformation_from_json
@@ -307,7 +308,7 @@ def cmd_verify(args) -> dict:
     from .verify import run_verification
 
     P = partition_from_spec(args.partition)
-    report = run_verification(P, seed=args.seed, samples=args.samples)
+    report = run_verification(P, seed=args.seed)
     return {
         "command": "verify",
         "partition": P.to_spec(),
@@ -369,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "cross-validation battery", partition)
     p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--samples", type=_int, default=DEFAULT_SAMPLES)
 
     return parser
 

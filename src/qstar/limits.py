@@ -5,10 +5,9 @@ A bound caps how large an object is built, or which instances a check or
 oracle covers.  Past a size cap the build raises
 :class:`ResourceLimitError` through :func:`admit`, whose text
 :func:`exceeds` also gives the rows the battery reports skipped; past a
-coverage bound a check samples or drops its oracle comparison.  Each size
-bound is a constant that its function reads when it is called, so no command
-takes a size flag; only ``verify --samples``, a coverage bound, defaults to a
-value here.
+coverage bound a check samples or drops its oracle comparison.  Each bound
+is a constant that its function reads when it is called, so no command
+option and no parameter defaults to a value here.
 """
 
 from .errors import ResourceLimitError
@@ -30,10 +29,9 @@ MAX_GROUP_ORDER = 5040
 DEFAULT_MAX_CLOSED_SETS = 500_000
 # Elements of the maximal subsemigroups that ``maximal`` builds and lists: m*|H|
 # for each maximal subgroup H, and k!*(m - 1) for each of the m right-zero
-# ones.  The right-zero cells alone are admitted before Q is built: blocks
-# (20, 20) list 319,200 in 1.0 s and 80 MB; blocks (30, 30), 1.6 million, took
-# 5.4 s, 267 MB and 77 MB of JSON.  The total is admitted once the subgroups
-# are found: blocks (5, 2, 1, 1, 1, 1, 1) would list 680,400, 77.6 MB of JSON.
+# ones.  The total is admitted before Q is built: blocks (20, 20) list 319,600
+# in 1.0 s and 80 MB; blocks (30, 30), 1.6 million, took 5.4 s, 267 MB and 77 MB
+# of JSON, and blocks (5, 2, 1, 1, 1, 1, 1), 680,400, 24 s, 389 MB and 77.6 MB.
 MAX_LISTED_CELLS = 500_000
 
 # Pairs (s, g), s in Q and g in its generating set R, of a check against R: |Q|*|R| =
@@ -50,11 +48,11 @@ DEFAULT_VERIFY_MAX = 200
 DEFAULT_ORACLE_MAX = 40
 
 # Verification battery: largest |Q| it enumerates, largest n at which it
-# sweeps all n^n maps, and how many random samples a check draws
-# (``--samples``).
+# sweeps all n^n maps, and how many random samples a check draws: the
+# right-group battery's closures and, for n > 4, the membership check's maps.
 ENUM_BOUND = 5000
 EXHAUSTIVE_MAPS_BOUND = 4
-DEFAULT_SAMPLES = 100
+VERIFY_SAMPLES = 100
 # Per-check coverage: largest n for the cross-section count and for the
 # Green's R sweep over T(n), and the sample caps of the Green's R and closure
 # checks.
@@ -62,11 +60,6 @@ CROSS_SECTION_SWEEP_MAX_N = 12
 GREEN_R_SWEEP_MAX_N = 3
 GREEN_R_SAMPLES = 50
 CLOSURE_IDEMPOTENCE_SAMPLES = 10
-# Largest ``--samples`` the battery accepts: the right-group battery draws
-# that many closures and the membership check (n > 4) that many maps.  On
-# |Q| = 192 (blocks 2,2,2,1) each sample adds about 0.04 ms, so
-# ``verify --samples 10000`` takes about 0.45 s (2-CPU host).
-MAX_SAMPLES = 10_000
 # Work of the membership check's O(n^2) pairwise leg, in n^2 per map: 100
 # maps at n = 282, or 12 at n = 800, where each takes about 21 ms (2-CPU host).
 PAIRWISE_WORK_BUDGET = 8_000_000

@@ -29,6 +29,11 @@ from .partition import PartitionedSet
 from .qsemigroup import RightGroupDecomposition, decompose, enumerate_Q, generates, prove_Q
 from .transformation import Transformation, product_map
 
+# Sum of |H| over the maximal subgroups H of S_k, for k = 0..7: A_k's k!/2 (k >= 2), and k! for
+# each class of the others, which are not normal, so each is its own normalizer and its class
+# has k!/|H| members.  The table covers every k that MAX_GROUP_ORDER admits: S_8 has order 40,320.
+MAXIMAL_SUBGROUP_CELLS = (0, 0, 1, 9, 60, 420, 3960, 22680)
+
 
 @dataclass(frozen=True)
 class MaximalSubsemigroupReport:
@@ -94,20 +99,22 @@ def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
     isomorphic to S_k on its block patterns, so s_k is the number of its maximal subgroups,
     searched on the one table built here, of order k! <= ``MAX_GROUP_ORDER``.  Each set is checked
     for maximality against the definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``.
-    The m right-zero sets hold k!*m*(m - 1) elements in all, admitted under ``MAX_LISTED_CELLS``
-    before anything is built; with the group-type sets' m*|H| each, they are admitted again once
-    the subgroups are found, before any set is built.
+    The sets hold m*|H| elements for each H and k!*m*(m - 1) in the m right-zero ones, admitted
+    under ``MAX_LISTED_CELLS`` before anything is built, with the sum of |H| from
+    ``MAXIMAL_SUBGROUP_CELLS``; k past that table (k! > ``MAX_GROUP_ORDER``) counts the right-zero
+    cells alone, and the group-order bound refuses it.
     """
     _require_right_group(P)
-    admit("right-zero cells", math.factorial(P.k) * P.m * (P.m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
+    k_factorial, m = math.factorial(P.k), P.m
+    subgroup_cells = MAXIMAL_SUBGROUP_CELLS[P.k] if P.k < len(MAXIMAL_SUBGROUP_CELLS) else 0
+    admit("listed cells", m * subgroup_cells + k_factorial * m * (m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
     # k! is refused before decompose builds Q, and after decompose's first bound, m, so that an
     # input past several bounds still names them in the CLI's order m, k!, |Q|.
-    admit("idempotent count", P.m, DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
-    admit("H-class order", math.factorial(P.k), MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
+    admit("idempotent count", m, DEFAULT_MAX_CLOSURE, "DEFAULT_MAX_CLOSURE=")
+    admit("H-class order", k_factorial, MAX_GROUP_ORDER, "MAX_GROUP_ORDER=")
     dec = decompose(P)
     Q = enumerate_Q(P)
     G = dec.group_part
-    m = P.m
     # The symmetric-part generators are the first column of the trace that proved Q.
     _check_symmetric(dec, [g for g, *_ in prove_Q(P).pairing.paired])
 
@@ -117,7 +124,8 @@ def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
         return SemigroupSet(P.n, tuple(sorted((dec.element(i, j) for i, j in cells), key=attrgetter("images"))))
 
     subgroups = sorted(maximal_subgroups(SemigroupSet(P.n, G)))
-    admit("listed cells", m * sum(map(len, subgroups)) + len(G) * m * (m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
+    if sum(map(len, subgroups)) != subgroup_cells:
+        raise InternalConsistencyError("maximal subgroups of the group part differ in size from S_k's")
     group_type = [family((i, j) for i in H for j in range(m)) for H in subgroups]
     right_zero = [family((i, j) for i in range(len(G)) for j in range(m) if j != omitted) for omitted in range(m)]
     verified = len(Q) <= DEFAULT_VERIFY_MAX

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 from .engine import SemigroupSet, _extend, closure, green_R_definitional, green_R_related, groups_isomorphic
 from .engine import is_right_group, right_group_legs
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError
 from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
-from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_SAMPLES
-from .limits import DEFAULT_VERIFY_MAX, ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N
-from .limits import MAX_DEGREE, MAX_SAMPLES, PAIRWISE_WORK_BUDGET, admit, exceeds
+from .limits import CLOSURE_IDEMPOTENCE_SAMPLES, CROSS_SECTION_SWEEP_MAX_N, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
+from .limits import ENUM_BOUND, EXHAUSTIVE_MAPS_BOUND, GREEN_R_SAMPLES, GREEN_R_SWEEP_MAX_N, MAX_DEGREE
+from .limits import PAIRWISE_WORK_BUDGET, VERIFY_SAMPLES, exceeds
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, in_TEstar_pairwise, is_idempotent_Q
 from .partition import PartitionedSet, is_cross_section
@@ -42,10 +42,6 @@ class Check:
     name: str
     status: str  # "pass", "fail" or "skipped"
     detail: str
-
-
-# The detail of a sampled check that drew nothing and ran no exhaustive leg.
-NO_SAMPLES = "samples = 0"
 
 
 def _random_maps(P: PartitionedSet, rng: random.Random, count: int):
@@ -90,15 +86,13 @@ def check_partition_invariants(P: PartitionedSet) -> Check:
     return Check("partition-invariants", "pass", f"block_of consistent (cross-section sweep skipped for n > {CROSS_SECTION_SWEEP_MAX_N})")
 
 
-def check_membership_implications(P: PartitionedSet, rng, samples: int) -> Check:
+def check_membership_implications(P: PartitionedSet, rng) -> Check:
     if P.n <= EXHAUSTIVE_MAPS_BOUND:
         count, maps = P.n ** P.n, _all_maps(P.n)
         label = f"exhaustive over {count} maps"
-    elif samples == 0:
-        return Check("membership-implications", "skipped", NO_SAMPLES)
     else:
-        count, maps = samples, _random_maps(P, rng, samples)
-        label = f"{samples} sampled maps"
+        count, maps = VERIFY_SAMPLES, _random_maps(P, rng, VERIFY_SAMPLES)
+        label = f"{count} sampled maps"
     pairwise = max(1, PAIRWISE_WORK_BUDGET // P.n ** 2)  # the first maps the O(n^2) pairwise leg can afford
     if pairwise < count:
         label += f", the pairwise form on {pairwise} of them (PAIRWISE_WORK_BUDGET={PAIRWISE_WORK_BUDGET})"
@@ -171,10 +165,8 @@ def check_kernel_cross_section(P: PartitionedSet, Q) -> Check:
     return Check("kernel-cross-section", "pass", "same kernel X/E, cross-section images")
 
 
-def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
-    if samples == 0:
-        return Check("right-group-battery", "skipped", NO_SAMPLES)
-    for indices in _sampled_closures(Q, rng, samples):
+def check_right_group_battery(P: PartitionedSet, Q, rng) -> Check:
+    for indices in _sampled_closures(Q, rng, VERIFY_SAMPLES):
         rg, cancellative, regular, right_zero = right_group_legs(Q, indices)
         if rg != (regular and cancellative):
             return Check("right-group-battery", "fail", "right group != regular + left cancellative")
@@ -185,10 +177,10 @@ def check_right_group_battery(P: PartitionedSet, Q, rng, samples: int) -> Check:
             return Check("right-group-battery", "fail", "right group != regular + right-zero idempotents")
         if not rg:
             return Check("right-group-battery", "fail", "a subsemigroup of Q failed the right-group test")
-    return Check("right-group-battery", "pass", f"{samples} sampled closures: triangle and heredity hold")
+    return Check("right-group-battery", "pass", f"{VERIFY_SAMPLES} sampled closures: triangle and heredity hold")
 
 
-def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
+def check_green_r(P: PartitionedSet, Q, rng) -> Check:
     if P.n <= GREEN_R_SWEEP_MAX_N:
         TX = SemigroupSet.from_elements(_all_maps(P.n))
         for a in TX:
@@ -196,24 +188,20 @@ def check_green_r(P: PartitionedSet, Q, rng, samples: int) -> Check:
                 if green_R_related(a, b) != green_R_definitional(a, b, TX):
                     return Check("green-r", "fail", f"forms disagree on {a.images}, {b.images} in T(X)")
         detail = f"all {len(TX) ** 2} pairs of T({P.n}) agree"
-    elif samples == 0:
-        return Check("green-r", "skipped", NO_SAMPLES)
     else:
         detail = f"T(X) sweep skipped for n > {GREEN_R_SWEEP_MAX_N}"
     elems = list(Q)
-    for _ in range(min(samples, GREEN_R_SAMPLES)):
+    for _ in range(GREEN_R_SAMPLES):
         a = rng.choice(elems)
         b = rng.choice(elems)
         if not green_R_related(a, b) or not green_R_definitional(a, b, Q):
             return Check("green-r", "fail", "R is not universal on Q in one of the two forms")
-    return Check("green-r", "pass", detail + ("; R universal on Q in both forms" if samples else ""))
+    return Check("green-r", "pass", detail + "; R universal on Q in both forms")
 
 
-def check_closure_idempotence(P: PartitionedSet, Q, rng, samples: int) -> Check:
-    if samples == 0:
-        return Check("closure-idempotence", "skipped", NO_SAMPLES)
+def check_closure_idempotence(P: PartitionedSet, Q, rng) -> Check:
     elems = list(Q)
-    for _ in range(min(samples, CLOSURE_IDEMPOTENCE_SAMPLES)):
+    for _ in range(CLOSURE_IDEMPOTENCE_SAMPLES):
         gens = rng.sample(elems, min(rng.randint(1, 3), len(elems)))
         once = closure(gens)
         twice = closure(once.elements)
@@ -351,15 +339,12 @@ class VerificationReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> VerificationReport:
+def run_verification(P: PartitionedSet, seed: int = 0) -> VerificationReport:
     """Run the full battery on one instance with a deterministic seed."""
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples}")
-    admit("samples =", samples, MAX_SAMPLES, "MAX_SAMPLES = ")
     rng = random.Random(seed)
     checks = [
         check_partition_invariants(P),
-        check_membership_implications(P, rng, samples),
+        check_membership_implications(P, rng),
     ]
     audit: dict = {"applicable": False, "reason": "enumeration bound exceeded"}
     unenumerated = exceeds("n =", P.n, MAX_DEGREE, "MAX_DEGREE=") or exceeds("|Q| =", cardinality_Q(P), ENUM_BOUND, "bound ")
@@ -377,9 +362,9 @@ def run_verification(P: PartitionedSet, seed: int = 0, samples: int = DEFAULT_SA
         else:
             checks.append(check_group_criterion(P, Q))
             checks.append(check_kernel_cross_section(P, Q))
-            checks.append(check_right_group_battery(P, Q, rng, samples))
-            checks.append(check_green_r(P, Q, rng, samples))
-            checks.append(check_closure_idempotence(P, Q, rng, samples))
+            checks.append(check_right_group_battery(P, Q, rng))
+            checks.append(check_green_r(P, Q, rng))
+            checks.append(check_closure_idempotence(P, Q, rng))
             checks.append(check_h_class_structure(P, Q))
             checks.append(check_decomposition(P))
             rank_report = minimal_generating_set(P)

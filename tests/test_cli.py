@@ -248,28 +248,6 @@ def test_exit_code_on_bad_partition(capsys):
     assert "appears in blocks" in err
 
 
-def test_verify_rejects_a_negative_sample_count(capsys):
-    assert main(["verify", "--partition=1,2,3", "--samples=-5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: samples must be >= 0, got -5\n"
-    assert run_json(capsys, "verify", "--partition=1,2,3", "--samples=0")["all_passed"] is True
-
-
-def test_verify_stops_past_the_sample_bound(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the battery ran past the sample bound")
-
-    over = limits.MAX_SAMPLES + 1
-    monkeypatch.setattr("qstar.verify.check_partition_invariants", no_work)
-    assert main(["verify", "--partition=1,2,3", f"--samples={over}"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "resource limit: samples = 10001 exceeds MAX_SAMPLES = 10000\n"
-    monkeypatch.undo()
-    assert run_json(capsys, "verify", "--partition=1,2,3", f"--samples={limits.MAX_SAMPLES}")["all_passed"] is True
-
-
 def test_exit_code_on_resource_limit(capsys):
     blocks = "|".join(",".join(str(i * 3 + j + 1) for j in range(3)) for i in range(8))
     assert main(["generate", "--partition", blocks]) == 3
@@ -279,7 +257,7 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
     from qstar import partition_from_spec
     from qstar.verify import Check, VerificationReport
 
-    def forced_failure(P, seed=0, samples=100):
+    def forced_failure(P, seed=0):
         return VerificationReport(
             partition=partition_from_spec("1,2|3"),
             seed=seed,
@@ -294,8 +272,8 @@ def test_exit_code_on_failed_verification(capsys, monkeypatch):
 
 
 def test_argparse_defaults_are_the_library_limits():
-    # No subcommand takes a size bound: the one option defaulting to a qstar.limits
-    # constant is verify's --samples, which sets coverage, not size.
+    # No option defaults to a qstar.limits constant: every size and coverage
+    # bound is read by the library when it runs, and none has a flag.
     parser = build_parser()
     values = {value for name, value in vars(limits).items() if name.isupper()}
     defaulted = sorted(
@@ -304,8 +282,9 @@ def test_argparse_defaults_are_the_library_limits():
         for action in sub._actions
         if type(action.default) is int and action.default in values
     )
-    assert defaulted == [("verify", "samples")]
-    assert parser.parse_args(["verify", "--partition", "1"]).samples == limits.DEFAULT_SAMPLES
+    assert defaulted == []
+    # The walk sees the int defaults there are: --seed's 0.
+    assert parser.parse_args(["verify", "--partition", "1"]).seed == 0
 
 
 def args_read(fn):
@@ -346,6 +325,7 @@ REMOVED_OPTIONS = [
     (["maximal", "--partition", "1,2|3"], "--group-order-bound"),
     (["generate", "--partition", "1,2|3"], "--max-closure"),
     (["maximal", "--partition", "1,2|3"], "--max-closure"),
+    (["verify", "--partition", "1,2|3"], "--samples"),
 ]
 
 
@@ -409,7 +389,7 @@ import qstar.cli
 import qstar.verify
 from qstar.verify import Check, VerificationReport
 
-def forced_failure(P, seed, samples):
+def forced_failure(P, seed):
     return VerificationReport(P, seed, (Check("q-counts", "fail", "forced"),), {"applicable": False})
 
 qstar.verify.run_verification = forced_failure
@@ -473,7 +453,7 @@ def test_every_command_output_validates_against_schema(capsys):
         ["check", "--partition=1", "--map=--"],
         ["check", "--partition=1", "--q=--"],
         ["census", "--n=--"],
-        ["verify", "--samples=--", "--partition=1"],
+        ["verify", "--seed=--", "--partition=1"],
         ["verify", "--partition=1", "--seed=--"],
     ],
 )
@@ -505,7 +485,7 @@ REUSE_ARGV = [
     ["iso", "--left", "1,2|3,4", "--right", "1,2,3,4|5"],
     ["iso", "--left", "1,2|3"],
     ["census", "--n", "4"],
-    ["verify", "--partition", "1,2|3", "--samples", "5"],
+    ["verify", "--partition", "1,2|3", "--seed", "5"],
     ["analyze", "--partition", "1,2|2,3"],
     ["frobnicate"],
     ["check", "--partition", "1,2,3|4,5|6", "--q", "4,1,6"],
@@ -618,7 +598,7 @@ PARSE_ARGV = REUSE_ARGV + [
     [],
     ["frobnicate", "--partition", "1"],
     ["check", "--partition", "1,2", "--map", "1,1", "extra"],
-    ["verify", "--partition", "1,2|3", "--samples", "-3"],
+    ["verify", "--partition", "1,2|3", "--seed", "-3"],
     ["census", "--n", "x"],
     ["maximal", "--partition", "1,2|3", "--max-closure", "0"],
     ["generate", "--partition", "1,2|3", "--max-closure"],
@@ -715,11 +695,11 @@ def test_an_entry_past_the_digit_limit_is_named_too_large(capsys, argv):
     "argv, option",
     [
         (["verify"], "--seed"),  # named before the missing --partition
-        (["verify"], "--samples"),
+        (["verify", "--seed", "1"], "--seed"),  # the later of a repeated option
         (["census", "--format", "table"], "--n"),
         (["census"], "--n"),
         (["verify", "--partition", "1"], "--seed"),
-        (["verify", "--partition", "1"], "--samples"),
+        (["verify", "--partition", "1", "--seed", "1"], "--seed"),
     ],
 )
 def test_an_int_option_past_the_digit_limit_is_named_too_large(capsys, argv, option):

@@ -62,16 +62,15 @@ def iso_commands(draw):
     return ["iso", f"--left={left}", f"--right={right}"]
 
 
-SAMPLE_TEXT = st.text(alphabet="0123456789-x", max_size=2)
+SEED_TEXT = st.text(alphabet="0123456789-x_ +", max_size=4)
 
 
 @st.composite
 def verify_commands(draw):
-    # At most 3 points, so the whole battery stays cheap; samples may be negative.
+    # At most 3 points, so the whole battery stays cheap; the seed may be negative or not an int.
     spec = spec_of(draw(valid_blocks(max_n=3)))
-    samples = draw(st.one_of(st.integers(min_value=-50, max_value=50).map(str), SAMPLE_TEXT))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    return ["verify", f"--partition={spec}", f"--samples={samples}", f"--seed={seed}"]
+    seed = draw(st.one_of(st.integers(min_value=-2**16, max_value=2**16).map(str), SEED_TEXT))
+    return ["verify", f"--partition={spec}", f"--seed={seed}"]
 
 
 @st.composite
@@ -115,10 +114,10 @@ def test_main_keeps_the_exit_code_contract(command):
 
 @settings(max_examples=100, deadline=None)
 @given(verify_commands())
-def test_verify_exits_2_exactly_on_a_bad_sample_count(command):
-    samples = command[2].removeprefix("--samples=")
+def test_verify_exits_2_exactly_on_a_bad_seed(command):
     try:
-        expected = 2 if int(samples) < 0 else 0
+        int(command[2].removeprefix("--seed="))
+        expected = 0  # every int seeds the battery, negative ones too
     except ValueError:
         expected = 2  # argparse rejects it
     code, out = run(command)

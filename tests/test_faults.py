@@ -92,6 +92,12 @@ def maximality_oracle_refuses(monkeypatch):
     monkeypatch.setattr(qstar.maximal, "is_maximal_subsemigroup", lambda T, Q: False)
 
 
+def subgroup_cells_off_by_one(monkeypatch):
+    table = list(qstar.maximal.MAXIMAL_SUBGROUP_CELLS)
+    table[2] += 1
+    monkeypatch.setattr(qstar.maximal, "MAXIMAL_SUBGROUP_CELLS", tuple(table))
+
+
 # (fault, the function that raises, its message, a command that reaches the raise or None)
 FAULTS = [
     (count_off_by_one, qstar.qsemigroup.prove_Q, "built 4 elements of Q, expected 5", "generate"),
@@ -116,6 +122,12 @@ FAULTS = [
         maximality_oracle_refuses,
         qstar.maximal.maximal_subsemigroups_Q,
         "constructed set fails the maximality oracle",
+        "maximal",
+    ),
+    (
+        subgroup_cells_off_by_one,
+        qstar.maximal.maximal_subsemigroups_Q,
+        "maximal subgroups of the group part differ in size from S_k's",
         "maximal",
     ),
 ]
@@ -148,11 +160,15 @@ def test_a_command_that_reaches_the_raise_exits_4(monkeypatch, capsys, fault, me
 
 @pytest.mark.parametrize("spec", ["1,2|3|4|5", "1,2,3|4|5|6", "1,2|3,4|5|6"])
 def test_verify_fails_a_maximal_construction_that_drops_a_subgroup(monkeypatch, spec):
-    # The construction drops one maximal subgroup of S_k for k >= 4.  Every set it
-    # keeps is still maximal, so only the count can catch the fault: count_maximal
+    # The construction drops A_4, the one maximal subgroup of S_4 of order 12, and
+    # its 12 cells from the table it sums the subgroups against.  Every set it keeps
+    # is still maximal, so only the count can catch the fault: count_maximal
     # searches S_4 apart from maximal_subgroups.
     real = qstar.maximal.maximal_subgroups
-    monkeypatch.setattr(qstar.maximal, "maximal_subgroups", lambda G: real(G)[1:] if len(G) >= 24 else real(G))
+    monkeypatch.setattr(qstar.maximal, "maximal_subgroups", lambda G: [H for H in real(G) if len(H) != 12])
+    table = list(qstar.maximal.MAXIMAL_SUBGROUP_CELLS)
+    table[4] -= 12
+    monkeypatch.setattr(qstar.maximal, "MAXIMAL_SUBGROUP_CELLS", tuple(table))
     P = partition_from_spec(spec)
     check = next(check for check in run_verification(P).checks if check.name == "maximal-subsemigroups")
     total = 8 + P.m  # s_4 + m

@@ -1,9 +1,7 @@
-"""Bounds that no caller varies are ``qstar.limits`` constants, not parameters.
+"""Bounds are ``qstar.limits`` constants, not parameters.
 
-A function of the package may give a parameter a ``qstar.limits`` default
-only when some call site in the package passes that parameter, by position
-or by keyword: otherwise every caller gets the default, and the parameter
-is a constant in disguise.
+No function of the package gives a parameter a ``qstar.limits`` default:
+each reads its bound when it is called, so tests vary it with monkeypatch.
 
 ``MAX_DEGREE`` caps the degree n of every Q that is built; the commands
 that build Q name it when it trips.  A size past its bound is refused
@@ -25,6 +23,7 @@ import qstar.qsemigroup
 import qstar.verify
 from qstar import ResourceLimitError, partition_from_sizes
 from qstar.cli import main
+from qstar.engine import maximal_subgroups, symmetric_group_table
 from qstar.qsemigroup import prove_Q
 
 from conftest import bound_closures
@@ -33,43 +32,23 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qstar"
 LIMITS = {name for name in vars(qstar.limits) if name.isupper()}
 
 
-def bounded_parameters(trees):
-    """(function, parameter, position or None) for each parameter with a limits default."""
-    for fn in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+def bounded_parameters(tree):
+    """``function.parameter`` for each parameter in ``tree`` whose default is a limits constant."""
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
         spec = fn.args
         positional = spec.posonlyargs + spec.args
-        defaulted = [(arg, positional.index(arg), default)
-                     for arg, default in zip(positional[len(positional) - len(spec.defaults):], spec.defaults)]
-        defaulted += [(arg, None, default) for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)]
-        for arg, position, default in defaulted:
-            if isinstance(default, ast.Name) and default.id in LIMITS:
-                yield fn.name, arg.arg, position
-
-
-def unvaried_bounds(package):
-    """``function.parameter`` for each limits-defaulted parameter that no call in ``package``
-    passes, and the set of all such parameters."""
-    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
-    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
-
-    def passed(function, parameter, position):
-        return any(
-            getattr(call.func, "id", getattr(call.func, "attr", None)) == function
-            and (any(keyword.arg == parameter for keyword in call.keywords)
-                 or position is not None and len(call.args) > position)
-            for call in calls
-        )
-
-    bounded = {(function, parameter): position for function, parameter, position in bounded_parameters(trees)}
-    unvaried = sorted(f"{f}.{p}" for (f, p), position in bounded.items() if not passed(f, p, position))
-    return unvaried, {f"{f}.{p}" for f, p in bounded}
+        defaulted = list(zip(positional[len(positional) - len(spec.defaults):], spec.defaults))
+        defaulted += zip(spec.kwonlyargs, spec.kw_defaults)
+        yield from (f"{fn.name}.{arg.arg}" for arg, default in defaulted
+                    if isinstance(default, ast.Name) and default.id in LIMITS)
 
 
 def test_every_bound_parameter_is_varied_by_some_caller():
-    unvaried, bounded = unvaried_bounds(PACKAGE)
-    assert unvaried == []
-    # The walk finds the bounds the commands pass, so an empty list is not vacuous.
-    assert bounded == {"run_verification.samples"}
+    # The one rule left: there is no such parameter, so no caller gets a bound by default.
+    assert [found for path in sorted(PACKAGE.glob("*.py")) for found in bounded_parameters(ast.parse(path.read_text()))] == []
+    # The walk finds positional and keyword-only ones, so the empty list is not vacuous.
+    probe = ast.parse("def f(a, b=MAX_DEGREE, c=1, *, d=VERIFY_SAMPLES, e=None): pass")
+    assert list(bounded_parameters(probe)) == ["f.b", "f.d"]
 
 
 # One block of MAX_DEGREE + 1 points: |Q| = n and m = n stay far inside every
@@ -134,7 +113,7 @@ def test_size_refusals_go_through_limits_and_q_record_stays_in_qsemigroup():
                 admitted.add(name)
     assert raised == RAISED_OUTSIDE_LIMITS
     # Every module that refused a size by hand now refuses it through admit.
-    assert admitted == {"engine.py", "formulas.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py", "verify.py"}
+    assert admitted == {"engine.py", "formulas.py", "iso.py", "maximal.py", "qsemigroup.py", "rank.py"}
     imported = sorted(
         f"{name}: {alias.name}"
         for name, tree in trees.items() if name != "qsemigroup.py"
@@ -188,22 +167,35 @@ def refuse_any_build(*args, **kwargs):
     raise AssertionError("decompose ran past a refused admission check")
 
 
-def test_maximal_refuses_right_zero_cells_past_the_bound_before_building(capsys, monkeypatch):
-    monkeypatch.setattr(qstar.maximal, "decompose", refuse_any_build)
-    assert main(["maximal", "--partition", ",".join(map(str, range(1, 31))) + "|" + ",".join(map(str, range(31, 61)))]) == 3
-    assert capsys.readouterr() == ("", "resource limit: right-zero cells 1618200 exceeds MAX_LISTED_CELLS=500000\n")
-    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 71)  # blocks (2, 2, 1): 3! * 4 * 3 = 72 cells
-    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 3
-    assert capsys.readouterr() == ("", "resource limit: right-zero cells 72 exceeds MAX_LISTED_CELLS=71\n")
-    monkeypatch.undo()
-    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 72)  # the bound admits cells equal to it
-    assert main(["maximal", "--partition", "1,2|3,4|5"]) == 3  # and then refuses the whole listing
-    assert capsys.readouterr() == ("", "resource limit: listed cells 108 exceeds MAX_LISTED_CELLS=72\n")
-
-
 # Blocks (2, 2, 1): k = 3, m = 4, |Q| = 24.  S_3's maximal subgroups have orders
 # 2, 2, 2 and 3, so maximal lists 4 * 9 + 3! * 4 * 3 = 108 cells, 72 of them right-zero.
 SMALL_LISTING = ["maximal", "--partition", "1,2|3,4|5"]
+
+
+def test_maximal_refuses_right_zero_cells_past_the_bound_before_building(capsys, monkeypatch):
+    # The right-zero cells are counted with the group-type ones, as listed cells.
+    monkeypatch.setattr(qstar.maximal, "decompose", refuse_any_build)
+    # Blocks (30, 30): k = 2, m = 900, so 900 * 1 + 2! * 900 * 899 cells.
+    assert main(["maximal", "--partition", ",".join(map(str, range(1, 31))) + "|" + ",".join(map(str, range(31, 61)))]) == 3
+    assert capsys.readouterr() == ("", "resource limit: listed cells 1619100 exceeds MAX_LISTED_CELLS=500000\n")
+    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 71)  # one short of the 72 right-zero cells
+    assert main(SMALL_LISTING) == 3
+    assert capsys.readouterr() == ("", "resource limit: listed cells 108 exceeds MAX_LISTED_CELLS=71\n")
+
+
+def test_maximal_refuses_a_listing_past_the_bound_before_the_subgroup_search(capsys, monkeypatch):
+    # Blocks (5, 2, 1, 1, 1, 1, 1): k = 7 and m = 10 pass every other bound, and only
+    # 453,600 of the 10 * 22,680 + 7! * 10 * 9 listed cells are right-zero ones.
+    monkeypatch.setattr(qstar.maximal, "decompose", refuse_any_build)
+    assert main(["maximal", "--partition", "1,2,3,4,5|6,7|8|9|10|11|12"]) == 3
+    assert capsys.readouterr() == ("", "resource limit: listed cells 680400 exceeds MAX_LISTED_CELLS=500000\n")
+
+
+def test_the_listed_cell_table_sums_the_maximal_subgroups_of_s_k():
+    table = qstar.maximal.MAXIMAL_SUBGROUP_CELLS
+    assert [sum(map(len, maximal_subgroups(symmetric_group_table(k).elements))) for k in range(1, 7)] == list(table[1:7])
+    # It covers every k whose S_k the group-order bound admits.
+    assert math.factorial(len(table) - 1) <= qstar.limits.MAX_GROUP_ORDER < math.factorial(len(table))
 
 
 def refuse_any_family(*args, **kwargs):
@@ -222,16 +214,15 @@ def test_maximal_lists_cells_up_to_the_bound_and_refuses_past_it_before_any_fami
     assert capsys.readouterr() == ("", "resource limit: listed cells 108 exceeds MAX_LISTED_CELLS=107\n")
 
 
-def test_maximal_refuses_in_order_right_zero_cells_m_group_order_q_then_listed_cells(capsys, monkeypatch):
+def test_maximal_refuses_in_order_listed_cells_m_group_order_then_q(capsys, monkeypatch):
     # Each bound is set one short of its size, then raised to it, so the next one trips.
     monkeypatch.setattr(qstar.maximal, "MAX_GROUP_ORDER", 5)
     bound_closures(monkeypatch, 3)
     steps = [
-        ("MAX_LISTED_CELLS", 71, "right-zero cells 72 exceeds MAX_LISTED_CELLS=71"),
-        ("MAX_LISTED_CELLS", 107, "idempotent count 4 exceeds DEFAULT_MAX_CLOSURE=3"),
+        ("MAX_LISTED_CELLS", 107, "listed cells 108 exceeds MAX_LISTED_CELLS=107"),
+        ("MAX_LISTED_CELLS", 108, "idempotent count 4 exceeds DEFAULT_MAX_CLOSURE=3"),
         ("DEFAULT_MAX_CLOSURE", 23, "H-class order 6 exceeds MAX_GROUP_ORDER=5"),
         ("MAX_GROUP_ORDER", 6, "|Q| = 24 exceeds DEFAULT_MAX_CLOSURE=23"),
-        ("DEFAULT_MAX_CLOSURE", 24, "listed cells 108 exceeds MAX_LISTED_CELLS=107"),
     ]
     for name, value, message in steps:
         if name == "DEFAULT_MAX_CLOSURE":
@@ -240,7 +231,7 @@ def test_maximal_refuses_in_order_right_zero_cells_m_group_order_q_then_listed_c
             monkeypatch.setattr(qstar.maximal, name, value)
         assert main(SMALL_LISTING) == 3
         assert capsys.readouterr() == ("", f"resource limit: {message}\n")
-    monkeypatch.setattr(qstar.maximal, "MAX_LISTED_CELLS", 108)
+    bound_closures(monkeypatch, 24)
     assert main(SMALL_LISTING) == 0
 
 
@@ -251,13 +242,14 @@ def test_the_pairwise_leg_runs_on_the_maps_its_budget_affords(monkeypatch, budge
     real = qstar.verify.in_TEstar_pairwise
     monkeypatch.setattr(qstar.verify, "in_TEstar_pairwise", lambda P, a: calls.append(a) or real(P, a))
     monkeypatch.setattr(qstar.verify, "PAIRWISE_WORK_BUDGET", budget)
-    check = qstar.verify.check_membership_implications(P, random.Random(0), 10)
+    monkeypatch.setattr(qstar.verify, "VERIFY_SAMPLES", 10)
+    check = qstar.verify.check_membership_implications(P, random.Random(0))
     assert (check.status, len(calls)) == ("pass", legs)
     assert check.detail == (
         f"implication chain holds, 10 sampled maps, the pairwise form on {legs} of them (PAIRWISE_WORK_BUDGET={budget})"
     )
     monkeypatch.setattr(qstar.verify, "PAIRWISE_WORK_BUDGET", 250)  # affords all ten maps: the detail is unchanged
-    assert qstar.verify.check_membership_implications(P, random.Random(0), 10).detail == (
+    assert qstar.verify.check_membership_implications(P, random.Random(0)).detail == (
         "implication chain holds, 10 sampled maps"
     )
 
@@ -274,4 +266,4 @@ def test_the_generator_check_budget_admits_every_rank_2_q_and_refuses_blocks_32_
 
 
 def test_the_pairwise_budget_covers_the_default_samples_at_the_largest_built_degree():
-    assert qstar.limits.PAIRWISE_WORK_BUDGET // (qstar.limits.MAX_DEGREE + 1) ** 2 >= qstar.limits.DEFAULT_SAMPLES
+    assert qstar.limits.PAIRWISE_WORK_BUDGET // (qstar.limits.MAX_DEGREE + 1) ** 2 >= qstar.limits.VERIFY_SAMPLES

@@ -17,14 +17,12 @@ from qstar.qsemigroup import h_class, idempotents_Q
 from qstar.membership import is_idempotent_Q
 from qstar.verify import (
     check_closure_idempotence,
-    check_green_r,
     check_group_criterion,
     check_h_class_structure,
     check_idempotent_criterion,
     check_idempotents_right_zero,
     check_kernel_cross_section,
     check_maximal,
-    check_membership_implications,
     check_partition_invariants,
     check_q_counts,
     check_right_group_battery,
@@ -49,7 +47,7 @@ def test_sampled_closures_read_q_table_and_compute_no_product(monkeypatch, sizes
             monkeypatch.setattr(module, "product_map", counting)
     rng = random.Random(5)
     assert check_kernel_cross_section(P, Q).status == "pass"
-    assert check_right_group_battery(P, Q, rng, 100).status == "pass"
+    assert check_right_group_battery(P, Q, rng).status == "pass"
     assert calls == []
 
 
@@ -110,10 +108,10 @@ def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everyth
     # The row test and left cancellativity are one predicate on a finite
     # table, so the second leg must catch the fault with both patched.
     P = partition_from_sizes((2,))
-    check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
+    check = check_right_group_battery(P, SEMILATTICE, random.Random(0))
     assert check.detail == "a subsemigroup of Q failed the right-group test"
     force_predicates(monkeypatch, True, patched)
-    check = check_right_group_battery(P, SEMILATTICE, random.Random(0), 20)
+    check = check_right_group_battery(P, SEMILATTICE, random.Random(0))
     assert (check.status, check.detail) == ("fail", detail)
 
 
@@ -129,7 +127,7 @@ def test_right_group_battery_fails_when_the_right_group_test_says_yes_to_everyth
 def test_sampled_checks_fail_when_a_predicate_always_fails(monkeypatch, p6, predicate, check, detail):
     Q = enumerate_Q(p6)
     force_predicates(monkeypatch, False, [predicate])
-    result = check(p6, Q, random.Random(0), 100)
+    result = check(p6, Q, random.Random(0))
     assert (result.status, result.detail) == ("fail", detail)
 
 
@@ -151,8 +149,9 @@ def test_sampled_closures_check_each_distinct_closed_set_once(monkeypatch, p6):
         return real(S, indices)
 
     monkeypatch.setattr(qstar.verify, "right_group_legs", recording)
+    monkeypatch.setattr(qstar.verify, "VERIFY_SAMPLES", 125)
     rng = random.Random(7)
-    assert check_right_group_battery(p6, Q, rng, 125).status == "pass"
+    assert check_right_group_battery(p6, Q, rng).status == "pass"
     assert checked == [_mask_indices(m, len(Q)) for m in distinct]
     assert rng.getstate() == reference.getstate()
 
@@ -162,8 +161,8 @@ def test_each_check_reads_the_sampling_arguments_it_takes():
     for node in ast.parse(inspect.getsource(qstar.verify)).body:
         if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
             read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            declared = [a.arg for a in node.args.args if a.arg in ("rng", "samples")]
-            unread += [f"{node.name}.{arg}" for arg in declared if arg not in read]
+            if "rng" in [a.arg for a in node.args.args] and "rng" not in read:
+                unread.append(f"{node.name}.rng")
     assert unread == []
 
 
@@ -208,7 +207,7 @@ def test_only_the_sampled_checks_draw_and_the_battery_checks_its_own_draws(monke
     assert drew == ["membership-implications", "right-group-battery", "green-r", "closure-idempotence"]
     rng = random.Random()
     rng.setstate(battery_start[0])
-    assert checked == list(qstar.verify._sampled_closures(enumerate_Q(P), rng, 100))
+    assert checked == list(qstar.verify._sampled_closures(enumerate_Q(P), rng, qstar.verify.VERIFY_SAMPLES))
 
 
 @pytest.mark.parametrize("sizes, classes", [((3, 2, 1), 6), ((2, 2, 2), 8), ((4, 3), 12)])
@@ -307,7 +306,8 @@ def test_battery_reads_the_rows_of_each_distinct_closed_set_once(monkeypatch, si
     Q = enumerate_Q(P)
     distinct = list(qstar.verify._sampled_closures(Q, random.Random(7), 125))
     calls = _counting_rows_at(monkeypatch)
-    assert check_right_group_battery(P, Q, random.Random(7), 125).status == "pass"
+    monkeypatch.setattr(qstar.verify, "VERIFY_SAMPLES", 125)
+    assert check_right_group_battery(P, Q, random.Random(7)).status == "pass"
     assert calls == distinct
 
 
@@ -317,43 +317,6 @@ def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, 
     calls = _counting_rows_at(monkeypatch)
     assert qstar.engine.is_right_group(Q, indices) and qstar.engine.is_regular_semigroup(Q, indices)
     assert len(calls) == 2
-
-
-@pytest.mark.parametrize(
-    "sizes, check, name, detail",
-    [
-        ((3, 2, 1), check_right_group_battery, "right-group-battery", None),
-        ((3, 2, 1), check_closure_idempotence, "closure-idempotence", None),
-        ((3, 2, 1), check_green_r, "green-r", None),
-        ((2, 1), check_green_r, "green-r", "all 729 pairs of T(3) agree"),
-    ],
-)
-def test_a_check_that_draws_no_sample_says_so(sizes, check, name, detail):
-    # A check whose legs all sample is skipped; one with an exhaustive leg
-    # passes and names only that leg.
-    P = partition_from_sizes(sizes)
-    rng = random.Random(0)
-    state = rng.getstate()
-    result = check(P, enumerate_Q(P), rng, 0)
-    expected = ("skipped", "samples = 0") if detail is None else ("pass", detail)
-    assert (result.name, result.status, result.detail) == (name, *expected)
-    assert rng.getstate() == state
-
-
-def test_membership_implications_without_samples_skip_past_the_exhaustive_bound():
-    big, small = partition_from_sizes((3, 2)), partition_from_sizes((2, 2))
-    rng = random.Random(0)
-    result = check_membership_implications(big, rng, 0)
-    assert (result.name, result.status, result.detail) == ("membership-implications", "skipped", "samples = 0")
-    result = check_membership_implications(small, rng, 0)
-    assert (result.status, result.detail) == ("pass", "implication chain holds, exhaustive over 256 maps")
-
-
-def test_verify_without_samples_passes_and_skips_only_the_sampled_checks():
-    report = run_verification(partition_from_sizes((3, 2, 1)), samples=0)
-    assert report.all_passed
-    skipped = [c.name for c in report.checks if c.status == "skipped"]
-    assert skipped == ["membership-implications", "right-group-battery", "green-r", "closure-idempotence"]
 
 
 def test_closure_idempotence_fails_when_the_second_closure_drops_an_element(monkeypatch, p6):
@@ -367,7 +330,7 @@ def test_closure_idempotence_fails_when_the_second_closure_drops_an_element(monk
         return SemigroupSet(S.n, S.elements[:-1]) if len(calls) == 2 else S
 
     monkeypatch.setattr(qstar.verify, "closure", dropping)
-    result = check_closure_idempotence(p6, Q, random.Random(0), 100)
+    result = check_closure_idempotence(p6, Q, random.Random(0))
     assert (result.status, result.detail) == ("fail", "closure(closure(G)) != closure(G)")
     assert len(calls) == 2
 
