@@ -20,7 +20,7 @@ P2 = partition_from_sizes((4, 1))  # 5 points, one big block and a singleton
 print("block sizes (2,2) vs (4,1): k = 2 both, m = 4 both")
 print("isomorphic:", q_isomorphic(P1, P2))
 iso = build_isomorphism(P1, P2)
-print("explicit isomorphism verified on", iso["pairs_checked"], "pairs: every element times each of the rank generators")
+print("explicit isomorphism verified on", iso["pairs_checked"], "pairs: one element per block pattern times each rank generator")
 print()
 
 for n in (3, 6):

@@ -34,11 +34,6 @@ DEFAULT_MAX_CLOSED_SETS = 500_000
 # of JSON, and blocks (5, 2, 1, 1, 1, 1, 1), 680,400, 24 s, 389 MB and 77.6 MB.
 MAX_LISTED_CELLS = 500_000
 
-# Pairs (s, g), s in Q and g in its generating set R, of a check against R: |Q|*|R| =
-# k!*m*max{2, m}.  It admits every buildable Q of rank 2; ``build_isomorphism`` takes about
-# 9 us a pair at n = 252 (2-CPU host), and 20 s on blocks (32, 32, 1)'s 6.3 million.
-GENERATOR_CHECK_BUDGET = 200_000
-
 # Largest |Q| on which constructed maximal subsemigroups are checked against
 # the maximality predicate, and on which ``run_verification`` runs its
 # oracle battery (skipped above it).

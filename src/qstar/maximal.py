@@ -81,7 +81,7 @@ def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
     P, G, patterns, index = dec.partition, dec.group_part, dec.patterns, dec.index
     if sorted(patterns) != list(itertools.permutations(range(P.k))):  # permutations() is in lex order
         raise InternalConsistencyError("block patterns are not the symmetric group, each once")
-    if not generates(gens, G):
+    if not generates(P, gens, G):
         raise InternalConsistencyError("symmetric part does not generate the group part")
     for g in gens:
         pattern_g = patterns[index[g.images][0]]

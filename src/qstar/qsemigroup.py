@@ -6,8 +6,10 @@ right group: the disjoint union of its H-classes, each a group of order k!,
 indexed by the m image cross-sections.  :func:`decompose` names every
 element by right-group coordinates (i, j), group element i of the base
 H-class times idempotent j, and certifies that naming once against Q.
-:func:`prove_Q` proves Q on maps packed one byte per point and keeps them
-packed in the partition's record, in the one cache :func:`instance`, beside
+:func:`prove_Q` proves Q on maps packed one byte per point, closing its
+generating set R through block patterns in about k!*|R| products, as every
+member of Q is constant on blocks, and keeps the maps packed in the
+partition's record, in the one cache :func:`instance`, beside
 R's ``Pairing``, the idempotents and the decomposition; the record's
 ``images``, Q's sorted image tuples, are unpacked on first read, and
 :func:`enumerate_Q` wraps them as maps on first use.  The cache and the
@@ -67,36 +69,54 @@ def _built(P: PartitionedSet) -> set[bytes]:
 _PAD_BATCH = 1024
 
 
-def packed_closure(gens, max_size: int) -> set[bytes] | None:
-    """The packed maps generated by ``gens``, or None past ``max_size`` of them.  Right
-    products by the generators, one breadth-first level at a time, reach every word: each
-    product is tested against the known maps as it comes, and the new ones are the next
-    level.  The left products g*p, with each known map padded once per batch of
-    ``_PAD_BATCH``, guard against a defective level loop."""
+def packed_closure(P: PartitionedSet, gens, max_size: int) -> set[bytes] | None:
+    """The packed maps generated by ``gens``, maps constant on P's blocks, or None past
+    ``max_size`` of them.  With e sending each point to its block's least point, s*g = (s*e)*g
+    for such g, so the closure is R with H*R, for H = <R>*e the closure of the maps g*e: at
+    most k! maps, a group once R lies in Q.  H is closed by right products one breadth-first
+    level at a time, each tested against the known maps as it comes; then each g adds H*g,
+    or H itself when g*e == g, as g then lies in H.  That is about k!*|R| products, not
+    |Q|*|R|.  The left products f*p, each known map padded once per batch of ``_PAD_BATCH``,
+    guard against a defective level loop; they skip each f that sends every block into
+    itself (f*e == e), as then f*p == p for p constant on blocks.  A caller that needs the
+    closure proved checks its maps, R among them, against Q's definition."""
     gens = [bytes(g.images) for g in gens]
-    pad = bytes(256 - len(gens[0]))
-    known, level = set(gens), gens
+    pad = bytes(256 - P.n)
+    e = bytes(P.blocks[b][0] for b in P.block_of)
+    patterns = [g.translate(e + pad) for g in gens]  # g*e, one per generator
+    members = list(dict.fromkeys(patterns))  # H's maps, in the order found
+    group, tables, level = set(members), [h + pad for h in members], members
     while level:
         fresh = []
-        for g in gens:
-            for p in map(bytes.translate, level, repeat(g + pad)):
-                if p not in known:
-                    known.add(p)
+        for table in tables:
+            for p in map(bytes.translate, level, repeat(table)):
+                if p not in group:
+                    group.add(p)
                     fresh.append(p)
+            if len(group) > max_size:
+                return None
+        members += fresh
+        level = fresh
+    known = set() if group.isdisjoint(gens) else group  # H*g = H for g in H, that is, g == g*e
+    known.update(gens)
+    for g, pattern in zip(gens, patterns):
+        if g != pattern:
+            known.update(map(bytes.translate, members, repeat(g + pad)))
             if len(known) > max_size:
                 return None
-        level = fresh
-    maps = iter(known)
+    movers = [g for g, pattern in zip(gens, patterns) if pattern != e]  # g*e != e: g moves a block
+    maps = iter(known if movers else ())
     while batch := list(map(add, islice(maps, _PAD_BATCH), repeat(pad))):
-        for g in gens:
+        for g in movers:
             if not known.issuperset(map(g.translate, batch)):
                 raise InternalConsistencyError("left product escaped a right-product closure")
     return known
 
 
-def generates(gens, elements) -> bool:
-    """True when the maps ``gens`` generate exactly the maps ``elements``, closed on packed maps."""
-    return packed_closure(gens, len(elements)) == {bytes(a.images) for a in elements}
+def generates(P: PartitionedSet, gens, elements) -> bool:
+    """True when the maps ``gens``, constant on P's blocks, generate exactly the maps
+    ``elements``, closed on packed maps."""
+    return packed_closure(P, gens, len(elements)) == {bytes(a.images) for a in elements}
 
 
 def all_in_Q(P: PartitionedSet, images: Collection[bytes]) -> bool:
@@ -130,12 +150,14 @@ def prove_Q(P: PartitionedSet) -> _Record:
     The proof packs a map of degree n <= ``MAX_DEGREE`` as ``bytes(images)``, so a*b is
     ``a.translate(b + bytes(256 - n))``.  The pad is never read: every packed map is a
     validated generator, a formula-built choice or a product of those.  The count of
-    :func:`_built` is k!*m, the closure of R of :func:`rank_pairing`, bounded by |Q|, is
-    that set, R's factors (symmetric part and idempotents) lie in it, and it passes
-    :func:`all_in_Q`.  So it is closed and generated by R, so by R's factors, with
-    O(|Q|*|R|) products instead of |Q|^2, and each map in it is a product of validated
-    maps.  The closure stays packed and unsorted until ``images`` is first read.  The
-    bounds of :func:`admit_Q` are checked before the record is read; nothing unproved is kept.
+    :func:`_built` is k!*m, R of :func:`rank_pairing` and its factors (symmetric part and
+    idempotents) lie in that set, the closure of R, bounded by |Q|, is that set, and it
+    passes :func:`all_in_Q`.  So R is constant on blocks, as :func:`packed_closure`'s
+    closure through block patterns needs, and the set is closed and generated by R, so by
+    R's factors, with about k!*|R| right products and at most 2*|Q| left ones, and each map
+    in it is a product of validated maps.  The closure stays packed and unsorted until
+    ``images`` is first read.  The bounds of :func:`admit_Q` are checked before the record
+    is read; nothing unproved is kept.
     """
     expected = admit_Q(P)
     record = instance(P)
@@ -145,9 +167,11 @@ def prove_Q(P: PartitionedSet) -> _Record:
     if len(built) != expected:
         raise InternalConsistencyError(f"built {len(built)} elements of Q, expected {expected}")
     pairing = rank_pairing(P)
-    generated = packed_closure(pairing.generators, max_size=expected)  # None: it grew past |Q|, so left the built set
-    factors = (bytes(a.images) for row in pairing.paired + pairing.leftover for a in row[:-1])
-    if generated is None or not built.issuperset(itertools.chain(generated, factors)):
+    factors = (a for row in pairing.paired + pairing.leftover for a in row[:-1])
+    if not built.issuperset(bytes(a.images) for a in itertools.chain(pairing.generators, factors)):
+        raise InternalConsistencyError("constructed Q is not closed under composition")
+    generated = packed_closure(P, pairing.generators, max_size=expected)  # None: it grew past |Q|, so left the built set
+    if generated is None or not built.issuperset(generated):
         raise InternalConsistencyError("constructed Q is not closed under composition")
     if len(generated) != len(built):  # distinct maps inside the built set
         raise InternalConsistencyError("symmetric part + idempotents do not generate the constructed Q")

@@ -55,6 +55,15 @@ def test_the_relative_change_compares_medians_and_the_row_holds_both_quartiles()
     assert row["bound"] == 0.2
 
 
+def test_wins_count_the_pairs_where_the_change_beats_the_parent_in_the_metric_direction():
+    # Pair i holds run i of each side: wall_s is better lower, hits higher, and a tie is no win.
+    parent = runs([1.0, 1.0, 1.0, 1.0, 1.0], [100, 100, 100, 100, 100])
+    change = runs([0.9, 0.9, 1.0, 1.1, 0.8], [101, 99, 100, 120, 100])
+    rows, _ = ab.summarize(parent, change, METRICS)
+    assert [row["wins"] for row in rows] == [(3, 5), (2, 5)]
+    assert "wins 3/5" in ab.render(rows[:1], [])
+
+
 def test_a_parent_spread_past_the_bound_is_unresolved():
     parent = runs([0.6, 0.8, 1.0, 1.2, 1.4], [100] * 5)  # quartiles 0.8 and 1.2: 40% of the median
     rows, _ = ab.summarize(parent, runs([1.0] * 5, [100] * 5), METRICS)
@@ -68,6 +77,6 @@ def test_failed_or_incorrect_runs_are_reported_on_either_side():
     assert failures == ["parent w run 1: failed 2, correct True", "change w run 0: failed 0, correct False"]
     text = ab.render(rows, failures)
     assert text.splitlines()[0].split() == [
-        "w", "wall_s", "parent", "1", "[1,", "1]", "change", "1", "[1,", "1]", "+0.0%", "bound", "20%", "OK",
+        "w", "wall_s", "parent", "1", "[1,", "1]", "change", "1", "[1,", "1]", "+0.0%", "wins", "0/2", "bound", "20%", "OK",
     ]
     assert text.splitlines()[-1] == "FAILED change w run 0: failed 0, correct False"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -30,7 +31,7 @@ from qstar import (
     rank_Q,
 )
 
-from conftest import clear_q_caches
+from conftest import bound_closures, clear_q_caches
 
 
 def test_iso_key():
@@ -64,7 +65,7 @@ def test_build_isomorphism_verified():
     iso = build_isomorphism(P1, P2)
     assert iso["verified"]
     assert iso["exhaustive"]
-    assert iso["pairs_checked"] == 32
+    assert iso["pairs_checked"] == 2 * 4  # one element per block pattern times each rank generator
     mapping = iso["mapping"]
     assert len(mapping) == 8
     assert len(set(mapping.values())) == 8
@@ -86,7 +87,7 @@ def test_isomorphism_between_reordered_size_multisets():
         partition_from_sizes((3, 2, 1)), partition_from_sizes((1, 2, 3))
     )
     assert iso["verified"] and iso["exhaustive"]
-    assert iso["pairs_checked"] == 36 * 6
+    assert iso["pairs_checked"] == 6 * 6
 
 
 def test_isomorphism_between_two_element_right_zeros():
@@ -258,7 +259,7 @@ def test_build_isomorphism_at_k_7_builds_no_product_table(monkeypatch):
     monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
     iso = build_isomorphism(P1, P2)
     assert iso["verified"] and iso["block_bijection"] == (6, 0, 1, 2, 3, 4, 5)
-    assert iso["pairs_checked"] == 10_080 * 2  # every element times each of the two rank generators
+    assert iso["pairs_checked"] == 5_040 * 2  # one element per block pattern times each of the two rank generators
 
 
 def run_iso(capsys, left, right):
@@ -280,21 +281,35 @@ def test_iso_builds_no_witness_past_a_bound_of_its_build(capsys, monkeypatch):
     past_size = run_iso(capsys, "1,2|3,4|5|6|7|8|9|10", "1|2|3|4|5|6|7,8|9,10")  # |Q| = 8! * 4 = 161,280
     one_block = ",".join(map(str, range(1, 301)))  # n = 300 > MAX_DEGREE, while |Q| = m = 300
     past_degree = run_iso(capsys, one_block, one_block)
-    # |Q| = 6,144 and n = 65 pass enumerate_Q's bounds; |Q|*|R| = 6,144 * 1,024 pairs do not.
-    past_budget = run_iso(capsys, partition_from_sizes((32, 32, 1)).to_spec(), partition_from_sizes((1, 32, 32)).to_spec())
-    for payload in (past_size, past_degree, past_budget):
+    for payload in (past_size, past_degree):
         assert payload["isomorphic"] is True and payload["witness_verified"] is False
         assert "isomorphism" not in payload
 
 
-def test_build_isomorphism_admits_pairs_equal_to_the_budget(monkeypatch):
-    P1 = partition_from_sizes((3, 2, 1))  # |Q|*|R| = 36 * 6
+def test_build_isomorphism_refuses_only_past_the_bounds_of_q(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built Q past its bounds")
+
+    P1 = partition_from_sizes((3, 2, 1))  # |Q| = 36
     P2 = partition_from_sizes((6, 1, 1))
-    monkeypatch.setattr(qstar.iso, "GENERATOR_CHECK_BUDGET", 36 * 6)
-    assert build_isomorphism(P1, P2)["pairs_checked"] == 36 * 6
-    monkeypatch.setattr(qstar.iso, "GENERATOR_CHECK_BUDGET", 36 * 6 - 1)
-    with pytest.raises(ResourceLimitError, match=r"^\|Q\|\*\|R\| = 216 exceeds GENERATOR_CHECK_BUDGET=215$"):
+    clear_q_caches()
+    bound_closures(monkeypatch, 36)
+    assert build_isomorphism(P1, P2)["pairs_checked"] == 6 * 6
+    clear_q_caches()
+    bound_closures(monkeypatch, 35)
+    monkeypatch.setattr(qstar.iso, "decompose", no_build)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 36 exceeds DEFAULT_MAX_CLOSURE=35$"):
         build_isomorphism(P1, P2)
+
+
+def test_iso_verifies_its_witness_on_blocks_32_32_1_within_3_s(capsys):
+    # |Q| = 6,144 and |R| = 1,024: the check takes 3! * 1,024 pairs, where
+    # every element times every generator took 6.3 million and 20 s.
+    start = time.perf_counter()
+    payload = run_iso(capsys, partition_from_sizes((32, 32, 1)).to_spec(), partition_from_sizes((1, 32, 32)).to_spec())
+    assert time.perf_counter() - start < 3.0
+    assert payload["isomorphic"] is True and payload["witness_verified"] is True
+    assert payload["isomorphism"]["block_bijection"] == [2, 3, 1]
 
 
 def _multiplicative_on_tables(P1, P2, mapping):
@@ -372,3 +387,28 @@ def test_both_routes_agree_on_every_relabelling_of_the_target_group_part(monkeyp
         assert generator_route == _multiplicative_on_tables(P1, P2, relabelled), alpha
         accepted += generator_route
     assert accepted == 6
+
+
+@pytest.mark.parametrize("sizes1, sizes2", [((2, 2, 1), (4, 1, 1)), ((3, 2, 1), (6, 1, 1))])
+def test_both_routes_reject_a_relabelling_of_one_idempotent_column_only(monkeypatch, sizes1, sizes2):
+    # The witness followed by (i, j) -> (alpha(i), j) in the last column only,
+    # j = m - 1 != 0: no such map with alpha other than the identity is a
+    # homomorphism, since (i, j)(i', 0) = (i i', 0) must go to alpha(i) i'.
+    # The faulty values lie off the first member of each block-pattern class,
+    # so the check of each phi(s)'s block pattern, or of phi(s*g) for one s
+    # per pattern, must see them.
+    P1, P2 = partition_from_sizes(sizes1), partition_from_sizes(sizes2)
+    witness = build_isomorphism(P1, P2)["mapping"]
+    dec2 = decompose(P2)
+    last = P2.m - 1
+    alpha = list(range(6))
+
+    def relabel(q):
+        i, j = dec2.coordinates(q)
+        return dec2.grid[alpha[i]][j] if j == last else q
+
+    _patch_target_elements(monkeypatch, relabel)
+    for alpha[:] in itertools.islice(itertools.permutations(range(6)), 1, None):
+        with pytest.raises(InternalConsistencyError, match="^constructed map is not multiplicative$"):
+            build_isomorphism(P1, P2)
+        assert not _multiplicative_on_tables(P1, P2, {q: relabel(v) for q, v in witness.items()}), alpha

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -278,9 +280,9 @@ def test_clearing_any_one_cache_leaves_no_object_of_an_older_build(monkeypatch, 
     closed = []
     real = qstar.qsemigroup.packed_closure
 
-    def recording(generators, max_size):
+    def recording(P, generators, max_size):
         closed.append(tuple(generators))
-        return real(generators, max_size=max_size)
+        return real(P, generators, max_size=max_size)
 
     monkeypatch.setattr(qstar.qsemigroup, "packed_closure", recording)
     clear_q_caches()
@@ -402,8 +404,8 @@ def test_membership_batch_catches_a_non_member_that_passes_the_closure_proof(mon
     planted = _plant_in_built_set(monkeypatch, P, lambda images: identity)
     real = qstar.qsemigroup.packed_closure
 
-    def passing(generators, max_size):
-        return {bytes(identity) if tuple(p) == planted[0] else p for p in real(generators, max_size=max_size)}
+    def passing(P, generators, max_size):
+        return {bytes(identity) if tuple(p) == planted[0] else p for p in real(P, generators, max_size=max_size)}
 
     monkeypatch.setattr(qstar.qsemigroup, "packed_closure", passing)
     clear_q_caches()
@@ -478,11 +480,12 @@ def test_closure_proof_reports_generators_that_fall_short(monkeypatch):
 
 
 def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
-    # The closure of R, bounded by |Q|, computes |Q|*|R| right products, one
-    # level at a time, and pads each of its |Q| maps once for the left
-    # products; a pairwise proof would need |Q|^2.  Each right product, and
-    # each padded map, reads its table from one ``repeat``, so counting the
-    # items drawn counts them all.
+    # The closure of R goes through block patterns: it closes H, of k! maps,
+    # by right products with R's two patterns, adds H*g for the one generator
+    # g with g*e != g, and pads each of its |Q| maps once for the left
+    # products; a pairwise proof would need |Q|^2, the closure of R alone
+    # |Q|*|R|.  Each right product, and each padded map, reads its table from
+    # one ``repeat``, so counting the items drawn counts them all.
     P = partition_from_sizes((2, 1, 1, 1, 1))  # k = 5, m = 2, |Q| = 240, |R| = 2
     products = []
 
@@ -494,7 +497,7 @@ def test_closure_proof_computes_products_on_the_generators_only(monkeypatch):
     monkeypatch.setattr(qstar.qsemigroup, "repeat", counting)
     clear_q_caches()
     Q = enumerate_Q(P)
-    assert len(products) == len(Q) * (len(rank_pairing(P).generators) + 1) == 720
+    assert len(products) == math.factorial(P.k) * (2 + 1) + len(Q) == 600
 
 
 @pytest.mark.parametrize("sizes", [sizes for n in range(1, 7) for sizes in shapes(n)], ids=str)
@@ -505,13 +508,38 @@ def test_closure_bound_admits_exactly_the_generated_set(sizes):
     P = partition_from_sizes(sizes)
     closure, built = qstar.qsemigroup.packed_closure, qstar.qsemigroup._built(P)
     R = rank_pairing(P).generators
-    assert closure(R, len(built) - 1) is None
-    assert closure(R, len(built)) == built
+    assert closure(P, R, len(built) - 1) is None
+    assert closure(P, R, len(built)) == built
     base = {min(block) for block in P.blocks}
     group = {p for p in built if set(p) == base}
     assert len(group) == math.factorial(P.k)
-    assert closure(symmetric_part_generators(P), len(group) - 1) is None
-    assert closure(symmetric_part_generators(P), len(group)) == group
+    assert closure(P, symmetric_part_generators(P), len(group) - 1) is None
+    assert closure(P, symmetric_part_generators(P), len(group)) == group
+
+
+@pytest.mark.parametrize("sizes", [(2, 1), (2, 1, 1), (3, 2, 1)], ids=str)
+def test_a_closure_outside_the_base_h_class_leaves_that_class_out(sizes):
+    # The symmetric-part generators moved to the H-class of the second idempotent f
+    # lie outside the group H of block patterns, so the closure is H*g alone, f's
+    # H-class, and H itself is no part of it.
+    P = partition_from_sizes(sizes)
+    f = idempotents_Q(P)[1]
+    gens = [compose(g, f) for g in symmetric_part_generators(P)]
+    target = {p for p in qstar.qsemigroup._built(P) if set(p) == set(f.images)}
+    assert len(target) == math.factorial(P.k)
+    assert qstar.qsemigroup.packed_closure(P, gens, len(target)) == target
+
+
+def test_generate_proves_blocks_50_50_within_3_s(capsys):
+    # |Q| = 5,000 and |R| = 2,500: the closure through block patterns takes
+    # about 2! * 2,500 right products, where one per element and generator
+    # took 12.5 million and 4 s.
+    clear_q_caches()
+    start = time.perf_counter()
+    assert main(["generate", "--partition", partition_from_sizes((50, 50)).to_spec()]) == 0
+    assert time.perf_counter() - start < 3.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 2_500 and len(payload["generators"]) == 2_500 and payload["verified"] is True
 
 
 def test_generate_leaves_q_packed_until_its_image_tuples_are_first_read(capsys):
@@ -607,9 +635,9 @@ def test_generate_closes_once_and_iso_once_per_enumerated_q(monkeypatch, capsys)
     calls = []
     real = qstar.qsemigroup.packed_closure
 
-    def counting(gens, *args, **kwargs):
+    def counting(P, gens, *args, **kwargs):
         calls.append(tuple(gens))
-        return real(gens, *args, **kwargs)
+        return real(P, gens, *args, **kwargs)
 
     monkeypatch.setattr(qstar.qsemigroup, "packed_closure", counting)
     monkeypatch.setattr(qstar.engine, "closure_images", None)
@@ -664,18 +692,39 @@ def test_a_built_tuple_outside_the_closure_is_caught_before_any_element_is_wrapp
 
 
 def test_left_product_guard_catches_a_defective_right_closure(monkeypatch):
-    # Right products by one generator g come out as the factor itself (the
-    # identity table), so the levels close on the other generators only and
-    # stay inside the built set; only the left products g*p leave them.
+    # Right products by the 3-cycle pattern c = g*e of R's second generator g
+    # come out as the factor itself (the identity table), so the group loop
+    # closes the transposition t and c on t alone, to {t, c, e, c*t}, 4 of
+    # the 6 maps of H; only the left products, t*c among them, leave them.
     P = partition_from_sizes((2, 1, 1))
-    g = bytes(rank_pairing(P)[0][0].images)
+    e = bytes(idempotents_Q(P)[0].images)
+    c = bytes(rank_pairing(P)[0][1].images).translate(e + bytes(256 - P.n))
+    assert c == bytes((2, 2, 3, 0))
 
     def skipping(table):
-        return itertools.repeat(bytes(range(256)) if table[:P.n] == g and len(table) == 256 else table)
+        return itertools.repeat(bytes(range(256)) if table[:P.n] == c and len(table) == 256 else table)
 
     monkeypatch.setattr(qstar.qsemigroup, "repeat", skipping)
     clear_q_caches()
     with pytest.raises(InternalConsistencyError, match="^left product escaped a right-product closure$"):
+        enumerate_Q(P)
+
+
+@pytest.mark.parametrize("sizes", [s for n in range(3, 7) for s in shapes(n) if len(s) >= 3], ids=str)
+def test_a_group_loop_that_stops_at_its_first_level_is_caught(monkeypatch, sizes):
+    # Every right product of the group loop comes out as the factor itself, so
+    # H is only R's at most three patterns, short of the k! >= 6 maps of H_e:
+    # the left-product guard or the count of the closure must see it.
+    P = partition_from_sizes(sizes)
+    e = bytes(idempotents_Q(P)[0].images) + bytes(256 - P.n)
+    patterns = {bytes(g.images).translate(e) for g in rank_pairing(P)[0]}
+
+    def stalling(table):
+        return itertools.repeat(bytes(range(256)) if table[:P.n] in patterns and len(table) == 256 else table)
+
+    monkeypatch.setattr(qstar.qsemigroup, "repeat", stalling)
+    clear_q_caches()
+    with pytest.raises(InternalConsistencyError, match="^left product escaped a right-product closure$|^symmetric part"):
         enumerate_Q(P)
 
 
@@ -687,8 +736,8 @@ def test_cross_section_count_catches_what_a_fooled_cover_test_lets_through(monke
     planted = _plant_in_built_set(monkeypatch, P, lambda images: (0,) * P.n)
     real = qstar.qsemigroup.packed_closure
 
-    def passing(generators, max_size):
-        return {bytes(P.n) if tuple(p) == planted[0] else p for p in real(generators, max_size=max_size)}
+    def passing(P, generators, max_size):
+        return {bytes(P.n) if tuple(p) == planted[0] else p for p in real(P, generators, max_size=max_size)}
 
     monkeypatch.setattr(qstar.qsemigroup, "packed_closure", passing)
     monkeypatch.setattr(qstar.qsemigroup, "any", lambda items: False, raising=False)

@@ -9,7 +9,7 @@ from qstar.qsemigroup import rank_pairing
 from qstar.rank import _no_generating_set_by_levels
 from qstar.verify import run_verification
 
-from conftest import clear_q_caches
+from conftest import bound_closures, clear_q_caches
 from qstar import (
     ContractError,
     InternalConsistencyError,
@@ -185,16 +185,17 @@ def test_pattern_homomorphism_certifies_non_generation(p6, alpha):
 
 
 def test_image_right_invariance(p6):
+    # Every image of Q is a cross-section, so each map is checked on one image.
     Q = enumerate_Q(p6)
-    assert verify_image_right_invariance(Q, Q) == 36 * 36
-    assert verify_image_right_invariance(Q, qstar.qsemigroup.prove_Q(p6).pairing.generators) == 36 * 6
+    assert verify_image_right_invariance(p6, Q, Q) == 36
+    assert verify_image_right_invariance(p6, Q, qstar.qsemigroup.prove_Q(p6).pairing.generators) == 6
 
 
 def test_minimality_certificate(p6):
     cert = minimality_certificate(p6)
     assert cert["rank"] == 6
     assert cert["image_classes"] == 6
-    assert cert["pairs_checked"] == 36 * 6  # every element times each of the rank generators
+    assert cert["pairs_checked"] == 6  # one cross-section times each of the rank generators
     assert cert["smaller_subsets_possible"] is False
     with pytest.raises(ContractError):
         minimality_certificate(identity_partition(3))
@@ -270,9 +271,9 @@ def test_verification_closes_the_rank_generators_once_per_check(monkeypatch):
     calls = []
     real = qstar.qsemigroup.packed_closure
 
-    def counting(gens, *args, **kwargs):
+    def counting(P, gens, *args, **kwargs):
         calls.append(tuple(gens))
-        return real(gens, *args, **kwargs)
+        return real(P, gens, *args, **kwargs)
 
     monkeypatch.setattr(qstar.qsemigroup, "packed_closure", counting)
     P = partition_from_spec("1,2|3,4|5")
@@ -302,17 +303,21 @@ def test_minimality_certificate_reads_no_product_table(monkeypatch):
     clear_q_caches()
     monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
     cert = minimality_certificate(P)
-    assert (cert["rank"], cert["image_classes"], cert["pairs_checked"]) == (4, 4, 480 * 4)
+    assert (cert["rank"], cert["image_classes"], cert["pairs_checked"]) == (4, 4, 4)
 
 
-def test_minimality_certificate_refuses_past_the_generator_check_budget(monkeypatch):
+def test_minimality_certificate_refuses_only_past_the_bounds_of_q(monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("enumerated Q past the generator check budget")
+        raise AssertionError("built Q past its bounds")
 
-    P = partition_from_sizes((2, 2, 1, 1, 1))  # |Q|*|R| = 480 * 4
-    monkeypatch.setattr(qstar.rank, "GENERATOR_CHECK_BUDGET", 480 * 4 - 1)
-    monkeypatch.setattr(qstar.rank, "enumerate_Q", no_build)
-    with pytest.raises(ResourceLimitError, match=r"^\|Q\|\*\|R\| = 1920 exceeds GENERATOR_CHECK_BUDGET=1919$"):
+    P = partition_from_sizes((2, 2, 1, 1, 1))  # |Q| = 480
+    clear_q_caches()
+    bound_closures(monkeypatch, 480)
+    assert minimality_certificate(P)["pairs_checked"] == 4
+    clear_q_caches()
+    bound_closures(monkeypatch, 479)
+    monkeypatch.setattr(qstar.qsemigroup, "_built", no_build)
+    with pytest.raises(ResourceLimitError, match=r"^\|Q\| = 480 exceeds DEFAULT_MAX_CLOSURE=479$"):
         minimality_certificate(P)
 
 
@@ -325,4 +330,4 @@ def test_image_right_invariance_raises_when_images_move():
     S = closure([identity_map(2), constant_map(2, 0)])
     assert len(S) == 2
     with pytest.raises(InternalConsistencyError, match="image is not right-invariant on this set"):
-        verify_image_right_invariance(S, S)
+        verify_image_right_invariance(identity_partition(2), S, S)

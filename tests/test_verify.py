@@ -385,8 +385,11 @@ def test_q_counts_fails_on_a_planted_fault(monkeypatch, p6, name, fault, keep_fl
 
 
 def test_idempotents_right_zero_fails_when_a_product_keeps_its_left_factor(monkeypatch, p6):
+    # The second idempotent is replaced by the identity map, so first*identity
+    # keeps its left factor.
     assert check_idempotents_right_zero(p6).status == "pass"
-    first, second = idempotents_Q(p6)[:2]
-    monkeypatch.setattr(qstar.verify, "compose", lambda f, g: f)
+    first, _, *rest = idempotents_Q(p6)
+    identity = identity_map(p6.n)
+    monkeypatch.setattr(qstar.verify, "idempotents_Q", lambda P: (first, identity, *rest))
     check = check_idempotents_right_zero(p6)
-    assert (check.status, check.detail) == ("fail", f"f*g != g for {first.images}, {second.images}")
+    assert (check.status, check.detail) == ("fail", f"f*g != g for {first.images}, {identity.images}")

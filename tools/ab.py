@@ -8,8 +8,10 @@ of ``--pairs`` seeds, the benchmark command runs once on each side, with
 ``--trace 0``, as a subprocess in that side's directory; the side that runs
 first alternates from pair to pair, so a drift in the host's speed falls on
 both.  For each workload and metric the summary prints each side's median
-with its quartiles, the change's median relative to the parent's, and the
-metric's bound, a fraction of the parent's median.  A metric is ``WORSE``
+with its quartiles, the change's median relative to the parent's, the
+pairs the change wins (its run of the pair beats the parent's in the
+metric's direction), and the metric's bound, a fraction of the parent's
+median.  A metric is ``WORSE``
 when the change's median is worse than the parent's by more than its bound,
 and ``UNRESOLVED`` when the parent's spread between quartiles, relative to
 its median, exceeds the bound, so the runs cannot tell.  The exit is 1 on
@@ -42,8 +44,9 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> tuple[list[dic
     as the last line of ``bench/run.py --trace 0`` prints them; ``metrics``
     is ``BENCHMARK.json``'s ``end_to_end`` list.  A row holds the workload,
     the metric, each side's (q1, median, q3), the relative change of the
-    median (positive when the change's median is larger), the bound and a
-    status: ``ok``, ``worse`` or ``unresolved``."""
+    median (positive when the change's median is larger), the pairs the
+    change wins, as (wins, pairs), the bound and a status: ``ok``, ``worse``
+    or ``unresolved``.  Run i of each side is pair i."""
     rows, failures = [], []
     for side, runs in (("parent", parent), ("change", change)):
         for workload, results in runs.items():
@@ -53,16 +56,20 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> tuple[list[dic
     for workload in parent:
         for metric in metrics:
             name, bound = metric["name"], metric["bound"]
-            before = quartiles([r["metrics"][name]["value"] for r in parent[workload]])
-            after = quartiles([r["metrics"][name]["value"] for r in change[workload]])
+            parent_values = [r["metrics"][name]["value"] for r in parent[workload]]
+            change_values = [r["metrics"][name]["value"] for r in change[workload]]
+            before, after = quartiles(parent_values), quartiles(change_values)
             relative = after[1] / before[1] - 1
+            sign = 1 if metric["better"] == "lower" else -1
+            wins = sum(sign * (p - c) > 0 for p, c in zip(parent_values, change_values))
             worse = relative > bound if metric["better"] == "lower" else -relative > bound
             if (before[2] - before[0]) / before[1] > bound:
                 status = "unresolved"
             else:
                 status = "worse" if worse else "ok"
             rows.append({"workload": workload, "metric": name, "parent": before, "change": after,
-                         "relative": relative, "bound": bound, "status": status})
+                         "relative": relative, "wins": (wins, len(parent_values)), "bound": bound,
+                         "status": status})
     return rows, failures
 
 
@@ -74,7 +81,7 @@ def render(rows: list[dict], failures: list[str]) -> str:
 
     lines = [
         f"{r['workload']:<10} {r['metric']:<12} parent {side(r['parent']):<28} change {side(r['change']):<28} "
-        f"{r['relative']:+7.1%}  bound {r['bound']:.0%}  {r['status'].upper()}"
+        f"{r['relative']:+7.1%}  wins {r['wins'][0]}/{r['wins'][1]}  bound {r['bound']:.0%}  {r['status'].upper()}"
         for r in rows
     ]
     return "\n".join(lines + [f"FAILED {failure}" for failure in failures])
