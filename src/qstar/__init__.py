@@ -19,10 +19,7 @@ __version__ = "0.1.0"
 
 # The public names of each module.
 _EXPORTS = {
-    "errors": (
-        "ContractError", "InternalConsistencyError", "QstarError", "ResourceLimitError",
-        "UnsupportedCaseError", "ValidationError",
-    ),
+    "errors": ("ContractError", "InternalConsistencyError", "QstarError", "ResourceLimitError", "ValidationError"),
     "partition": (
         "PartitionedSet", "identity_partition", "is_cross_section", "make_partitioned_set",
         "partition_from_json", "partition_from_sizes", "partition_from_spec", "universal_partition",

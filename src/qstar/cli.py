@@ -198,20 +198,18 @@ def cmd_generate(args) -> dict:
         "rank": json_int(report.claimed_rank),
         "generators": [list(q_shorthand(P, g)) for g in report.generators],
         "generator_images": [[v + 1 for v in g.images] for g in report.generators],
-        "verified": report.verified,
+        "verified": True,  # minimal_generating_set raises rather than return a set prove_Q did not prove
     }
 
 
 def cmd_maximal(args) -> dict:
-    from .engine import maximal_subgroups, symmetric_group_table
     from .maximal import maximal_subsemigroups_Q
     from .qsemigroup import enumerate_Q
 
     P = partition_from_spec(args.partition)
+    report = maximal_subsemigroups_Q(P)
     if P.m == 1:
-        # Q is the symmetric group on the blocks; the right-group theorem
-        # needs at least two idempotents, so report maximal subgroups instead.
-        maxima = maximal_subgroups(symmetric_group_table(P.k).elements)
+        # Q is the symmetric group on the blocks: its maximal subsemigroups are its maximal subgroups.
         return {
             "command": "maximal",
             "partition": P.to_spec(),
@@ -223,10 +221,9 @@ def cmd_maximal(args) -> dict:
             ),
             "k": P.k,
             "group_order": json_int(math.factorial(P.k)),
-            "s_k": json_int(len(maxima)),
-            "maximal_subgroup_orders": sorted(len(s) for s in maxima),
+            "s_k": json_int(report.s_k),
+            "maximal_subgroup_orders": sorted(len(T) for T in report.group_type),
         }
-    report = maximal_subsemigroups_Q(P)
     short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P)}
     families = [(T, "group", None) for T in report.group_type]
     families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
@@ -275,11 +272,9 @@ def cmd_iso(args) -> dict:
             iso = build_isomorphism(P1, P2)
         except ResourceLimitError:  # refused before building: no witness
             return payload
-        payload["isomorphism"] = {
-            "block_bijection": [b + 1 for b in iso["block_bijection"]],
-            "verified": iso["verified"],
-        }
-        payload["witness_verified"] = iso["verified"]
+        # build_isomorphism raises rather than return a map it has not checked.
+        payload["isomorphism"] = {"block_bijection": [b + 1 for b in iso["block_bijection"]], "verified": True}
+        payload["witness_verified"] = True
     return payload
 
 

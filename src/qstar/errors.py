@@ -13,10 +13,6 @@ class ContractError(QstarError):
     """A documented precondition was violated by the caller."""
 
 
-class UnsupportedCaseError(ContractError):
-    """The requested operation is outside the supported case split."""
-
-
 class ResourceLimitError(QstarError):
     """A configured size bound would be exceeded."""
 

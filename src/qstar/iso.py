@@ -81,7 +81,5 @@ def build_isomorphism(P1: PartitionedSet, P2: PartitionedSet) -> dict:
     return {
         "mapping": mapping,
         "block_bijection": tuple(beta),
-        "verified": True,
         "pairs_checked": len(classes) * len(gens),
-        "exhaustive": True,
     }

@@ -18,7 +18,7 @@ DEFAULT_MAX_CLOSURE = 100_000
 # Largest degree n of a built Q: its proof packs each map one byte per point.
 MAX_DEGREE = 256
 # Order k! of a group built as a table: the one a ``maximal`` run searches, on
-# the H-class's k! members or (m = 1) the symmetric group, and ``h_class``'s.
+# the H-class's k! members (for m = 1, all of Q), and ``h_class``'s.
 # ``decompose`` builds none.  5040 is S_7's order: its table has 25 million
 # entries, and ``maximal`` at k = 7 (m = 2) takes about 17 s and 222 MB while
 # Close-by-One lists S_7's subgroups.  S_8's table would have 1.6 billion.

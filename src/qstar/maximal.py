@@ -1,12 +1,12 @@
 """Maximal subsemigroups of Q.
 
-For m >= 2 every maximal subsemigroup is one of two shapes in the
-right-group coordinates (group part) x (idempotents) of ``decompose``:
-H x E(Q) for a maximal subgroup H of the group part, or
-(group part) x (E(Q) minus one idempotent).
-That yields s_k + m of them, where s_k counts the maximal subgroups of the
-symmetric group S_k; the construction proves its group part isomorphic to
-S_k on the block patterns and counts there with ``maximal_subgroups``, and
+Every maximal subsemigroup is one of two shapes in the right-group
+coordinates (group part) x (idempotents) of ``decompose``: H x E(Q) for a
+maximal subgroup H of the group part, or, for m >= 2, (group part) x (E(Q)
+minus one idempotent).  That yields s_k + m of them, or s_k when Q is a group
+(m = 1), where s_k counts the maximal subgroups of the symmetric group S_k;
+the construction proves its group part isomorphic to S_k on the block
+patterns and counts there with ``maximal_subgroups``, and
 :func:`count_maximal` counts again, for the oracle battery, on an S_k built
 from scratch and by the other search: the exhaustive oracle's.  That oracle
 searches the closed subsets of Q by branch and cut, with no theory, for the
@@ -22,7 +22,7 @@ from operator import attrgetter
 
 from .engine import SemigroupSet, _extend, _mask_indices, _maximal_masks
 from .engine import is_maximal_subsemigroup, maximal_subgroups, symmetric_group_table
-from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedCaseError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .limits import DEFAULT_MAX_CLOSED_SETS, DEFAULT_MAX_CLOSURE, DEFAULT_ORACLE_MAX, DEFAULT_VERIFY_MAX
 from .limits import MAX_GROUP_ORDER, MAX_LISTED_CELLS, admit
 from .partition import PartitionedSet
@@ -43,34 +43,31 @@ class MaximalSubsemigroupReport:
     group_type: tuple[SemigroupSet, ...]
     right_zero_type: tuple[SemigroupSet, ...]
     omitted_idempotents: tuple[Transformation, ...]
-    s_k: int
-    m: int
     verified: bool
 
     @property
+    def s_k(self) -> int:
+        return len(self.group_type)
+
+    @property
+    def m(self) -> int:
+        return self.partition.m
+
+    @property
     def total(self) -> int:
-        return self.s_k + self.m
+        return len(self.group_type) + len(self.right_zero_type)
 
     def all_subsemigroups(self) -> tuple[SemigroupSet, ...]:
         return self.group_type + self.right_zero_type
 
 
-def _require_right_group(P: PartitionedSet) -> None:
-    if P.m < 2:
-        raise UnsupportedCaseError(
-            "E is the identity relation, Q is a group; ask for maximal subgroups "
-            "of the symmetric group on k points instead"
-        )
-
-
 def count_maximal(P: PartitionedSet) -> tuple[int, int, int]:
-    """(s_k, m, s_k + m) for m >= 2: the oracle battery's count.  s_k is counted on a freshly built
-    symmetric group table, under ``MAX_GROUP_ORDER``, by :func:`_maximal_closed_masks`, not by
-    the construction's ``maximal_subgroups``: in a finite group the nonempty closed subsets are the
-    subgroups, so the maximal proper ones are the maximal subgroups."""
-    _require_right_group(P)
+    """(s_k, m, s_k + m), or (s_k, 1, s_k) when Q is a group: the oracle battery's count.  s_k is
+    counted on a freshly built symmetric group table, under ``MAX_GROUP_ORDER``, by
+    :func:`_maximal_closed_masks`, not by the construction's ``maximal_subgroups``: in a finite group
+    the nonempty closed subsets are the subgroups, so the maximal proper ones are the maximal subgroups."""
     s_k = len(_maximal_closed_masks(symmetric_group_table(P.k).elements))
-    return (s_k, P.m, s_k + P.m)
+    return (s_k, P.m, s_k + P.m if P.m > 1 else s_k)
 
 
 def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
@@ -92,19 +89,18 @@ def _check_symmetric(dec: RightGroupDecomposition, gens) -> None:
 
 
 def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
-    """Construct every maximal subsemigroup of Q (m >= 2).
+    """Construct every maximal subsemigroup of Q.
 
     Group type: (maximal subgroup of the base H-class) paired with all idempotents.  Right-zero
-    type: the whole group part paired with all but one idempotent.  The group part is proved
-    isomorphic to S_k on its block patterns, so s_k is the number of its maximal subgroups,
-    searched on the one table built here, of order k! <= ``MAX_GROUP_ORDER``.  Each set is checked
-    for maximality against the definitional engine predicate when |Q| <= ``DEFAULT_VERIFY_MAX``.
-    The sets hold m*|H| elements for each H and k!*m*(m - 1) in the m right-zero ones, admitted
-    under ``MAX_LISTED_CELLS`` before anything is built, with the sum of |H| from
-    ``MAXIMAL_SUBGROUP_CELLS``; k past that table (k! > ``MAX_GROUP_ORDER``) counts the right-zero
-    cells alone, and the group-order bound refuses it.
+    type, for m >= 2: the whole group part paired with all but one idempotent.  The group part,
+    all of Q when m = 1, is proved isomorphic to S_k on its block patterns, so s_k is the number of
+    its maximal subgroups, searched on the one table built here, of order k! <= ``MAX_GROUP_ORDER``.
+    Each set is checked for maximality against the definitional engine predicate when |Q| <=
+    ``DEFAULT_VERIFY_MAX``.  The sets hold m*|H| elements for each H and k!*m*(m - 1) in the m
+    right-zero ones, admitted under ``MAX_LISTED_CELLS`` before anything is built, with the sum of
+    |H| from ``MAXIMAL_SUBGROUP_CELLS``; k past that table (k! > ``MAX_GROUP_ORDER``) counts the
+    right-zero cells alone, and the group-order bound refuses it.
     """
-    _require_right_group(P)
     k_factorial, m = math.factorial(P.k), P.m
     subgroup_cells = MAXIMAL_SUBGROUP_CELLS[P.k] if P.k < len(MAXIMAL_SUBGROUP_CELLS) else 0
     admit("listed cells", m * subgroup_cells + k_factorial * m * (m - 1), MAX_LISTED_CELLS, "MAX_LISTED_CELLS=")
@@ -127,11 +123,12 @@ def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
     if sum(map(len, subgroups)) != subgroup_cells:
         raise InternalConsistencyError("maximal subgroups of the group part differ in size from S_k's")
     group_type = [family((i, j) for i in H for j in range(m)) for H in subgroups]
-    right_zero = [family((i, j) for i in range(len(G)) for j in range(m) if j != omitted) for omitted in range(m)]
+    omitted = dec.idempotent_part if m > 1 else ()  # m = 1: Q is the group part, with no right-zero family
+    right_zero = [family((i, j) for i in range(len(G)) for j in range(m) if j != drop) for drop in range(len(omitted))]
     verified = len(Q) <= DEFAULT_VERIFY_MAX
     if verified and not all(is_maximal_subsemigroup(T, Q) for T in group_type + right_zero):
         raise InternalConsistencyError("constructed set fails the maximality oracle")
-    return MaximalSubsemigroupReport(P, tuple(group_type), tuple(right_zero), dec.idempotent_part, len(group_type), m, verified)
+    return MaximalSubsemigroupReport(P, tuple(group_type), tuple(right_zero), omitted, verified)
 
 
 def _maximal_closed_masks(S: SemigroupSet) -> list[int]:

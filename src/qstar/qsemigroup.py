@@ -205,7 +205,7 @@ def enumerate_Q_bruteforce(P: PartitionedSet) -> SemigroupSet:
 
 
 def idempotents_Q(P: PartitionedSet) -> tuple[Transformation, ...]:
-    """The m idempotents of Q: one per choice of a representative in each block.
+    """The m idempotents of Q: one per choice of a representative in each block, wrapped unvalidated.
 
     Each map is verified, before caching, to satisfy a*a == a and to send each block to one of its points.
     """
@@ -214,7 +214,7 @@ def idempotents_Q(P: PartitionedSet) -> tuple[Transformation, ...]:
     record = instance(P)
     if record.idempotents is not None:
         return record.idempotents
-    out = tuple(sorted(map(Transformation, map(product_map(P.block_of), itertools.product(*P.blocks)))))
+    out = tuple(sorted(map(Transformation._unchecked, map(product_map(P.block_of), itertools.product(*P.blocks)))))
     if any(compose(a, a) != a for a in out):
         raise InternalConsistencyError("constructed idempotent fails a*a == a")
     if len(out) != P.m:
@@ -249,12 +249,14 @@ Pairing = namedtuple("Pairing", "generators paired leftover")
 def rank_pairing(P: PartitionedSet) -> Pairing:
     """Q's ``Pairing``: (g, f, g*f) pairs each symmetric-part generator g with the next least
     idempotent f (cycling, for the identity relation), and (f, e*f) == (f, f) adds each other
-    idempotent f, e the least.  Products of these valid maps are taken on image tuples, unvalidated."""
+    idempotent f, e the least.  Products of these valid maps are taken on image tuples, unvalidated;
+    one equal to its right factor, as e*f == f is, is that factor's own object."""
     idems = idempotents_Q(P)
     gens_sym = symmetric_part_generators(P)
 
     def times(a, b):
-        return a._unchecked(product_map(a.images)(b.images))
+        images = product_map(a.images)(b.images)
+        return b if images == b.images else a._unchecked(images)
 
     paired = tuple((g, f, times(g, f)) for g, f in zip(gens_sym, itertools.cycle(idems)))
     leftover = tuple((f, times(idems[0], f)) for f in idems[len(gens_sym):])

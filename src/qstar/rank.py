@@ -29,7 +29,6 @@ class GeneratingSetReport:
     claimed_rank: int
     paired: tuple[tuple[Transformation, Transformation, Transformation], ...]
     leftover: tuple[tuple[Transformation, Transformation], ...]
-    verified: bool
 
 
 def minimal_generating_set(P: PartitionedSet) -> GeneratingSetReport:
@@ -40,7 +39,7 @@ def minimal_generating_set(P: PartitionedSet) -> GeneratingSetReport:
     claimed = rank_Q(P)
     if len(pairing.generators) != claimed:
         raise InternalConsistencyError(f"construction produced {len(pairing.generators)} generators, rank is {claimed}")
-    return GeneratingSetReport(P, pairing.generators, claimed, pairing.paired, pairing.leftover, True)
+    return GeneratingSetReport(P, pairing.generators, claimed, pairing.paired, pairing.leftover)
 
 
 def _hits_every_hclass(gens, P: PartitionedSet) -> bool:

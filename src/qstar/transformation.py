@@ -56,8 +56,9 @@ class Transformation(_TransformationFields):
     def _unchecked(cls, images: tuple[int, ...]) -> "Transformation":
         """Wrap ``images`` without validation.
 
-        Only for products of valid maps of one degree, which cannot leave
-        the range; every other map goes through the validating constructor.
+        Only for products of valid maps of one degree and for maps onto the
+        points of a validated partition, which cannot leave the range; every
+        other map goes through the validating constructor.
         """
         return tuple.__new__(cls, (images,))
 

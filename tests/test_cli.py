@@ -176,6 +176,14 @@ def test_maximal_group_mode(capsys):
     assert "listing its maximal subgroups" in payload["note"]
 
 
+def test_maximal_group_mode_lists_the_maximal_subgroups_of_the_symmetric_group(capsys):
+    # The construction's subgroups, read off Q, against the engine's search on a fresh S_k.
+    for k in range(1, 7):
+        payload = run_json(capsys, "maximal", "--partition", "|".join(map(str, range(1, k + 1))))
+        reference = qstar.engine.maximal_subgroups(qstar.engine.symmetric_group_table(k).elements)
+        assert (payload["s_k"], payload["maximal_subgroup_orders"]) == (len(reference), sorted(map(len, reference))), k
+
+
 def test_maximal_group_mode_uses_the_bound_the_group_was_built_with(capsys):
     payload = run_json(capsys, "maximal", "--partition", "1|2|3|4|5|6")
     assert payload["group_order"] == 720
@@ -350,19 +358,15 @@ def refuse_any_map(*args, **kwargs):
     raise AssertionError("built a map past the group-order bound")
 
 
-@pytest.mark.parametrize(
-    "spec, what",
-    [("1|2|3|4|5|6|7|8", "group order"), ("1,9|2|3|4|5|6|7|8", "H-class order")],
-    ids=["group", "right-group"],
-)
-def test_maximal_on_eight_blocks_refuses_before_any_map(capsys, monkeypatch, spec, what):
-    # S_8 has order 40,320, past MAX_GROUP_ORDER; both modes refuse before the
-    # symmetric group, Q or an H-class member is built.
+@pytest.mark.parametrize("spec", ["1|2|3|4|5|6|7|8", "1,9|2|3|4|5|6|7|8"], ids=["group", "right-group"])
+def test_maximal_on_eight_blocks_refuses_before_any_map(capsys, monkeypatch, spec):
+    # S_8 has order 40,320, past MAX_GROUP_ORDER; both modes run the one construction,
+    # which refuses before the symmetric group, Q or an H-class member is built.
     monkeypatch.setattr(qstar.engine, "Transformation", refuse_any_map)
     monkeypatch.setattr(qstar.qsemigroup, "_built", refuse_any_map)
     monkeypatch.setattr(qstar.qsemigroup, "_pattern_element", refuse_any_map)
     assert main(["maximal", "--partition", spec]) == 3
-    assert capsys.readouterr() == ("", f"resource limit: {what} 40320 exceeds MAX_GROUP_ORDER=5040\n")
+    assert capsys.readouterr() == ("", "resource limit: H-class order 40320 exceeds MAX_GROUP_ORDER=5040\n")
 
 
 def test_argparse_rejects_unknown_subcommand():

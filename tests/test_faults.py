@@ -158,7 +158,7 @@ def test_a_command_that_reaches_the_raise_exits_4(monkeypatch, capsys, fault, me
     assert capsys.readouterr() == ("", f"internal consistency: {message}\n")
 
 
-@pytest.mark.parametrize("spec", ["1,2|3|4|5", "1,2,3|4|5|6", "1,2|3,4|5|6"])
+@pytest.mark.parametrize("spec", ["1,2|3|4|5", "1,2,3|4|5|6", "1,2|3,4|5|6", "1|2|3|4"])
 def test_verify_fails_a_maximal_construction_that_drops_a_subgroup(monkeypatch, spec):
     # The construction drops A_4, the one maximal subgroup of S_4 of order 12, and
     # its 12 cells from the table it sums the subgroups against.  Every set it keeps
@@ -171,5 +171,5 @@ def test_verify_fails_a_maximal_construction_that_drops_a_subgroup(monkeypatch, 
     monkeypatch.setattr(qstar.maximal, "MAXIMAL_SUBGROUP_CELLS", tuple(table))
     P = partition_from_spec(spec)
     check = next(check for check in run_verification(P).checks if check.name == "maximal-subsemigroups")
-    total = 8 + P.m  # s_4 + m
+    total = 8 + P.m if P.m > 1 else 8  # s_4 + m, or s_4 when Q is S_4
     assert (check.status, check.detail) == ("fail", f"{total - 1} constructed, count formula says {total}")

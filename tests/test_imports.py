@@ -147,3 +147,15 @@ def test_every_public_name_is_the_object_its_home_module_defines():
     with pytest.raises(AttributeError, match="^module 'qstar' has no attribute 'no_such_name'$"):
         qstar.no_such_name
     assert not hasattr(qstar, "no_such_name")
+
+
+def test_cli_imports_nothing_from_the_engine():
+    # The CLI reaches the engine only through the constructions that check what it returns.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = [
+        f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if "engine" in name.split(".")] == []

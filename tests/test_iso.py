@@ -63,8 +63,6 @@ def test_build_isomorphism_verified():
     P1 = partition_from_sizes((2, 2))
     P2 = partition_from_sizes((4, 1))
     iso = build_isomorphism(P1, P2)
-    assert iso["verified"]
-    assert iso["exhaustive"]
     assert iso["pairs_checked"] == 2 * 4  # one element per block pattern times each rank generator
     mapping = iso["mapping"]
     assert len(mapping) == 8
@@ -86,7 +84,6 @@ def test_isomorphism_between_reordered_size_multisets():
     iso = build_isomorphism(
         partition_from_sizes((3, 2, 1)), partition_from_sizes((1, 2, 3))
     )
-    assert iso["verified"] and iso["exhaustive"]
     assert iso["pairs_checked"] == 6 * 6
 
 
@@ -94,7 +91,6 @@ def test_isomorphism_between_two_element_right_zeros():
     from qstar import constant_map
 
     iso = build_isomorphism(partition_from_sizes((2,)), partition_from_sizes((2,)))
-    assert iso["verified"]
     assert iso["mapping"] == {
         constant_map(2, 0): constant_map(2, 0),
         constant_map(2, 1): constant_map(2, 1),
@@ -258,7 +254,7 @@ def test_build_isomorphism_at_k_7_builds_no_product_table(monkeypatch):
     monkeypatch.setattr(GroupTable, "from_semigroup", no_table)
     monkeypatch.setattr(SemigroupSet, "index_table", property(no_table))
     iso = build_isomorphism(P1, P2)
-    assert iso["verified"] and iso["block_bijection"] == (6, 0, 1, 2, 3, 4, 5)
+    assert iso["block_bijection"] == (6, 0, 1, 2, 3, 4, 5)
     assert iso["pairs_checked"] == 5_040 * 2  # one element per block pattern times each of the two rank generators
 
 
@@ -330,7 +326,6 @@ def test_both_routes_accept_the_witness_on_every_isomorphic_pair():
     assert len(pairs) == 31
     for P1, P2 in pairs:
         iso = build_isomorphism(P1, P2)  # the generator route raises on a bad map
-        assert iso["verified"] and iso["exhaustive"]
         assert _multiplicative_on_tables(P1, P2, iso["mapping"])
 
 

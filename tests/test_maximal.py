@@ -10,7 +10,6 @@ from qstar import (
     ResourceLimitError,
     SemigroupSet,
     Transformation,
-    UnsupportedCaseError,
     closure,
     count_maximal,
     enumerate_Q,
@@ -123,9 +122,10 @@ def test_construction_lists_subgroups_once_and_builds_no_second_symmetric_group(
     for module in (qstar.engine, qstar.maximal):
         monkeypatch.setattr(module, "symmetric_group_table", refuse)
     monkeypatch.setattr(qstar.maximal, "count_maximal", refuse)
-    report = maximal_subsemigroups_Q(partition_from_sizes((3, 2, 1, 1)))
-    assert (report.s_k, report.total) == (8, 14)
-    assert calls == [24]
+    for sizes, total in (((3, 2, 1, 1), 14), ((1, 1, 1, 1), 8)):  # m = 6, and m = 1: Q is S_4
+        report = maximal_subsemigroups_Q(partition_from_sizes(sizes))
+        assert (report.s_k, report.total) == (8, total)
+    assert calls == [24, 24]
 
 
 def test_right_zero_case_drops_one_constant_each():
@@ -249,11 +249,17 @@ def test_equal_trace_and_idempotents_forces_equality():
     assert hits == 1
 
 
-def test_group_case_is_not_covered():
-    with pytest.raises(UnsupportedCaseError, match="maximal subgroups"):
-        count_maximal(identity_partition(3))
-    with pytest.raises(UnsupportedCaseError):
-        maximal_subsemigroups_Q(identity_partition(4))
+def test_group_case_lists_the_maximal_subgroups():
+    # m = 1: Q is S_4, whose maximal subsemigroups are its maximal subgroups, with no right-zero family.
+    P = identity_partition(4)
+    report = maximal_subsemigroups_Q(P)
+    assert (report.s_k, report.m, report.total) == count_maximal(P) == (8, 1, 8)
+    assert report.right_zero_type == report.omitted_idempotents == ()
+    assert sorted(len(T) for T in report.group_type) == [6, 6, 6, 6, 8, 8, 8, 12]
+    assert report.verified
+    oracle = exhaustive_maximal_oracle(enumerate_Q(P))
+    assert {T.elements for T in report.all_subsemigroups()} == {T.elements for T in oracle}
+    assert count_maximal(identity_partition(3)) == (4, 1, 4)
 
 
 def test_maximality_is_not_checked_past_the_verify_bound(p6, monkeypatch):

@@ -12,7 +12,8 @@ import qstar.engine
 import qstar.transformation
 import qstar.verify
 from qstar.engine import _close_mask, _mask_indices
-from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, make_partitioned_set, partition_from_sizes
+from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, identity_partition, make_partitioned_set
+from qstar import partition_from_sizes
 from qstar.qsemigroup import h_class, idempotents_Q
 from qstar.membership import is_idempotent_Q
 from qstar.verify import (
@@ -77,6 +78,23 @@ def test_check_maximal_fails_on_an_unverified_construction(monkeypatch, p6):
     )
     check = check_maximal(p6, enumerate_Q(p6))
     assert (check.status, check.detail) == ("fail", "constructed sets were not checked for maximality")
+
+
+@pytest.mark.parametrize(
+    "k, detail",
+    [
+        (1, "0 = s_k, set-equal to the exhaustive oracle"),
+        (2, "1 = s_k, set-equal to the exhaustive oracle"),
+        (3, "4 = s_k, set-equal to the exhaustive oracle"),
+        (4, "8 = s_k, set-equal to the exhaustive oracle"),
+        (5, "22 = s_k constructed and verified"),  # |Q| = 120, past DEFAULT_ORACLE_MAX
+    ],
+)
+def test_verify_passes_the_maximal_row_when_q_is_a_group(k, detail):
+    report = run_verification(identity_partition(k))
+    check = next(check for check in report.checks if check.name == "maximal-subsemigroups")
+    assert (check.status, check.detail) == ("pass", detail)
+    assert report.all_passed
 
 
 SEMILATTICE = SemigroupSet.from_elements([identity_map(2), constant_map(2, 0)])
