@@ -188,14 +188,6 @@ def green_R_definitional(a: Transformation, b: Transformation, S: SemigroupSet) 
     return (ia == ib or ia in t[ib]) and (ib == ia or ib in t[ia])
 
 
-def _rows_at(S: SemigroupSet, indices):
-    """The index set (all of S by default) and its rows of S's table read at it."""
-    if indices is None:
-        return range(len(S)), S.index_table
-    pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
-    return indices, map(pick, map(S.index_table.__getitem__, indices))
-
-
 class RightGroupLegs(NamedTuple):
     """What one pass over an index set I's rows decides, each leg by its own definition."""
 
@@ -216,7 +208,11 @@ def right_group_legs(S: SemigroupSet, indices=None) -> RightGroupLegs:
     past its step, so the pass holds O(|I|) entries, not |I|^2.
     """
     t = S.index_table
-    indices, rows = _rows_at(S, indices)
+    if indices is None:
+        indices, rows = range(len(S)), t
+    else:  # one itemgetter picks every row at the index set
+        pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
+        rows = map(pick, map(t.__getitem__, indices))
     members = set(indices)
     size = len(indices)
     right_group = cancellative = regular = True

@@ -25,7 +25,8 @@ MAX_DEGREE = 256
 MAX_GROUP_ORDER = 5040
 # Work of a closed-subset search: the closed sets ``all_closed_subsets``
 # lists, or the states of the maximal-subsemigroup oracle's branch and cut
-# (259 on Q for blocks (4, 4); about 3,200 on a 39-element closure in T(4)).
+# (259 on Q for blocks (4, 4); at most 5,106 on 102 closures of 36-40 elements
+# in T(4)).
 DEFAULT_MAX_CLOSED_SETS = 500_000
 # Elements of the maximal subsemigroups that ``maximal`` builds and lists: m*|H|
 # for each maximal subgroup H, and k!*(m - 1) for each of the m right-zero

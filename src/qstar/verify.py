@@ -21,8 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import SemigroupSet, _extend, closure, green_R_definitional, green_R_related, groups_isomorphic
-from .engine import is_right_group, right_group_legs
+from .engine import SemigroupSet, _extend, _small_generating_sequence, closure, green_R_definitional, green_R_related
+from .engine import groups_isomorphic, is_right_group, right_group_legs, symmetric_group_table
 from .errors import InternalConsistencyError
 from .formulas import cardinality_Q, is_group_Q, q_isomorphic, rank_Q
 from .iso import build_isomorphism
@@ -32,9 +32,9 @@ from .limits import PAIRWISE_WORK_BUDGET, VERIFY_SAMPLES, exceeds
 from .maximal import _maximal_closed_masks, count_maximal, maximal_subsemigroups_Q
 from .membership import in_Q, in_TE, in_TEstar, in_TEstar_pairwise, is_idempotent_Q
 from .partition import PartitionedSet, is_cross_section
-from .qsemigroup import block_permutation, decompose, enumerate_Q, h_class, idempotents_Q
+from .qsemigroup import _h_class_members, block_permutation, decompose, enumerate_Q, h_class, idempotents_Q
 from .rank import GeneratingSetReport, _hits_every_hclass, minimal_generating_set, minimality_certificate
-from .transformation import Transformation, image, kernel_partition, q_shorthand
+from .transformation import Transformation, image, kernel_partition, product_map, q_shorthand
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,17 @@ def _all_maps(n: int):
 
 def _sampled_closures(Q, rng, count: int):
     """Closures of ``count`` random 1-3 element subsets of Q, as sorted index lists into Q.
-    All are drawn and closed, a pick at a time with ``_extend``, but each distinct closed set is yielded once."""
+    All are drawn and closed, a pick at a time with ``_extend`` from the first pick's closure <x>, which is
+    computed once per call for each x; each distinct closed set is yielded once."""
     table = Q.index_table
-    seen = set()
+    seen, single = set(), {}  # single: x -> <x>, closed once per call
     for _ in range(count):
         picks = rng.sample(range(len(Q)), min(rng.randint(1, 3), len(Q)))
-        mask, members = 0, []
-        for i, x in enumerate(picks):
-            mask, members = _extend(table, mask, members, picks[:i], x)
+        if picks[0] not in single:
+            single[picks[0]] = _extend(table, 0, [], [], picks[0])
+        mask, members = single[picks[0]]
+        for i in range(1, len(picks)):
+            mask, members = _extend(table, mask, members, picks[:i], picks[i])
         if mask not in seen:
             seen.add(mask)
             yield sorted(members)
@@ -215,23 +218,35 @@ def check_closure_idempotence(P: PartitionedSet, Q, rng) -> Check:
 
 
 def check_h_class_structure(P: PartitionedSet, Q) -> Check:
+    """Each H-class of Q, built from the block patterns, is the class found by searching Q, and
+    all are copies of S_k.  One table is built, for the base class H_e, and matched with a fresh
+    S_k by one isomorphism search.  Each H_f is then matched with H_e by the translation
+    h -> h*f: it must be a bijection onto H_f, and phi(h*g) == phi(h)*phi(g) for every h in H_e
+    and each g of H_e's generating sequence, which by induction on b = b'*g covers all pairs, as
+    in ``build_isomorphism``: k!*|gens| products per class, and no table."""
     idems = idempotents_Q(P)
     expected = math.factorial(P.k)
     searched: dict = {}  # Q is sorted, so each image's elements are in canonical order
     for a in Q:
-        searched.setdefault(image(a), []).append(a)
-    tables = []
-    for e in idems:
-        G = h_class(e, P)
-        if G.order != expected:
-            return Check("h-class-structure", "fail", f"H-class order {G.order}, expected {expected}")
-        if tuple(searched.get(image(e), ())) != G.elements.elements:
+        searched.setdefault(image(a), []).append(a.images)
+    H = h_class(idems[0], P)
+    if H.order != expected:
+        return Check("h-class-structure", "fail", f"H-class order {H.order}, expected {expected}")
+    if not groups_isomorphic(H, symmetric_group_table(P.k)):
+        return Check("h-class-structure", "fail", "the base H-class is not isomorphic to S_k")
+    base = [h.images for h in H.elements]
+    gens = _small_generating_sequence(H) or [H.identity]  # the identity alone generates a trivial H_e
+    products = [(i, g, H.table[i][g]) for i in range(expected) for g in gens]
+    for f in idems:
+        members = [a.images for a in _h_class_members(f, P)]  # k! of them, one per pattern
+        if searched.get(image(f)) != members:
             return Check("h-class-structure", "fail", "pattern construction differs from searching Q")
-        tables.append(G)
-    # Isomorphism is an equivalence relation, so matching each H-class with the first suffices.
-    for G in tables[1:]:
-        if not groups_isomorphic(tables[0], G):
-            return Check("h-class-structure", "fail", "two H-classes are not isomorphic")
+        phi = [product_map(h)(f.images) for h in base]
+        if sorted(phi) != members:
+            return Check("h-class-structure", "fail", "h -> h*f is not a bijection onto H_f")
+        times = list(map(product_map, phi))
+        if any(phi[hg] != times[h](phi[g]) for h, g, hg in products):
+            return Check("h-class-structure", "fail", "two H-classes are not isomorphic by h -> h*f")
     return Check("h-class-structure", "pass", f"{len(idems)} H-classes of order {expected}, pairwise isomorphic")
 
 

@@ -77,6 +77,34 @@ def test_failed_or_incorrect_runs_are_reported_on_either_side():
     assert failures == ["parent w run 1: failed 2, correct True", "change w run 0: failed 0, correct False"]
     text = ab.render(rows, failures)
     assert text.splitlines()[0].split() == [
-        "w", "wall_s", "parent", "1", "[1,", "1]", "change", "1", "[1,", "1]", "+0.0%", "wins", "0/2", "bound", "20%", "OK",
+        "w", "wall_s", "parent", "1", "[1,", "1]", "change", "1", "[1,", "1]", "+0.0%", "wins", "0/2", "bound", "20%",
+        "gain", "-", "OK",
     ]
     assert text.splitlines()[-1] == "FAILED change w run 0: failed 0, correct False"
+
+
+PARENT_WALLS = [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]  # quartiles 0.9625 and 1.0375
+
+
+@pytest.mark.parametrize(
+    "change_walls, gain",
+    [
+        ([0.8] * 9 + [1.2], "met"),  # 9 of 10 pairs, and the median 0.2 below, past the spread of 0.075
+        ([0.8] * 8 + [1.2] * 2, "-"),  # 8 of 10 pairs
+        ([wall - 0.01 for wall in PARENT_WALLS], "-"),  # every pair, but the median only 0.01 below
+        ([1.2] * 10, "-"),  # every pair lost
+    ],
+)
+def test_a_gain_is_met_on_nine_tenths_of_the_pairs_and_past_the_parent_spread(change_walls, gain):
+    row = ab.summarize(runs(PARENT_WALLS, [100] * 10), runs(change_walls, [100] * 10), METRICS)[0][0]
+    assert row["parent"][2] - row["parent"][0] == pytest.approx(0.075)
+    assert row["gain"] == gain
+    assert f"gain {gain}" in ab.render([row], [])
+
+
+def test_a_gain_on_a_higher_is_better_metric_is_a_larger_median():
+    parent = runs([1.0] * 10, [100] * 10)
+    rows, _ = ab.summarize(parent, runs([1.0] * 10, [110] * 10), METRICS)
+    assert [row["gain"] for row in rows] == ["-", "met"]
+    rows, _ = ab.summarize(parent, runs([1.0] * 10, [90] * 10), METRICS)
+    assert [row["gain"] for row in rows] == ["-", "-"]

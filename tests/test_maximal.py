@@ -331,25 +331,63 @@ def test_search_finds_the_constructed_sets_past_close_by_one(sizes, total):
 
 def test_search_closes_an_option_only_when_its_bound_cannot_decide_it(monkeypatch):
     # A free element inside a closure already computed for the same F is kept
-    # bounded by it: 428 closures on (3, 2, 1), against 563 with one per
+    # bounded by it: 233 closures on (3, 2, 1), against 453 with one per
     # free element at every join.
     Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
     real = qstar.maximal._extend
     calls = []
     monkeypatch.setattr(qstar.maximal, "_extend", lambda *args: calls.append(args) or real(*args))
     assert _maximal_closed_masks(Q) == _close_by_one_reference(Q)
-    assert len(calls) <= 428
+    assert len(calls) <= 233
 
 
 def test_search_stops_at_the_state_bound(monkeypatch, capsys):
-    # The search on (3, 2, 1) visits 86 states.  Without the forbid pass, the
-    # cut or the largest-closure choice it visits more.
+    # The search on (3, 2, 1) visits 50 states, idempotents first.  Without the
+    # cut or the largest-closure choice it visits more (748 and 68), and 100 in
+    # index order.
     Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
-    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 86)
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 50)
     assert len(_maximal_closed_masks(Q)) == 10
-    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 85)
-    with pytest.raises(ResourceLimitError, match="^more than DEFAULT_MAX_CLOSED_SETS=85 search states$"):
+    monkeypatch.setattr(qstar.maximal, "DEFAULT_MAX_CLOSED_SETS", 49)
+    with pytest.raises(ResourceLimitError, match="^more than DEFAULT_MAX_CLOSED_SETS=49 search states$"):
         _maximal_closed_masks(Q)
     capsys.readouterr()
     assert main(["verify", "--partition", "1,2,3|4,5|6"]) == 3
-    assert capsys.readouterr().err == "resource limit: more than DEFAULT_MAX_CLOSED_SETS=85 search states\n"
+    assert capsys.readouterr().err == "resource limit: more than DEFAULT_MAX_CLOSED_SETS=49 search states\n"
+
+
+def _orders(S):
+    """Index order, reversed, and the default: idempotents first."""
+    return [range(len(S)), range(len(S) - 1, -1, -1), None]
+
+
+def test_search_finds_the_same_sets_in_any_visiting_order():
+    # Every shape with n <= 6 and |Q| <= 40, and S_1 to S_5.
+    semigroups = [symmetric_group_table(k).elements for k in range(1, 6)]
+    for n in range(1, 7):
+        for sizes in integer_partitions(n):
+            Q = enumerate_Q(partition_from_sizes(sizes))
+            if len(Q) <= DEFAULT_ORACLE_MAX:
+                semigroups.append(Q)
+    assert len(semigroups) == 27
+    for S in semigroups:
+        found = [_maximal_closed_masks(S, order) for order in _orders(S)]
+        assert found[0] == found[1] == found[2] == _close_by_one_reference(S), S.elements[0]
+
+
+def test_the_default_order_visits_idempotents_first(monkeypatch):
+    Q = enumerate_Q(partition_from_sizes((3, 2, 1)))
+    t = Q.index_table
+    idempotents = [x for x in range(len(Q)) if t[x][x] == x]
+    visited = []
+    real = qstar.maximal._extend
+
+    def recording(table, closed, members, gens, x, stop=0):
+        if not stop:  # F is closed with each u after its search, in the order visited; a state always stops at U
+            visited.append(x)
+        return real(table, closed, members, gens, x, stop)
+
+    monkeypatch.setattr(qstar.maximal, "_extend", recording)
+    _maximal_closed_masks(Q)
+    assert len(idempotents) == 6
+    assert visited[:6] == idempotents

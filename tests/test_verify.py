@@ -11,10 +11,11 @@ import pytest
 import qstar.engine
 import qstar.transformation
 import qstar.verify
-from qstar.engine import _close_mask, _mask_indices
-from qstar import SemigroupSet, constant_map, enumerate_Q, identity_map, identity_partition, make_partitioned_set
-from qstar import partition_from_sizes
+from qstar.engine import GroupTable, _close_mask, _mask_indices
+from qstar import SemigroupSet, Transformation, closure, constant_map, enumerate_Q, identity_map, identity_partition
+from qstar import make_partitioned_set, partition_from_sizes
 from qstar.qsemigroup import h_class, idempotents_Q
+from qstar.transformation import image
 from qstar.membership import is_idempotent_Q
 from qstar.verify import (
     check_closure_idempotence,
@@ -230,32 +231,64 @@ def test_only_the_sampled_checks_draw_and_the_battery_checks_its_own_draws(monke
 
 @pytest.mark.parametrize("sizes, classes", [((3, 2, 1), 6), ((2, 2, 2), 8), ((4, 3), 12)])
 def test_h_class_structure_matches_each_class_with_the_first(monkeypatch, sizes, classes):
+    # One table, for the base class, one S_k and one isomorphism search, whatever m:
+    # every other class is matched with the first by the translation h -> h*f.
     P = partition_from_sizes(sizes)
-    calls = []
-    real = qstar.verify.groups_isomorphic
-
-    def counting(G1, G2):
-        calls.append((G1, G2))
-        return real(G1, G2)
-
-    monkeypatch.setattr(qstar.verify, "groups_isomorphic", counting)
+    calls = {name: [] for name in ("h_class", "symmetric_group_table", "groups_isomorphic")}
+    for name, record in calls.items():
+        real = getattr(qstar.verify, name)
+        monkeypatch.setattr(qstar.verify, name, lambda *args, real=real, record=record: record.append(args) or real(*args))
+    tables = []
+    real_from_semigroup = qstar.engine.GroupTable.from_semigroup.__func__
+    monkeypatch.setattr(
+        qstar.engine.GroupTable,
+        "from_semigroup",
+        classmethod(lambda cls, S: tables.append(S) or real_from_semigroup(cls, S)),
+    )
     check = check_h_class_structure(P, enumerate_Q(P))
     assert check.status == "pass"
     assert check.detail == f"{classes} H-classes of order {len(enumerate_Q(P)) // classes}, pairwise isomorphic"
-    assert len(calls) == classes - 1
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+    assert calls["h_class"][0][0] == idempotents_Q(P)[0]
+    assert len(tables) == 2
 
 
 def test_h_class_structure_fails_when_the_last_h_class_is_not_isomorphic(monkeypatch):
+    # The last idempotent f is swapped for a member a of its class that is not
+    # idempotent: h -> h*a is a bijection onto that class but not multiplicative.
     P = partition_from_sizes((3, 2, 1))
-    last = h_class(idempotents_Q(P)[-1], P).elements.elements
-    real = qstar.verify.groups_isomorphic
-    monkeypatch.setattr(
-        qstar.verify,
-        "groups_isomorphic",
-        lambda G1, G2: real(G1, G2) and last not in (G1.elements.elements, G2.elements.elements),
-    )
+    *rest, last = idempotents_Q(P)
+    a = next(b for b in enumerate_Q(P) if image(b) == image(last) and b != last)
+    monkeypatch.setattr(qstar.verify, "idempotents_Q", lambda P: (*rest, a))
     check = check_h_class_structure(P, enumerate_Q(P))
-    assert (check.status, check.detail) == ("fail", "two H-classes are not isomorphic")
+    assert (check.status, check.detail) == ("fail", "two H-classes are not isomorphic by h -> h*f")
+
+
+def test_h_class_structure_fails_when_a_translation_is_not_onto_the_class(monkeypatch):
+    # The product kernel sends the last member of H_e where it sends the first.
+    P = partition_from_sizes((3, 2, 1))
+    H = h_class(idempotents_Q(P)[0], P).elements.elements
+    real = qstar.verify.product_map
+    monkeypatch.setattr(qstar.verify, "product_map", lambda a: real(H[0].images if a == H[-1].images else a))
+    check = check_h_class_structure(P, enumerate_Q(P))
+    assert (check.status, check.detail) == ("fail", "h -> h*f is not a bijection onto H_f")
+
+
+def test_h_class_structure_fails_when_the_base_class_has_the_wrong_order(monkeypatch):
+    P = partition_from_sizes((3, 2, 1))
+    trivial = GroupTable.from_semigroup(closure([idempotents_Q(P)[0]]))
+    monkeypatch.setattr(qstar.verify, "h_class", lambda e, P: trivial)
+    check = check_h_class_structure(P, enumerate_Q(P))
+    assert (check.status, check.detail) == ("fail", "H-class order 1, expected 6")
+
+
+def test_h_class_structure_fails_when_the_base_class_is_not_the_symmetric_group(monkeypatch):
+    # S_3 is swapped for the cyclic group of order 6, which has the same order.
+    P = partition_from_sizes((3, 2, 1))
+    cyclic = GroupTable.from_semigroup(closure([Transformation((1, 2, 3, 4, 5, 0))]))
+    monkeypatch.setattr(qstar.verify, "symmetric_group_table", lambda k: cyclic)
+    check = check_h_class_structure(P, enumerate_Q(P))
+    assert (check.status, check.detail) == ("fail", "the base H-class is not isomorphic to S_k")
 
 
 def test_kernel_cross_section_fails_when_a_kernel_merges_two_classes(monkeypatch, p6):
@@ -277,9 +310,10 @@ def test_kernel_cross_section_fails_when_a_kernel_merges_two_classes(monkeypatch
 
 def test_h_class_structure_fails_when_the_pattern_gives_another_idempotents_class(monkeypatch, p6):
     idems = idempotents_Q(p6)
-    real = qstar.verify.h_class
-    # Each H-class has order k!, so only the elements tell the classes apart.
-    monkeypatch.setattr(qstar.verify, "h_class", lambda e, P: real(idems[(idems.index(e) + 1) % len(idems)], P))
+    real = qstar.verify._h_class_members
+    # Each H-class has order k!, so only the elements tell the classes apart.  The base
+    # class, whose table is built, is left alone: the second idempotent gets the third's.
+    monkeypatch.setattr(qstar.verify, "_h_class_members", lambda f, P: real(idems[2] if f == idems[1] else f, P))
     check = check_h_class_structure(p6, enumerate_Q(p6))
     assert (check.status, check.detail) == ("fail", "pattern construction differs from searching Q")
 
@@ -305,25 +339,25 @@ def test_sampled_closures_match_the_from_scratch_kernel_on_every_labelling():
         assert rng.getstate() == reference.getstate()
 
 
-def _counting_rows_at(monkeypatch):
+def _counting_passes(monkeypatch, module):
     calls = []
-    real = qstar.engine._rows_at
+    real = qstar.engine.right_group_legs
 
-    def counting(S, indices):
+    def counting(S, indices=None):
         calls.append(list(indices))
         return real(S, indices)
 
-    monkeypatch.setattr(qstar.engine, "_rows_at", counting)
+    monkeypatch.setattr(module, "right_group_legs", counting)
     return calls
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (2, 2, 2)])
 def test_battery_reads_the_rows_of_each_distinct_closed_set_once(monkeypatch, sizes):
-    # One right_group_legs call decides all four legs of each distinct set.
+    # One right_group_legs pass decides all four legs of each distinct set.
     P = partition_from_sizes(sizes)
     Q = enumerate_Q(P)
     distinct = list(qstar.verify._sampled_closures(Q, random.Random(7), 125))
-    calls = _counting_rows_at(monkeypatch)
+    calls = _counting_passes(monkeypatch, qstar.verify)
     monkeypatch.setattr(qstar.verify, "VERIFY_SAMPLES", 125)
     assert check_right_group_battery(P, Q, random.Random(7)).status == "pass"
     assert calls == distinct
@@ -332,9 +366,9 @@ def test_battery_reads_the_rows_of_each_distinct_closed_set_once(monkeypatch, si
 def test_predicates_on_a_plain_index_list_each_make_their_own_pass(monkeypatch, p6):
     Q = enumerate_Q(p6)
     indices = list(range(len(Q)))
-    calls = _counting_rows_at(monkeypatch)
+    calls = _counting_passes(monkeypatch, qstar.engine)
     assert qstar.engine.is_right_group(Q, indices) and qstar.engine.is_regular_semigroup(Q, indices)
-    assert len(calls) == 2
+    assert calls == [indices, indices]
 
 
 def test_closure_idempotence_fails_when_the_second_closure_drops_an_element(monkeypatch, p6):

@@ -10,8 +10,11 @@ first alternates from pair to pair, so a drift in the host's speed falls on
 both.  For each workload and metric the summary prints each side's median
 with its quartiles, the change's median relative to the parent's, the
 pairs the change wins (its run of the pair beats the parent's in the
-metric's direction), and the metric's bound, a fraction of the parent's
-median.  A metric is ``WORSE``
+metric's direction), the metric's bound, a fraction of the parent's
+median, and whether a gain is shown: ``gain met`` when the change wins at
+least nine tenths of the pairs and its median beats the parent's, in the
+metric's direction, by more than the parent's spread between quartiles,
+else ``gain -``.  A metric is ``WORSE``
 when the change's median is worse than the parent's by more than its bound,
 and ``UNRESOLVED`` when the parent's spread between quartiles, relative to
 its median, exceeds the bound, so the runs cannot tell.  The exit is 1 on
@@ -45,8 +48,9 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> tuple[list[dic
     is ``BENCHMARK.json``'s ``end_to_end`` list.  A row holds the workload,
     the metric, each side's (q1, median, q3), the relative change of the
     median (positive when the change's median is larger), the pairs the
-    change wins, as (wins, pairs), the bound and a status: ``ok``, ``worse``
-    or ``unresolved``.  Run i of each side is pair i."""
+    change wins, as (wins, pairs), the bound, ``gain`` (``met`` or ``-``, as
+    the module docstring says) and a status: ``ok``, ``worse`` or
+    ``unresolved``.  Run i of each side is pair i."""
     rows, failures = [], []
     for side, runs in (("parent", parent), ("change", change)):
         for workload, results in runs.items():
@@ -63,13 +67,15 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> tuple[list[dic
             sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (p - c) > 0 for p, c in zip(parent_values, change_values))
             worse = relative > bound if metric["better"] == "lower" else -relative > bound
-            if (before[2] - before[0]) / before[1] > bound:
+            spread = before[2] - before[0]
+            met = wins >= 0.9 * len(parent_values) and sign * (before[1] - after[1]) > spread
+            if spread / before[1] > bound:
                 status = "unresolved"
             else:
                 status = "worse" if worse else "ok"
             rows.append({"workload": workload, "metric": name, "parent": before, "change": after,
                          "relative": relative, "wins": (wins, len(parent_values)), "bound": bound,
-                         "status": status})
+                         "gain": "met" if met else "-", "status": status})
     return rows, failures
 
 
@@ -81,7 +87,8 @@ def render(rows: list[dict], failures: list[str]) -> str:
 
     lines = [
         f"{r['workload']:<10} {r['metric']:<12} parent {side(r['parent']):<28} change {side(r['change']):<28} "
-        f"{r['relative']:+7.1%}  wins {r['wins'][0]}/{r['wins'][1]}  bound {r['bound']:.0%}  {r['status'].upper()}"
+        f"{r['relative']:+7.1%}  wins {r['wins'][0]}/{r['wins'][1]}  bound {r['bound']:.0%}  gain {r['gain']:<3}  "
+        f"{r['status'].upper()}"
         for r in rows
     ]
     return "\n".join(lines + [f"FAILED {failure}" for failure in failures])
