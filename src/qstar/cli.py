@@ -42,7 +42,6 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .errors import (
     ContractError,
@@ -188,14 +187,6 @@ def cmd_check(args) -> dict:
     return payload
 
 
-def _proved_shorthand(P):
-    """``q_shorthand`` for maps proved members of Q, which are constant on blocks: each block
-    head's 1-based image, read by one ``itemgetter`` for P, with no check."""
-    heads = [block[0] for block in P.blocks]
-    pick = itemgetter(*heads) if len(heads) > 1 else lambda images: (images[heads[0]],)
-    return lambda a: [v + 1 for v in pick(a.images)]
-
-
 def cmd_generate(args) -> dict:
     from .rank import minimal_generating_set
 
@@ -205,7 +196,7 @@ def cmd_generate(args) -> dict:
         "command": "generate",
         "partition": P.to_spec(),
         "rank": json_int(report.claimed_rank),
-        "generators": list(map(_proved_shorthand(P), report.generators)),
+        "generators": [list(q_shorthand(P, g)) for g in report.generators],
         "generator_images": [[v + 1 for v in g.images] for g in report.generators],
         "verified": True,  # minimal_generating_set raises rather than return a set prove_Q did not prove
     }
@@ -233,8 +224,7 @@ def cmd_maximal(args) -> dict:
             "s_k": json_int(report.s_k),
             "maximal_subgroup_orders": sorted(len(T) for T in report.group_type),
         }
-    shorthand = _proved_shorthand(P)
-    short = {a: shorthand(a) for a in enumerate_Q(P)}
+    short = {a: list(q_shorthand(P, a)) for a in enumerate_Q(P)}
     families = [(T, "group", None) for T in report.group_type]
     families += [(T, "right-zero", f) for T, f in zip(report.right_zero_type, report.omitted_idempotents)]
     rows = [

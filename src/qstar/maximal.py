@@ -131,18 +131,18 @@ def maximal_subsemigroups_Q(P: PartitionedSet) -> MaximalSubsemigroupReport:
     return MaximalSubsemigroupReport(P, tuple(group_type), tuple(right_zero), omitted, verified)
 
 
-def _maximal_closed_masks(S: SemigroupSet, order=None) -> list[int]:
+def _maximal_closed_masks(S: SemigroupSet) -> list[int]:
     """Masks of the maximal proper nonempty closed subsets of S, by branch and cut.
 
-    The elements are visited in ``order``, by default the idempotents (t[x][x]
-    == x) first, each part in index order.  A maximal M whose first missing
-    element in that order is u holds F, the closure of the elements before u,
-    and misses U = {u}.  Every maximal M has such a u, so any order finds every
-    M; the order only decides how much each search has left to close, and
-    tests pass other orders.  Idempotents go first because a maximal
-    subsemigroup misses few of them (one of Q misses at most one), so every
-    search after theirs starts from an F that holds them all, with fewer free
-    elements.  That makes 233 ``_extend`` calls on Q for (3, 2, 1), where index
+    The elements are visited idempotents (t[x][x] == x) first, each part in
+    index order.  A maximal M whose first missing element in that order is u
+    holds F, the closure of the elements before u, and misses U = {u}.  Every
+    maximal M has such a u, so any order finds every M; the order only decides
+    how much each search has left to close, and tests run relabelled copies of
+    S, which visit its elements in other orders.  Idempotents go first because
+    a maximal subsemigroup misses few of them (one of Q misses at most one), so
+    every search after theirs starts from an F that holds them all, with fewer
+    free elements.  That makes 233 ``_extend`` calls on Q for (3, 2, 1), where index
     order makes 339, and 4% fewer over every Q with n <= 6 and |Q| <= 40 and
     S_1 to S_5.
 
@@ -164,9 +164,7 @@ def _maximal_closed_masks(S: SemigroupSet, order=None) -> list[int]:
     found: list[int] = []
     states = 0
     F, members, gens = 0, [], []
-    if order is None:  # idempotents first, each part in index order
-        order = sorted(range(size), key=lambda x: t[x][x] != x)
-    for u in order:
+    for u in sorted(range(size), key=lambda x: t[x][x] != x):  # idempotents first, each part in index order
         if (F >> u) & 1:
             continue
         stack = [(F, members, gens, 1 << u, None)]
@@ -206,10 +204,7 @@ def _maximal_closed_masks(S: SemigroupSet, order=None) -> list[int]:
             if not options:
                 found.append(closed)
                 continue
-            largest = -1
-            for x, (m, _) in options.items():  # the first of the largest closures
-                if m.bit_count() > largest:
-                    largest, c = m.bit_count(), x
+            c = max(options, key=lambda c: options[c][0].bit_count())
             mask, grown_members = options.pop(c)
             stack.append((closed, mem, gen, U | 1 << c, options))
             stack.append((mask, grown_members, gen + [c], U, None))

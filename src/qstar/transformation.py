@@ -130,17 +130,17 @@ def kernel_partition(a: Transformation) -> KernelPartition:
 def q_shorthand(P: PartitionedSet, a: Transformation) -> tuple[int, ...]:
     """Compact 1-based tuple (one image per block) for a block-constant map.
 
-    Raises :class:`ContractError` when ``a`` is not constant on some block.
+    The block heads' images, spread back over the points by ``block_of``,
+    must be the map's images, as in ``in_Q``: one comparison.  Raises
+    :class:`ContractError` when ``a`` is not constant on some block.
     """
     check_degree(P, a)
     imgs = a.images
-    out = []
-    for bi, block in enumerate(P.blocks):
-        vals = {imgs[x] for x in block}
-        if len(vals) != 1:
-            raise ContractError(f"map is not constant on block {bi + 1}")
-        out.append(next(iter(vals)) + 1)
-    return tuple(out)
+    vals = [imgs[block[0]] for block in P.blocks]
+    if product_map(P.block_of)(vals) != imgs:
+        bi = min(P.block_of[x] for x, v in enumerate(imgs) if v != vals[P.block_of[x]])
+        raise ContractError(f"map is not constant on block {bi + 1}")
+    return tuple(v + 1 for v in vals)
 
 
 def from_q_shorthand(P: PartitionedSet, vals: Sequence[int]) -> Transformation:

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -13,6 +14,7 @@ from qstar import (
     identity_map,
     image,
     kernel_partition,
+    make_partitioned_set,
     q_shorthand,
     transformation_from_json,
     transformation_to_json,
@@ -125,6 +127,20 @@ def test_q_shorthand_rejects_non_collapsed(p6):
         from_q_shorthand(p6, (4, 1))
     with pytest.raises(ValidationError):
         from_q_shorthand(p6, (4, 1, 7))
+
+
+@pytest.mark.parametrize("n, blocks", [(1, [[0]]), (3, [[0, 1, 2]]), (5, [[0, 4], [1, 3], [2]])])
+def test_q_shorthand_agrees_with_reading_every_block(n, blocks):
+    # Every map: the shorthand, or the first block (in block order) the map is not constant on.
+    P = make_partitioned_set(n, blocks)
+    for images in itertools.product(range(n), repeat=n):
+        values = [{images[x] for x in block} for block in P.blocks]
+        first = next((i for i, v in enumerate(values) if len(v) != 1), None)
+        if first is None:
+            assert q_shorthand(P, Transformation(images)) == tuple(min(v) + 1 for v in values)
+        else:
+            with pytest.raises(ContractError, match=f"^map is not constant on block {first + 1}$"):
+                q_shorthand(P, Transformation(images))
 
 
 def test_json_forms(p6, alpha):
